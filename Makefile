@@ -1,6 +1,6 @@
 # Development targets for the radio-network BFS reproduction.
 
-.PHONY: build test bench bench-pr5 bench-pr6 bench-check bench-diff experiments scale-suite chaos-check remote-check resume-check fmt vet
+.PHONY: build test bench bench-pr5 bench-check experiments scale-suite chaos-check remote-check resume-check serve-check fmt vet
 
 build:
 	go build ./...
@@ -32,30 +32,11 @@ bench-pr5:
 		-note "PR5 sharded execution; GOMAXPROCS-dependent" \
 		-out BENCH_pr5.json
 
-# bench-pr6 re-records the dense-kernel performance report: the full suite
-# (including the BenchmarkDenseStep crossover family) against the tracked
-# baseline. Run on a quiet machine; the dense-vs-CSR spread is the data
-# behind the auto-selection threshold.
-bench-pr6:
-	go run ./cmd/benchjson -benchtime 20x \
-		-before BENCH_baseline.json \
-		-note "PR6 dense bitmap kernel; crossover family in BenchmarkDenseStep" \
-		-out BENCH_pr6.json
-
 # bench-check is the CI smoke comparison: every baseline benchmark must
 # still exist, and benchmarks whose committed allocs/op is zero must still
-# allocate nothing. Wall-clock numbers are deliberately not compared; the
-# bench-diff table that follows makes the tracked baseline transition
-# reviewable in the same CI log.
+# allocate nothing. Wall-clock numbers are deliberately not compared.
 bench-check:
 	go run ./cmd/benchjson -check BENCH_baseline.json -benchtime 1x
-	@if [ -f BENCH_pr6.json ]; then $(MAKE) --no-print-directory bench-diff; fi
-
-# bench-diff prints per-benchmark ns/op and allocs/op deltas between the
-# PR5 report and the PR6 dense-kernel report — the dense-vs-CSR crossover
-# table.
-bench-diff:
-	go run ./cmd/benchjson -diff BENCH_pr5.json BENCH_pr6.json
 
 experiments:
 	go run ./cmd/experiments

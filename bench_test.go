@@ -528,9 +528,10 @@ func BenchmarkEngineStep(b *testing.B) {
 // regime the scale suite exercises: a 1024-vertex frontier transmits while
 // every other vertex listens on a random tree with n = 2²⁰. Sub-benchmarks
 // sweep the shard count of the same step; results are byte-identical at
-// every count (see radio.StepParallel), so the spread is pure wall-clock.
-// On a single-core runner the shards > 1 rows only show the fan-out
-// overhead; the speedup scales with GOMAXPROCS.
+// every count (see radio.WithShards), so the spread is pure wall-clock. The
+// step's activity is far above the engine's sharding threshold, so every
+// shards > 1 row times the sharded walk. On a single-core runner those rows
+// only show the fan-out overhead; the speedup scales with GOMAXPROCS.
 func BenchmarkScaleStep(b *testing.B) {
 	n := 1 << 20
 	g := graph.RandomTree(n, rng.New(1))
@@ -552,50 +553,9 @@ func BenchmarkScaleStep(b *testing.B) {
 		eng := radio.NewEngine(g, radio.WithShards(shards))
 		b.Run(fmt.Sprintf("n=1M/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.StepParallel(tx, listeners, out)
+				eng.Step(tx, listeners, out)
 			}
 		})
-	}
-}
-
-// BenchmarkDenseStep maps the dense-vs-CSR crossover that Step's
-// auto-selection threshold encodes: one physical slot on a million-vertex
-// random tree at activity densities from ~1/64 of the network awake to all
-// of it, on the CSR kernel (dense disabled) and the packed-bitmap kernel
-// (dense forced), sequentially and sharded. Every cell computes identical
-// bytes — the spread is pure wall-clock, and where the dense rows cross
-// under the CSR rows is the data behind the Σdeg(tx) ≥ n/128 default rule
-// (see radio.WithDenseMin; BenchmarkScaleStep covers the complementary
-// listener-heavy pattern where CSR stays ahead). Densities are labeled by
-// the divisor: den=64 means one vertex in 64 is awake; among awake
-// vertices every fourth transmits and the rest listen.
-func BenchmarkDenseStep(b *testing.B) {
-	n := 1 << 20
-	g := graph.RandomTree(n, rng.New(1))
-	for _, den := range []int{64, 16, 4, 1} {
-		var tx []radio.TX
-		var listeners []int32
-		for v := 0; v < n; v += den {
-			if (v/den)%4 == 0 {
-				tx = append(tx, radio.TX{ID: int32(v), Msg: radio.Msg{Kind: 1, A: uint64(v)}})
-			} else {
-				listeners = append(listeners, int32(v))
-			}
-		}
-		out := make([]radio.RX, len(listeners))
-		for _, kernel := range []struct {
-			name string
-			min  int
-		}{{"csr", -1}, {"dense", 1}} {
-			for _, shards := range []int{1, 4} {
-				eng := radio.NewEngine(g, radio.WithShards(shards), radio.WithDenseMin(kernel.min))
-				b.Run(fmt.Sprintf("n=1M/den=%d/%s/shards=%d", den, kernel.name, shards), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						eng.StepParallel(tx, listeners, out)
-					}
-				})
-			}
-		}
 	}
 }
 

@@ -79,7 +79,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E1,E7)")
 	seed := flag.Uint64("seed", 1, "root seed")
 	workers := flag.Int("workers", 0, "concurrent trials (0 = GOMAXPROCS)")
-	denseMin := flag.Int("densemin", 0, "transmitter coverage from which engines use the packed-bitmap dense kernel (0 = default density rule, positive = coverage floor, negative = disable); never changes output bytes")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()
@@ -99,7 +98,7 @@ func main() {
 		quick:  *quick,
 		seed:   *seed,
 		out:    os.Stdout,
-		runner: harness.Runner{Workers: *workers, Root: *seed, DenseMin: *denseMin},
+		runner: harness.Runner{Workers: *workers, Root: *seed},
 	}
 	selected := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {

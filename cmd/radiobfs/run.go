@@ -55,8 +55,6 @@ func execSpecs(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	addrFile := fs.String("addrfile", "", "write the resolved listen address to this file once the listener is up (for -listen 127.0.0.1:0 in scripts)")
 	connectWait := fs.Duration("connect-wait", 60*time.Second, "under -listen, how long to tolerate zero connected workers before finishing the sweep in-process")
 	progressFlag := fs.Bool("progress", false, "log lease lifecycle events on stderr under -dist")
-	shardMinN := fs.Int("shardminn", 0, "instance size from which a trial runs alone with the engine sharded across the pool (0 = default threshold, negative = disable); never changes output bytes")
-	denseMin := fs.Int("densemin", 0, "transmitter coverage from which the engine uses the packed-bitmap dense kernel (0 = default density rule, positive = coverage floor, negative = disable); never changes output bytes")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: radiobfs run [flags] <spec.json>...")
 		fmt.Fprintln(fs.Output(), "Executes declarative scenario specs (see scenarios/ and README.md) and")
@@ -104,7 +102,7 @@ func execSpecs(ctx context.Context, args []string, stdout, stderr io.Writer) err
 		files = append(files, f)
 	}
 
-	opts := spec.Options{Quick: *quick, Ctx: ctx, ShardMinN: *shardMinN, DenseMin: *denseMin}
+	opts := spec.Options{Quick: *quick, Ctx: ctx}
 	dcfg := dist.Config{Workers: *workers, Chaos: chaos, Log: stderr, ConnectWait: *connectWait}
 	if *progressFlag {
 		dcfg.Observer = leaseLogger{w: stderr}

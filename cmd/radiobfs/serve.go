@@ -32,8 +32,6 @@ func runServe(args []string) error {
 	maxClient := fs.Int("maxclient", 8, "per-client in-flight job cap; exceeding it answers 429")
 	heartbeat := fs.Duration("heartbeat", 15*time.Second, "SSE keep-alive comment interval")
 	addrFile := fs.String("addrfile", "", "write the bound address to this file once listening (for scripts using an ephemeral port)")
-	shardMinN := fs.Int("shardminn", 0, "instance size from which a trial runs alone with the engine sharded across the pool (0 = default, negative = disable); never changes output bytes")
-	denseMin := fs.Int("densemin", 0, "transmitter coverage from which the engine uses the packed-bitmap dense kernel (0 = default, positive = floor, negative = disable); never changes output bytes")
 	distListen := fs.String("dist-listen", "", "host:port to accept remote sweep workers on; jobs then execute across `radiobfs work -connect` workers instead of in-process (requires -dist-token)")
 	distToken := fs.String("dist-token", "", "shared secret remote workers must prove (required with -dist-listen)")
 	distWorkers := fs.Int("dist-workers", 0, "worker slots per job under -dist-listen (0 = GOMAXPROCS)")
@@ -59,8 +57,6 @@ func runServe(args []string) error {
 		QueueCap:     *queueCap,
 		MaxPerClient: *maxClient,
 		Heartbeat:    *heartbeat,
-		ShardMinN:    *shardMinN,
-		DenseMin:     *denseMin,
 		Log:          os.Stderr,
 	}
 	if *distListen != "" {

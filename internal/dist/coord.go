@@ -234,7 +234,7 @@ func Execute(f *spec.File, root uint64, opts spec.Options, cfg Config) (*spec.Ou
 		// OnTrial on the runner covers the wholesale in-process fallback
 		// (Runner.Run fires it); the coordinator fires it by hand for
 		// worker results and per-lease fallbacks, once per fresh ack.
-		runner: harness.Runner{Workers: cfg.Workers, Root: root, ShardMinN: opts.ShardMinN, DenseMin: opts.DenseMin, OnTrial: opts.OnTrial},
+		runner: harness.Runner{Workers: cfg.Workers, Root: root, OnTrial: opts.OnTrial},
 		async:  cfg.Transport.Accepts() != nil,
 	}
 	c.refs = c.runner.ExpandAll(scs...)
@@ -760,8 +760,6 @@ func (c *coordinator) attach(w *workerProc, conn Conn) {
 		Spec:        c.raw,
 		Quick:       c.opts.Quick,
 		Root:        c.root,
-		ShardMinN:   c.opts.ShardMinN,
-		DenseMin:    c.opts.DenseMin,
 		HeartbeatMS: int(c.cfg.Heartbeat / time.Millisecond),
 		Chaos:       c.cfg.Chaos,
 	}}); werr != nil {

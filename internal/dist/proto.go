@@ -72,8 +72,8 @@ const (
 )
 
 // Hello carries everything a worker needs to reconstruct the coordinator's
-// exact trial list: the spec bytes, the resolved root seed, and the kernel
-// policy knobs (which never change result bytes).
+// exact trial list: the spec bytes, the quick flag and the resolved root
+// seed.
 type Hello struct {
 	// Worker is the incarnation number of this worker process, unique
 	// across respawns; it keys the deterministic chaos fault plan.
@@ -85,9 +85,6 @@ type Hello struct {
 	Quick bool `json:"quick,omitempty"`
 	// Root is the resolved root seed (never 0).
 	Root uint64 `json:"root"`
-	// ShardMinN / DenseMin mirror harness.Runner's kernel-policy fields.
-	ShardMinN int `json:"shardMinN,omitempty"`
-	DenseMin  int `json:"denseMin,omitempty"`
 	// HeartbeatMS is the interval between worker heartbeat frames.
 	HeartbeatMS int `json:"heartbeatMS,omitempty"`
 	// Chaos is the fault-injection schedule (zero value = none).

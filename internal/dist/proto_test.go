@@ -18,7 +18,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Kind: KindHello, Hello: &Hello{
 			Worker: 7, Spec: json.RawMessage(`{"name":"x","scenarios":[]}`),
-			Quick: true, Root: 42, ShardMinN: -1, DenseMin: 9,
+			Quick: true, Root: 42,
 			HeartbeatMS: 250, Chaos: ChaosSpec{Seed: 3, KillAfter: 2, StallPct: 25},
 		}},
 		{Kind: KindLease, Lease: &Lease{ID: 2, Start: 10, End: 20, Skip: []int{11, 13}}},

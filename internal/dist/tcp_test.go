@@ -173,17 +173,29 @@ func TestTCPWrongTokenRejected(t *testing.T) {
 	if got := artifactBytes(t, out); !bytes.Equal(got, want) {
 		t.Errorf("artifacts differ despite the rejected intruder\nlog: %s", log.Bytes())
 	}
-	for i, werr := range wait() {
-		if werr != nil {
-			t.Errorf("authenticated worker %d exit: %v", i, werr)
-		}
-	}
 	evilWait := evil.Wait()
 	if evilWait == nil {
 		t.Error("wrong-token worker exited zero, want a rejection failure")
 	}
 	if !strings.Contains(evilErr.String(), "handshake rejected (badToken)") {
 		t.Errorf("wrong-token worker stderr missing the typed rejection: %s", evilErr.String())
+	}
+	// The listener outlives the run, so a worker that dialed after the run
+	// finished sits parked awaiting an attach that will never come. Once
+	// both workers have authenticated, closing the listener releases any
+	// such worker with a clean exit.
+	deadline := time.Now().Add(30 * time.Second)
+	for strings.Count(log.String(), "worker authenticated from") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("both workers never authenticated:\n%s", log.String())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	tr.Close()
+	for i, werr := range wait() {
+		if werr != nil {
+			t.Errorf("authenticated worker %d exit: %v", i, werr)
+		}
 	}
 	waitForLog(t, &log, "rejected worker from")
 }

@@ -82,7 +82,7 @@ func serveHello(fr *FrameReader, fw *FrameWriter, h *Hello, remote bool) error {
 	if root == 0 {
 		root = f.RootSeed()
 	}
-	runner := harness.Runner{Root: root, ShardMinN: h.ShardMinN, DenseMin: h.DenseMin}
+	runner := harness.Runner{Root: root}
 	st := runner.Stream(scs...)
 	total := len(st.Trials())
 	fault := h.Chaos.Plan(h.Worker)

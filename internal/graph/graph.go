@@ -100,24 +100,6 @@ func (g *Graph) ShardBounds(k int, buf []int32) []int32 {
 	return append(buf, n)
 }
 
-// ShardBoundsAligned is ShardBounds with every interior boundary rounded
-// down to a multiple of align, so fixed-size blocks of vertex IDs — the
-// radio engine's 64-vertex bitmap words — never straddle two shards. The
-// partition stays exhaustive, disjoint and monotone, and balance degrades
-// by at most one block per boundary. The final boundary remains N() even
-// when unaligned: the trailing partial block belongs to the last non-empty
-// shard alone.
-func (g *Graph) ShardBoundsAligned(k int, align int32, buf []int32) []int32 {
-	if align < 1 {
-		panic("graph: shard alignment must be >= 1")
-	}
-	buf = g.ShardBounds(k, buf)
-	for i := 1; i < len(buf)-1; i++ {
-		buf[i] -= buf[i] % align
-	}
-	return buf
-}
-
 // Edges calls fn once per undirected edge {u, v} with u < v.
 func (g *Graph) Edges(fn func(u, v int32)) {
 	for u := int32(0); u < int32(g.N()); u++ {

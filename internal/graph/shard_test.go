@@ -84,54 +84,6 @@ func TestShardCoverageExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestShardBoundsAligned checks the aligned variant keeps the partition
-// properties — exhaustive, disjoint, monotone, k+1 boundaries — while every
-// interior boundary is a multiple of align, and that it is exactly
-// ShardBounds with interior boundaries rounded down.
-func TestShardBoundsAligned(t *testing.T) {
-	for name, g := range shardTestGraphs() {
-		n := int32(g.N())
-		for _, k := range []int{1, 2, 3, 5, 16, g.N(), g.N() + 7} {
-			if k < 1 {
-				continue
-			}
-			for _, align := range []int32{1, 8, 64} {
-				got := g.ShardBoundsAligned(k, align, nil)
-				want := g.ShardBounds(k, nil)
-				if len(got) != k+1 {
-					t.Fatalf("%s k=%d align=%d: %d boundaries, want %d", name, k, align, len(got), k+1)
-				}
-				if got[0] != 0 || got[k] != n {
-					t.Fatalf("%s k=%d align=%d: bounds span [%d, %d], want [0, %d]", name, k, align, got[0], got[k], n)
-				}
-				for s := 0; s < k; s++ {
-					if got[s] > got[s+1] {
-						t.Fatalf("%s k=%d align=%d: boundary %d decreases: %v", name, k, align, s, got)
-					}
-				}
-				for i := 1; i < k; i++ {
-					if got[i]%align != 0 {
-						t.Fatalf("%s k=%d align=%d: interior boundary %d = %d not aligned", name, k, align, i, got[i])
-					}
-					if exp := want[i] - want[i]%align; got[i] != exp {
-						t.Fatalf("%s k=%d align=%d: boundary %d = %d, want ShardBounds %d rounded to %d", name, k, align, i, got[i], want[i], exp)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardBoundsAlignedPanics pins the align validation.
-func TestShardBoundsAlignedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ShardBoundsAligned(1, 0, nil) did not panic")
-		}
-	}()
-	Path(4).ShardBoundsAligned(1, 0, nil)
-}
-
 // TestNeighborsRangeSlices pins NeighborsRange against a filter of the full
 // list for arbitrary (not just boundary-aligned) ranges.
 func TestNeighborsRangeSlices(t *testing.T) {

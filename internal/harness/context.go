@@ -38,11 +38,6 @@ type Context struct {
 	// (1 = sequential). The Runner sets it to the worker-pool size for
 	// contexts that execute big instances one at a time.
 	shards int
-	// denseMin is the engine's dense-kernel threshold override (see
-	// radio.WithDenseMin): 0 keeps the engine default, positive engages the
-	// packed-bitmap kernel from that transmitter coverage, negative
-	// disables it.
-	denseMin int
 	// shared is a read-only cache of deterministic-family graphs built
 	// before worker fan-out, so one instance serves every worker; graphs
 	// are immutable, so lock-free concurrent reads are safe. graphs is the
@@ -124,22 +119,11 @@ func (c *Context) Graph(family string, n int, seed uint64) (*graph.Graph, error)
 
 // SetShards fixes the engine shard count for trials executed on this
 // context. Sharded and sequential execution are byte-identical (see
-// radio.StepParallel), so this is scheduling policy, never semantics.
+// radio.WithShards), so this is scheduling policy, never semantics.
 func (c *Context) SetShards(k int) {
 	c.shards = k
 	if c.eng != nil {
 		c.eng.SetShards(k)
-	}
-}
-
-// SetDenseMin fixes the engine dense-kernel threshold for trials executed
-// on this context (see radio.WithDenseMin). Like SetShards this is purely
-// kernel-selection policy: every kernel is byte-identical, so results never
-// depend on it.
-func (c *Context) SetDenseMin(min int) {
-	c.denseMin = min
-	if c.eng != nil {
-		c.eng.SetDenseMin(min)
 	}
 }
 
@@ -148,7 +132,7 @@ func (c *Context) SetDenseMin(min int) {
 // Engine call on the same context.
 func (c *Context) Engine(g *graph.Graph) *radio.Engine {
 	if c.eng == nil {
-		c.eng = radio.NewEngine(g, radio.WithShards(c.shards), radio.WithDenseMin(c.denseMin))
+		c.eng = radio.NewEngine(g, radio.WithShards(c.shards))
 		return c.eng
 	}
 	c.eng.Reset(g)

@@ -19,9 +19,9 @@
 //     seed derived with rng.Derive from (root, scenario, family, n,
 //     maxDist, trial index), so results are bit-identical regardless of
 //     worker count or scheduling. Small instances run trial-parallel (one
-//     trial per worker); instances at or above Runner.ShardMinN instead run
+//     trial per worker); instances at or above DefaultShardMinN instead run
 //     one at a time with the radio engine's physics steps sharded across
-//     the whole pool (radio.StepParallel — itself byte-identical to
+//     the whole pool (radio.WithShards — itself byte-identical to
 //     sequential stepping), so a single million-vertex trial saturates the
 //     machine too;
 //   - Aggregate folds per-trial Metrics into per-cell summaries

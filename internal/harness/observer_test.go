@@ -190,19 +190,20 @@ func (c chainObserver) RoundBatch(p string, n int64) {
 // sequential, pooled, and big-instance (sharded) scheduling paths alike.
 func TestOnTrialNotifiesEveryTrialOnce(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		workers   int
-		shardMinN int
+		name    string
+		workers int
+		bigN    int
 	}{
-		{"sequential", 1, 0},
-		{"pooled", 3, 0},
+		{"sequential", 1, DefaultShardMinN},
+		{"pooled", 3, DefaultShardMinN},
 		{"pooled+sharded", 3, 45}, // grid n=49 takes the big-instance path
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			defer withBigInstanceN(tc.bigN)()
 			var mu sync.Mutex
 			seen := map[Trial]Result{}
 			counts := map[Trial]int{}
-			runner := Runner{Workers: tc.workers, Root: 5, ShardMinN: tc.shardMinN,
+			runner := Runner{Workers: tc.workers, Root: 5,
 				OnTrial: func(res Result) {
 					mu.Lock()
 					defer mu.Unlock()

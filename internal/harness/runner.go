@@ -14,6 +14,11 @@ import (
 // only thrash memory.
 const DefaultShardMinN = 1 << 17
 
+// bigInstanceN is the big-instance threshold Run and Stream schedule by. A
+// var, not a const, so tests can move small instances onto the sharded
+// schedule.
+var bigInstanceN = DefaultShardMinN
+
 // Runner executes scenarios on a worker pool. The zero value runs every
 // trial on GOMAXPROCS workers with root seed 0; set Root to reproduce a
 // specific sweep and Workers to bound parallelism (1 = sequential).
@@ -22,26 +27,16 @@ const DefaultShardMinN = 1 << 17
 // TrialFor) and results are written to position-indexed slots, Run's output
 // is byte-for-byte independent of Workers and of goroutine scheduling.
 //
-// Trials of big instances (Instance.N >= the shard threshold) are scheduled
+// Trials of big instances (Instance.N >= DefaultShardMinN) are scheduled
 // differently — one at a time, with the engine sharded across the pool (see
-// radio.StepParallel) — but that changes only where the parallelism lives,
+// radio.WithShards) — but that changes only where the parallelism lives,
 // never the bytes: sharded steps are proven identical to sequential ones,
-// so aggregate output remains independent of Workers and ShardMinN alike.
+// so aggregate output remains independent of Workers.
 type Runner struct {
 	// Workers bounds concurrent trials; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Root is the root seed every trial seed is derived from.
 	Root uint64
-	// ShardMinN overrides the instance size from which trials run with
-	// intra-trial sharding instead of trial parallelism: 0 selects
-	// DefaultShardMinN, negative disables intra-trial sharding entirely.
-	ShardMinN int
-	// DenseMin overrides the engines' dense-kernel coverage threshold (see
-	// radio.WithDenseMin): 0 keeps the engine default, positive is the
-	// transmitter coverage (Σ deg) from which the packed-bitmap kernel
-	// engages, negative disables it. Like ShardMinN this selects kernels,
-	// never semantics — results are byte-identical at any setting.
-	DenseMin int
 	// OnTrial, when non-nil, is invoked once per trial the moment its
 	// Result settles — from whichever worker goroutine ran it, so it must
 	// be safe for concurrent use. Invocation order follows scheduling, not
@@ -50,18 +45,6 @@ type Runner struct {
 	// stream per-trial progress (e.g. the serving layer's trial-done SSE
 	// events) without waiting for the whole sweep.
 	OnTrial func(Result)
-}
-
-// shardMinN resolves the effective big-instance threshold (0 = disabled).
-func (r *Runner) shardMinN() int {
-	switch {
-	case r.ShardMinN < 0:
-		return 0
-	case r.ShardMinN == 0:
-		return DefaultShardMinN
-	default:
-		return r.ShardMinN
-	}
 }
 
 // Run expands the scenarios into trials, executes them all, and returns the
@@ -82,7 +65,6 @@ func (r *Runner) Run(scenarios ...*Scenario) []Result {
 	shared := sharedGraphs(scenarios...)
 	if workers <= 1 {
 		ctx := newContextShared(shared)
-		ctx.SetDenseMin(r.DenseMin)
 		for _, j := range jobs {
 			results[j.Slot] = ExecuteCtx(ctx, j.Scenario, j.Trial)
 			r.notify(results[j.Slot])
@@ -92,25 +74,21 @@ func (r *Runner) Run(scenarios ...*Scenario) []Result {
 	// Big instances do not compete trial-parallel: each runs alone with its
 	// physics steps sharded across the full pool, so one million-vertex
 	// trial saturates the machine instead of serializing behind a worker.
-	small := jobs
-	if minN := r.shardMinN(); minN > 0 {
-		small = small[:0]
-		var big []TrialRef
-		for _, j := range jobs {
-			if j.Trial.N >= minN {
-				big = append(big, j)
-			} else {
-				small = append(small, j)
-			}
+	small := jobs[:0] // filtered in place: appends never overtake the scan
+	var big []TrialRef
+	for _, j := range jobs {
+		if j.Trial.N >= bigInstanceN {
+			big = append(big, j)
+		} else {
+			small = append(small, j)
 		}
-		if len(big) > 0 {
-			ctx := newContextShared(shared)
-			ctx.SetShards(workers)
-			ctx.SetDenseMin(r.DenseMin)
-			for _, j := range big {
-				results[j.Slot] = ExecuteCtx(ctx, j.Scenario, j.Trial)
-				r.notify(results[j.Slot])
-			}
+	}
+	if len(big) > 0 {
+		ctx := newContextShared(shared)
+		ctx.SetShards(workers)
+		for _, j := range big {
+			results[j.Slot] = ExecuteCtx(ctx, j.Scenario, j.Trial)
+			r.notify(results[j.Slot])
 		}
 	}
 	if len(small) == 0 {
@@ -131,7 +109,6 @@ func (r *Runner) Run(scenarios ...*Scenario) []Result {
 			// is a pure function of its Trial value (see the package doc's
 			// worker-context contract).
 			ctx := newContextShared(shared)
-			ctx.SetDenseMin(r.DenseMin)
 			for j := range ch {
 				results[j.Slot] = ExecuteCtx(ctx, j.Scenario, j.Trial)
 				r.notify(results[j.Slot])

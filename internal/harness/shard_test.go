@@ -3,11 +3,23 @@ package harness
 import (
 	"reflect"
 	"testing"
+
+	"repro"
 )
 
+// withBigInstanceN sets the big-instance threshold to n for the rest of a test;
+// the returned func restores it.
+func withBigInstanceN(n int) (restore func()) {
+	old := bigInstanceN
+	bigInstanceN = n
+	return func() { bigInstanceN = old }
+}
+
 // shardPolicyScenarios mixes seeded and deterministic families around a size
-// boundary, so a low ShardMinN splits the trial list into both scheduling
-// classes.
+// boundary, so a low threshold splits the trial list into both scheduling
+// classes. The last scenario has the shapes of the scale suite's quick
+// overlay: Decay on the physical channel over star, grid and tree at
+// n = 4096 and G(n,p) at 2048.
 func shardPolicyScenarios() []*Scenario {
 	return []*Scenario{
 		{
@@ -23,6 +35,18 @@ func shardPolicyScenarios() []*Scenario {
 			Trials:    2,
 			Instances: []Instance{{Family: "cycle", N: 128, MaxDist: 32}, {Family: "gnp", N: 200, MaxDist: 16}},
 		},
+		{
+			Name:   "shard-policy-scale-quick",
+			Algo:   AlgoDecay,
+			Cost:   repro.CostPhysical,
+			Passes: 2,
+			Instances: []Instance{
+				{Family: "star", N: 4096, MaxDist: 4},
+				{Family: "grid", N: 4096, MaxDist: 16},
+				{Family: "tree", N: 4096, MaxDist: 10},
+				{Family: "gnp", N: 2048, MaxDist: 8},
+			},
+		},
 	}
 }
 
@@ -30,7 +54,7 @@ func shardPolicyScenarios() []*Scenario {
 // policy to the determinism contract: routing big instances through the
 // intra-trial sharded path (one at a time, engine sharded over the pool)
 // must produce byte-identical results to plain sequential execution and to
-// trial-parallel execution with sharding disabled.
+// trial-parallel execution.
 func TestShardSchedulingMatchesTrialParallel(t *testing.T) {
 	sequential := (&Runner{Workers: 1, Root: 5}).Run(shardPolicyScenarios()...)
 	for _, r := range sequential {
@@ -38,21 +62,19 @@ func TestShardSchedulingMatchesTrialParallel(t *testing.T) {
 			t.Fatalf("trial %s/%s/n=%d failed: %s", r.Scenario, r.Family, r.N, r.Err)
 		}
 	}
-	cases := []Runner{
-		{Workers: 4, Root: 5},                 // default threshold: all trials small
-		{Workers: 4, Root: 5, ShardMinN: 200}, // n=200,256,300 take the sharded path
-		{Workers: 4, Root: 5, ShardMinN: 1},   // every trial takes the sharded path
-		{Workers: 4, Root: 5, ShardMinN: -1},  // sharding disabled explicitly
-		{Workers: 2, Root: 5, ShardMinN: 200},
-		{Workers: 4, Root: 5, DenseMin: 1},               // every step on the dense bitmap kernel
-		{Workers: 4, Root: 5, DenseMin: -1},              // dense kernel disabled explicitly
-		{Workers: 4, Root: 5, ShardMinN: 1, DenseMin: 1}, // sharded dense kernel for every trial
-		{Workers: 1, Root: 5, DenseMin: 1},               // sequential, dense forced
+	cases := []struct{ workers, minN int }{
+		{4, DefaultShardMinN}, // default threshold: all trials small
+		{4, 1000},             // the scale-suite shapes take the sharded path
+		{4, 200},              // so do n = 200, 256, 300
+		{4, 1},                // every trial takes the sharded path
+		{2, 200},
 	}
-	for _, runner := range cases {
-		got := runner.Run(shardPolicyScenarios()...)
+	for _, tc := range cases {
+		restore := withBigInstanceN(tc.minN)
+		got := (&Runner{Workers: tc.workers, Root: 5}).Run(shardPolicyScenarios()...)
+		restore()
 		if !reflect.DeepEqual(got, sequential) {
-			t.Fatalf("Runner%+v results diverge from sequential execution", runner)
+			t.Fatalf("workers=%d big-instance threshold %d: results diverge from sequential execution", tc.workers, tc.minN)
 		}
 	}
 }
@@ -99,7 +121,8 @@ func TestRunnerSingleBigTrialStaysSharded(t *testing.T) {
 		}
 	}
 	want := (&Runner{Workers: 1, Root: 9}).Run(sc())
-	got := (&Runner{Workers: 4, Root: 9, ShardMinN: 100}).Run(sc())
+	defer withBigInstanceN(100)()
+	got := (&Runner{Workers: 4, Root: 9}).Run(sc())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("single big trial diverges: %+v vs %+v", got, want)
 	}

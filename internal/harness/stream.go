@@ -55,23 +55,16 @@ func (r *Runner) ExpandAll(scenarios ...*Scenario) []TrialRef {
 type Stream struct {
 	refs []TrialRef
 	ctx  *Context
-	// minN is the instance size from which a trial's physics steps run
-	// sharded across procs goroutines (0 = never). Kernel selection only —
-	// sharded and sequential stepping are byte-identical.
-	minN  int
+	// procs is the shard count for trials of big instances (see Run).
 	procs int
 }
 
 // Stream builds the canonical trial list for the scenarios and a pooled
-// execution context honoring the Runner's DenseMin and ShardMinN policies
-// (both select kernels, never bytes).
+// execution context.
 func (r *Runner) Stream(scenarios ...*Scenario) *Stream {
-	ctx := newContextShared(sharedGraphs(scenarios...))
-	ctx.SetDenseMin(r.DenseMin)
 	return &Stream{
 		refs:  r.ExpandAll(scenarios...),
-		ctx:   ctx,
-		minN:  r.shardMinN(),
+		ctx:   newContextShared(sharedGraphs(scenarios...)),
 		procs: runtime.GOMAXPROCS(0),
 	}
 }
@@ -103,7 +96,7 @@ func (s *Stream) RunRange(ctx context.Context, start, end int, skip func(slot in
 		// Big instances shard their physics steps across the process's
 		// cores, exactly as the Runner schedules them; small ones run
 		// sequentially. Both paths are proven byte-identical.
-		if s.minN > 0 && ref.Trial.N >= s.minN {
+		if ref.Trial.N >= bigInstanceN {
 			s.ctx.SetShards(s.procs)
 		} else {
 			s.ctx.SetShards(1)

@@ -11,16 +11,12 @@
 //     activity-proportional — the cost of a step is O(Σ deg(transmitters) +
 //     #listeners), and rounds in which nobody is awake are skipped in O(1).
 //     This mirrors the paper's central concern: sleeping radios are free.
-//     One step executes on one of three interchangeable kernels, selected
-//     per step by activity: a sequential CSR walk (the baseline), the same
-//     walk split into k parallel shards for engines built WithShards(k)
-//     (see StepParallel), and a packed-bitmap kernel for the dense regime —
-//     coverage and collisions tracked as word-wide bit operations instead
-//     of per-neighbor counters (see dense.go; threshold via WithDenseMin).
-//     All three are byte-identical in every observable — outputs, meters,
-//     clock, violation counter — at every shard count, so kernel choice is
-//     purely a performance decision, which is how million-vertex instances
-//     use every core inside a single trial.
+//     A step is one walk over the CSR adjacency of the transmitters into
+//     per-neighbor counters. It runs sequentially, or — on an engine built
+//     WithShards(k) when the step carries enough activity — split into k
+//     parallel shards, which is how million-vertex instances use every core
+//     inside a single trial. Both are byte-identical in every observable
+//     (outputs, meters, clock, violation counter) at every shard count.
 //
 //   - Sim/Device: a goroutine-per-device blocking API (Listen, Transmit,
 //     Idle) on which free-form protocols can be written as ordinary
@@ -101,7 +97,7 @@ type Engine struct {
 	from    []int32
 	touched []int32
 
-	// Sharded execution state (see Step and StepParallel). shards is the
+	// Sharded execution state (see stepSharded). shards is the
 	// configured shard count; bounds caches the vertex ownership boundaries
 	// for the current graph (recomputed lazily after Reset or SetShards);
 	// shardScratch holds one touched list and violation counter per shard.
@@ -118,18 +114,6 @@ type Engine struct {
 	curTX        []TX
 	curListeners []int32
 	curOut       []RX
-
-	// Dense-kernel state (see dense.go): txbit/covered/collided are
-	// ⌈n/64⌉-word bitmaps holding the transmitter set, the ≥1-coverage set
-	// and the ≥2-coverage (collision) set; wordBounds caches the
-	// word-aligned shard ownership for the current graph; denseMin is the
-	// step-activity threshold from which the dense kernel is selected
-	// (0 = default density rule, negative = disabled).
-	txbit      []uint64
-	covered    []uint64
-	collided   []uint64
-	wordBounds []int32
-	denseMin   int
 }
 
 // shardScratch is the per-shard private state of one sharded step. Entries
@@ -172,23 +156,12 @@ func WithCollisionDetection() Option {
 }
 
 // WithShards configures the engine to execute sufficiently large steps as k
-// parallel shards (see StepParallel). k <= 1 keeps every step sequential.
+// parallel shards (see Step). k <= 1 keeps every step sequential.
 // Sharded and sequential execution are byte-identical — outputs, meters, the
 // round clock and the message-violation counter never depend on the shard
 // count — so the option is purely a performance knob.
 func WithShards(k int) Option {
 	return func(e *Engine) { e.shards = k }
-}
-
-// WithDenseMin sets the coverage threshold from which Step executes via
-// the packed-bitmap dense kernel (see dense.go): a positive min selects it
-// when a step's coverage work Σ deg(transmitters) reaches min, 0 keeps the
-// default density rule (coverage ≥ n/denseStepMinDensityDiv), and a
-// negative min disables the dense kernel entirely. Dense and CSR execution
-// are byte-identical — outputs, meters, clock and violation counter never
-// depend on the kernel — so the option is purely a performance knob.
-func WithDenseMin(min int) Option {
-	return func(e *Engine) { e.denseMin = min }
 }
 
 // NewEngine builds an engine over graph g.
@@ -228,16 +201,8 @@ func (e *Engine) Reset(g *graph.Graph) {
 		clear(e.cnt)
 		clear(e.from)
 	}
-	// The bitmap scratch keeps an all-zero invariant between steps (dense
-	// teardown restores it), but a mid-step panic leaves it dirty; clearing
-	// the full capacity — ⌈n/64⌉ words per map, cheap — keeps Reset's
-	// fresh-engine contract unconditional.
-	clear(e.txbit[:cap(e.txbit)])
-	clear(e.covered[:cap(e.covered)])
-	clear(e.collided[:cap(e.collided)])
 	e.touched = e.touched[:0]
 	e.bounds = e.bounds[:0] // shard ownership is per-graph; recompute lazily
-	e.wordBounds = e.wordBounds[:0]
 	e.round = 0
 	e.msgViolations = 0
 	if !e.msgBitsSet {
@@ -255,13 +220,7 @@ func (e *Engine) SetShards(k int) {
 	}
 	e.shards = k
 	e.bounds = e.bounds[:0]
-	e.wordBounds = e.wordBounds[:0]
 }
-
-// SetDenseMin reconfigures the dense-kernel coverage threshold of an
-// existing engine (same semantics as WithDenseMin). Like SetShards, it
-// never changes results.
-func (e *Engine) SetDenseMin(min int) { e.denseMin = min }
 
 // Shards returns the configured shard count (1 when sharding is off).
 func (e *Engine) Shards() int {
@@ -352,28 +311,18 @@ var shardStepMinWork = 1 << 16
 // in the same round, and must not appear twice in tx; both are programming
 // errors that panic. Listeners must be duplicate-free (caller contract).
 //
-// Step selects one of three byte-identical kernels. Steps whose coverage
-// work (Σ deg(transmitters)) reaches the dense threshold (n/128 by
-// default; see WithDenseMin) run on the packed-bitmap kernel; other steps
-// on an engine configured with WithShards(k > 1) whose activity
-// (coverage + #listeners) reaches shardStepMinWork execute the CSR walk
-// as k parallel shards; everything below stays on the sequential CSR
-// walk. A sufficiently dense step on a sharded engine runs the bitmap
-// kernel itself sharded over word ranges. Results are byte-identical on
-// every path (see StepParallel and dense.go).
+// On an engine configured with WithShards(k > 1), a step whose activity
+// (Σ deg(transmitters) + #listeners) reaches shardStepMinWork executes as k
+// parallel shards (see stepSharded); every other step runs sequentially.
+// Results are byte-identical either way.
 func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 	if len(out) != len(listeners) {
 		panic(fmt.Sprintf("radio: out length %d != listeners length %d", len(out), len(listeners)))
 	}
 	// The sequential body lives here, not behind a call: one bare step is
-	// ~50ns and the sub-threshold path must not pay a function call for the
-	// kernel features it is not using.
-	work := e.stepWork(tx, listeners)
-	if e.denseMin >= 0 && work-len(listeners) >= e.denseThreshold() {
-		e.stepDense(tx, listeners, out, work)
-		return
-	}
-	if e.shards > 1 && work >= shardStepMinWork {
+	// ~50ns and an unsharded engine must not even pay for measuring the
+	// step's activity.
+	if e.shards > 1 && e.stepWork(tx, listeners) >= shardStepMinWork {
 		e.stepSharded(tx, listeners, out)
 		return
 	}
@@ -425,30 +374,6 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 	e.round++
 }
 
-// StepParallel is Step with the sharding activity threshold bypassed: when
-// the engine has more than one shard configured it always runs a sharded
-// kernel — the packed-bitmap one if the step reaches the dense threshold,
-// the CSR walk otherwise — and falls back to Step's dispatch when it does
-// not. Outputs, energy/listen/transmit meters, the round clock and the
-// message-violation counter are byte-identical to Step's at any shard count
-// and on every kernel — pinned by the property tests in shard_test.go and
-// dense_test.go — so callers choose between them on performance grounds
-// only.
-func (e *Engine) StepParallel(tx []TX, listeners []int32, out []RX) {
-	if len(out) != len(listeners) {
-		panic(fmt.Sprintf("radio: out length %d != listeners length %d", len(out), len(listeners)))
-	}
-	if e.shards > 1 {
-		if e.denseMin >= 0 && e.stepWork(tx, listeners)-len(listeners) >= e.denseThreshold() {
-			e.stepDenseSharded(tx, listeners, out)
-			return
-		}
-		e.stepSharded(tx, listeners, out)
-		return
-	}
-	e.Step(tx, listeners, out) // shards <= 1: Step's dispatch decides
-}
-
 // stepWork estimates the activity of one step — the quantity the model
 // charges for: Σ deg(transmitters) + #listeners.
 func (e *Engine) stepWork(tx []TX, listeners []int32) int {
@@ -483,39 +408,29 @@ func (e *Engine) stepWork(tx []TX, listeners []int32) int {
 //
 // Because ownership is exclusive within every phase and the mark scan order
 // matches the sequential path, every counter, winner index, meter and
-// delivery is byte-identical to stepSeq's.
+// delivery is byte-identical to the sequential path's.
 //
 // Programming-error panics (duplicate transmitter, transmit+listen) are
 // recovered inside the shard, joined, and re-raised here — first shard wins
 // — so they surface on the caller's goroutine just as in the sequential
-// path. As with stepSeq, engine state after such a panic is unspecified.
+// path. As there, engine state after such a panic is unspecified.
 func (e *Engine) stepSharded(tx []TX, listeners []int32, out []RX) {
 	k := e.shards
 	if len(e.bounds) != k+1 {
 		e.bounds = e.g.ShardBounds(k, e.bounds)
 	}
-	e.growShardScratch(k)
-	e.curTX, e.curListeners, e.curOut = tx, listeners, out
-	e.parallelShards(k, phaseCSRMark)
-	if !e.shardsPanicked(k) {
-		e.parallelShards(k, phaseCSRListen)
-	}
-	e.parallelShards(k, phaseCSRTeardown)
-	e.curTX, e.curListeners, e.curOut = nil, nil, nil
-	e.joinShards(k)
-}
-
-// growShardScratch sizes the per-shard scratch for a k-shard step.
-func (e *Engine) growShardScratch(k int) {
 	if len(e.shardScratch) < k {
 		e.shardScratch = append(e.shardScratch, make([]shardScratch, k-len(e.shardScratch))...)
 	}
-}
-
-// joinShards folds the per-shard violation counters into the engine,
-// re-raises the first captured panic on the caller's goroutine, and
-// advances the clock. It is the common epilogue of both sharded kernels.
-func (e *Engine) joinShards(k int) {
+	e.curTX, e.curListeners, e.curOut = tx, listeners, out
+	e.parallelShards(k, phaseMark)
+	if !e.shardsPanicked(k) {
+		e.parallelShards(k, phaseListen)
+	}
+	e.parallelShards(k, phaseTeardown)
+	e.curTX, e.curListeners, e.curOut = nil, nil, nil
+	// Join: fold the per-shard violation counters into the engine and
+	// re-raise the first captured panic on the caller's goroutine.
 	var panicked any
 	for s := 0; s < k; s++ {
 		st := &e.shardScratch[s]
@@ -539,12 +454,9 @@ func (e *Engine) joinShards(k int) {
 type phaseCode uint8
 
 const (
-	phaseCSRMark phaseCode = iota
-	phaseCSRListen
-	phaseCSRTeardown
-	phaseDenseMark
-	phaseDenseListen
-	phaseDenseTeardown
+	phaseMark phaseCode = iota
+	phaseListen
+	phaseTeardown
 )
 
 // shardPool holds the parked worker goroutines of one engine: chans[i]
@@ -611,7 +523,7 @@ func (e *Engine) parallelShards(k int, code phaseCode) {
 
 // runShard executes one phase on one shard, capturing a panic (first one
 // per shard wins) into the shard's scratch slot rather than crashing the
-// process; stepSharded/stepDenseSharded re-raise it after the join.
+// process; stepSharded re-raises it after the join.
 func (e *Engine) runShard(code phaseCode, s int) {
 	defer func() {
 		if r := recover(); r != nil && e.shardScratch[s].panicked == nil {
@@ -619,18 +531,12 @@ func (e *Engine) runShard(code phaseCode, s int) {
 		}
 	}()
 	switch code {
-	case phaseCSRMark:
+	case phaseMark:
 		e.shardMark(s, e.curTX)
-	case phaseCSRListen:
+	case phaseListen:
 		e.shardListen(s, e.shards, e.curTX, e.curListeners, e.curOut)
-	case phaseCSRTeardown:
+	case phaseTeardown:
 		e.shardTeardown(s)
-	case phaseDenseMark:
-		e.denseShardMark(s, e.curTX)
-	case phaseDenseListen:
-		e.denseShardListen(s, e.shards, e.curTX, e.curListeners, e.curOut)
-	case phaseDenseTeardown:
-		e.denseShardTeardown(s)
 	}
 }
 

@@ -126,10 +126,16 @@ func TestEngineStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// stepZeroAllocsPattern is the shared workload for the kernel-specific
-// steady-state pins: a quarter of the grid transmits, the rest listens, so
-// both sharded phases and the bitmap word batching see real work.
-func stepZeroAllocsPattern(g *graph.Graph) (tx []TX, listeners []int32, out []RX) {
+// TestShardedStepZeroAllocs pins the sharded CSR kernel to zero steady-state
+// allocations — a capability of the persistent phase-worker pool (the old
+// per-phase goroutine spawn allocated on every step).
+func TestShardedStepZeroAllocs(t *testing.T) {
+	defer forceSharded()()
+	g := graph.Grid(32, 32)
+	// A quarter of the grid transmits and the rest listens, so every phase
+	// of every shard sees real work.
+	var tx []TX
+	var listeners []int32
 	for v := int32(0); int(v) < g.N(); v++ {
 		if v%4 == 0 {
 			tx = append(tx, TX{ID: v, Msg: Msg{A: uint64(v)}})
@@ -137,39 +143,8 @@ func stepZeroAllocsPattern(g *graph.Graph) (tx []TX, listeners []int32, out []RX
 			listeners = append(listeners, v)
 		}
 	}
-	return tx, listeners, make([]RX, len(listeners))
-}
-
-// TestDenseStepZeroAllocs pins the packed-bitmap kernel to zero steady-state
-// allocations after the first step on a warm engine, at shard counts 1 and
-// 4 — the sharded case also covering the persistent worker pool (waking the
-// workers must not allocate).
-func TestDenseStepZeroAllocs(t *testing.T) {
-	defer func(old int) { shardStepMinWork = old }(shardStepMinWork)
-	shardStepMinWork = 1
-	g := graph.Grid(32, 32)
-	tx, listeners, out := stepZeroAllocsPattern(g)
-	for _, shards := range []int{1, 4} {
-		e := NewEngine(g, WithDenseMin(1), WithShards(shards))
-		e.Step(tx, listeners, out) // warm: bitmap scratch, shard scratch, workers
-		allocs := testing.AllocsPerRun(200, func() {
-			e.Step(tx, listeners, out)
-		})
-		if allocs != 0 {
-			t.Fatalf("dense Step (shards=%d) allocates %v per call in steady state, want 0", shards, allocs)
-		}
-	}
-}
-
-// TestShardedStepZeroAllocs pins the sharded CSR kernel to zero steady-state
-// allocations — a capability of the persistent phase-worker pool (the old
-// per-phase goroutine spawn allocated on every step).
-func TestShardedStepZeroAllocs(t *testing.T) {
-	defer func(old int) { shardStepMinWork = old }(shardStepMinWork)
-	shardStepMinWork = 1
-	g := graph.Grid(32, 32)
-	tx, listeners, out := stepZeroAllocsPattern(g)
-	e := NewEngine(g, WithDenseMin(-1), WithShards(4))
+	out := make([]RX, len(listeners))
+	e := NewEngine(g, WithShards(4))
 	e.Step(tx, listeners, out) // warm: shard scratch and workers
 	allocs := testing.AllocsPerRun(200, func() {
 		e.Step(tx, listeners, out)

@@ -46,12 +46,22 @@ func stepPattern(n int, r *rng.Source) (tx []TX, listeners []int32) {
 	return tx, listeners
 }
 
-// TestStepParallelMatchesSequential is the central byte-identity property
+// forceSharded drops the step-activity threshold to 1, so every step with
+// any activity on an engine with shards > 1 runs the sharded kernel. The
+// returned func restores the threshold.
+func forceSharded() (restore func()) {
+	old := shardStepMinWork
+	shardStepMinWork = 1
+	return func() { shardStepMinWork = old }
+}
+
+// TestShardedStepMatchesSequential is the central byte-identity property
 // test: over random graphs × random slot patterns, a sharded engine must
 // produce exactly the sequential engine's deliveries, per-device meters,
 // round clock and violation counter, at every shard count — including CD
 // engines, tight message budgets, and k > n.
-func TestStepParallelMatchesSequential(t *testing.T) {
+func TestShardedStepMatchesSequential(t *testing.T) {
+	defer forceSharded()()
 	for _, n := range []int{1, 5, 33, 200} {
 		for _, shards := range []int{2, 3, 7, 16, 200 + 5} {
 			for _, cd := range []bool{false, true} {
@@ -69,7 +79,7 @@ func TestStepParallelMatchesSequential(t *testing.T) {
 					outSeq := make([]RX, len(listeners))
 					outPar := make([]RX, len(listeners))
 					seq.Step(tx, listeners, outSeq)
-					par.StepParallel(tx, listeners, outPar)
+					par.Step(tx, listeners, outPar)
 					for i := range outSeq {
 						if outSeq[i] != outPar[i] {
 							t.Fatalf("n=%d shards=%d cd=%v round %d: listener %d got %+v, sequential %+v",
@@ -94,21 +104,35 @@ func TestStepParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStepThresholdDispatchMatches forces Step's transparent dispatch (not
-// StepParallel) down the sharded path by lowering the activity threshold,
-// and checks byte-identity end to end — the configuration the harness's big
-// instances actually run.
+// TestStepThresholdDispatchMatches runs Step's dispatch at its real
+// activity threshold, with no test hook: on a star just past 2¹⁶ leaves,
+// rounds in which the hub transmits carry more than shardStepMinWork
+// activity and run sharded, the rest stay sequential, and the trajectory of
+// one engine switching between the two on every such round must match an
+// always-sequential twin — the configuration the harness's big instances
+// actually run.
 func TestStepThresholdDispatchMatches(t *testing.T) {
-	defer func(old int) { shardStepMinWork = old }(shardStepMinWork)
-	shardStepMinWork = 1
-
-	n := 150
-	g := randomShardGraph(n, rng.New(7))
+	n := shardStepMinWork + 1
+	g := graph.Star(n)
 	seq := NewEngine(g)
 	par := NewEngine(g, WithShards(4))
 	r := rng.New(99)
-	for round := 0; round < 40; round++ {
+	var sharded, sequential int
+	for round := 0; round < 12; round++ {
 		tx, listeners := stepPattern(n, r)
+		if round%3 == 0 && (len(tx) == 0 || tx[0].ID != 0) {
+			// Make every third round a hub round; drop the hub from the
+			// listeners if stepPattern made it one.
+			if len(listeners) > 0 && listeners[0] == 0 {
+				listeners = listeners[1:]
+			}
+			tx = append(tx, TX{ID: 0, Msg: Msg{A: 7}})
+		}
+		if par.stepWork(tx, listeners) >= shardStepMinWork {
+			sharded++
+		} else {
+			sequential++
+		}
 		outSeq := make([]RX, len(listeners))
 		outPar := make([]RX, len(listeners))
 		seq.Step(tx, listeners, outSeq)
@@ -118,6 +142,9 @@ func TestStepThresholdDispatchMatches(t *testing.T) {
 				t.Fatalf("round %d listener %d: %+v vs %+v", round, listeners[i], outPar[i], outSeq[i])
 			}
 		}
+	}
+	if sharded == 0 || sequential == 0 {
+		t.Fatalf("%d sharded and %d sequential rounds, want both paths exercised", sharded, sequential)
 	}
 	if seq.MaxEnergy() != par.MaxEnergy() || seq.TotalEnergy() != par.TotalEnergy() || seq.Round() != par.Round() {
 		t.Fatalf("aggregate divergence: (%d,%d,%d) vs (%d,%d,%d)",
@@ -130,6 +157,7 @@ func TestStepThresholdDispatchMatches(t *testing.T) {
 // execution between rounds — the pooled-context reconfiguration path — and
 // requires the trajectory to match an always-sequential twin.
 func TestSetShardsMidRun(t *testing.T) {
+	defer forceSharded()()
 	n := 80
 	g := randomShardGraph(n, rng.New(21))
 	seq := NewEngine(g)
@@ -141,7 +169,7 @@ func TestSetShardsMidRun(t *testing.T) {
 		outSeq := make([]RX, len(listeners))
 		outPar := make([]RX, len(listeners))
 		seq.Step(tx, listeners, outSeq)
-		par.StepParallel(tx, listeners, outPar)
+		par.Step(tx, listeners, outPar)
 		for i := range outSeq {
 			if outSeq[i] != outPar[i] {
 				t.Fatalf("round %d: %+v vs %+v", round, outPar[i], outSeq[i])
@@ -158,52 +186,78 @@ func TestSetShardsMidRun(t *testing.T) {
 	}
 }
 
+// recoverFrom runs f and returns the value it panicked with (nil if none).
+func recoverFrom(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// requireSamePanic runs step on a sequential and on a sharded engine over
+// Path(64) and requires both to panic with the identical value: the sharded
+// kernel re-raises a shard's panic on the caller's goroutine unchanged.
+func requireSamePanic(t *testing.T, what string, step func(e *Engine)) {
+	t.Helper()
+	defer forceSharded()()
+	g := graph.Path(64)
+	want := recoverFrom(func() { step(NewEngine(g)) })
+	if want == nil {
+		t.Fatalf("sequential step did not panic on %s", what)
+	}
+	if got := recoverFrom(func() { step(NewEngine(g, WithShards(4))) }); got != want {
+		t.Fatalf("sharded %s panic %v, want %v", what, got, want)
+	}
+}
+
 // TestShardedDoubleTransmitPanics pins the duplicate-transmitter programming
-// error to a panic on the caller's goroutine under sharded execution.
+// error to the sequential kernel's panic, on the caller's goroutine, under
+// sharded execution.
 func TestShardedDoubleTransmitPanics(t *testing.T) {
-	e := NewEngine(graph.Path(64), WithShards(4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate transmitter")
-		}
-	}()
-	e.StepParallel([]TX{{ID: 5}, {ID: 5}}, nil, nil)
+	requireSamePanic(t, "duplicate transmitter", func(e *Engine) {
+		e.Step([]TX{{ID: 5}, {ID: 5}}, nil, nil)
+	})
 }
 
 // TestShardedTransmitAndListenPanics pins the transmit+listen programming
 // error under sharded execution, with the two roles owned by one shard.
 func TestShardedTransmitAndListenPanics(t *testing.T) {
-	e := NewEngine(graph.Path(64), WithShards(4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on transmit+listen")
-		}
-	}()
-	e.StepParallel([]TX{{ID: 5}}, []int32{5}, make([]RX, 1))
+	requireSamePanic(t, "transmit+listen", func(e *Engine) {
+		e.Step([]TX{{ID: 5}}, []int32{5}, make([]RX, 1))
+	})
 }
 
-// TestShardedReset checks an engine reused across graphs via Reset
-// recomputes its shard ownership for the new topology.
+// TestShardedReset reuses one sharded engine across graphs of different
+// sizes via Reset — including a shrink — and requires the trajectory of a
+// fresh engine on each: shard ownership must be recomputed for the new
+// topology and no scratch may leak across graphs.
 func TestShardedReset(t *testing.T) {
-	e := NewEngine(graph.Star(32), WithShards(3))
-	out := make([]RX, 1)
-	e.StepParallel([]TX{{ID: 0, Msg: Msg{A: 9}}}, []int32{5}, out)
-	if !out[0].OK || out[0].Msg.A != 9 {
-		t.Fatalf("star delivery: %+v", out[0])
-	}
-	big := graph.Cycle(500)
-	e.Reset(big)
-	seq := NewEngine(big)
-	r := rng.New(3)
-	for round := 0; round < 10; round++ {
-		tx, listeners := stepPattern(500, r)
-		outSeq := make([]RX, len(listeners))
-		outPar := make([]RX, len(listeners))
-		seq.Step(tx, listeners, outSeq)
-		e.StepParallel(tx, listeners, outPar)
-		for i := range outSeq {
-			if outSeq[i] != outPar[i] {
-				t.Fatalf("round %d after Reset: %+v vs %+v", round, outPar[i], outSeq[i])
+	defer forceSharded()()
+	graphs := []*graph.Graph{graph.Cycle(100), graph.Grid(16, 16), graph.Star(40)}
+	reused := NewEngine(graphs[0], WithShards(3))
+	for gi, g := range graphs {
+		seed := uint64(500 + gi)
+		fresh := NewEngine(g, WithShards(3))
+		reused.Reset(g)
+		r1, r2 := rng.New(seed), rng.New(seed)
+		for round := 0; round < 20; round++ {
+			txF, lF := stepPattern(g.N(), r1)
+			txR, lR := stepPattern(g.N(), r2)
+			outF := make([]RX, len(lF))
+			outR := make([]RX, len(lR))
+			fresh.Step(txF, lF, outF)
+			reused.Step(txR, lR, outR)
+			for i := range outF {
+				if outF[i] != outR[i] {
+					t.Fatalf("graph %d round %d: %+v vs fresh %+v", gi, round, outR[i], outF[i])
+				}
+			}
+		}
+		if fresh.Round() != reused.Round() || fresh.MsgViolations() != reused.MsgViolations() {
+			t.Fatalf("graph %d: clock/violations diverge after Reset", gi)
+		}
+		for v := int32(0); int(v) < g.N(); v++ {
+			if fresh.Energy(v) != reused.Energy(v) || fresh.Listens(v) != reused.Listens(v) || fresh.Transmits(v) != reused.Transmits(v) {
+				t.Fatalf("graph %d: device %d meters diverge after Reset", gi, v)
 			}
 		}
 	}

@@ -52,10 +52,6 @@ type Config struct {
 	// JobHistory bounds retained terminal job records (default 1024); the
 	// artifact cache is unaffected by pruning.
 	JobHistory int
-	// ShardMinN / DenseMin pass through to the harness runner (kernel
-	// selection only; never output bytes).
-	ShardMinN int
-	DenseMin  int
 	// Execute, when non-nil, replaces spec.ExecuteFile as the job execution
 	// engine — the seam `radiobfs serve -dist-listen` uses to run jobs
 	// across remote workers. It must honor opts (Ctx, Observer, OnTrial)
@@ -460,12 +456,10 @@ func (s *Server) runJob(j *Job) {
 		})
 	}
 	opts := spec.Options{
-		Quick:     j.Quick,
-		Ctx:       j.ctx,
-		Observer:  newJobObserver(j.log, j.ID, s.cfg.RoundsPerEvent),
-		OnTrial:   onTrial,
-		ShardMinN: s.cfg.ShardMinN,
-		DenseMin:  s.cfg.DenseMin,
+		Quick:    j.Quick,
+		Ctx:      j.ctx,
+		Observer: newJobObserver(j.log, j.ID, s.cfg.RoundsPerEvent),
+		OnTrial:  onTrial,
 	}
 	execute := s.cfg.Execute
 	if execute == nil {

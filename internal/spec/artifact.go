@@ -36,7 +36,7 @@ func ExecuteFile(f *File, workers int, root uint64, opts Options) (*Output, erro
 	if root == 0 {
 		root = f.RootSeed()
 	}
-	runner := harness.Runner{Workers: workers, Root: root, ShardMinN: opts.ShardMinN, DenseMin: opts.DenseMin, OnTrial: opts.OnTrial}
+	runner := harness.Runner{Workers: workers, Root: root, OnTrial: opts.OnTrial}
 	results := runner.Run(scs...)
 	return &Output{File: f, Root: root, Quick: opts.Quick, Results: results, Summaries: harness.Aggregate(results)}, nil
 }

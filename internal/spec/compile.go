@@ -27,16 +27,6 @@ type Options struct {
 	// Compiling a spec whose Custom name has no entry here is an error —
 	// `radiobfs run` passes none and therefore executes registry-only specs.
 	Custom map[string]CustomFunc
-	// ShardMinN overrides the Runner's big-instance threshold for
-	// ExecuteFile (see harness.Runner.ShardMinN): 0 keeps the default,
-	// negative disables intra-trial sharding. Results never depend on it.
-	ShardMinN int
-	// DenseMin overrides the engines' dense-kernel coverage threshold for
-	// ExecuteFile (see harness.Runner.DenseMin): 0 keeps the engine
-	// default, positive engages the packed-bitmap kernel from that
-	// transmitter coverage, negative disables it. Results never depend on
-	// it.
-	DenseMin int
 	// OnTrial, when non-nil, is invoked by ExecuteFile's runner after each
 	// trial settles (see harness.Runner.OnTrial). Trials run concurrently,
 	// so it must be safe for concurrent use; it observes results, never
