@@ -59,11 +59,10 @@ func (p Params) Duration() int64 {
 // A Scratch is not safe for concurrent use; the trial harness keeps one per
 // worker.
 type Scratch struct {
-	active []int32
-	idx    []int
-	slotOf []int
-	tx     []radio.TX
-	out    []radio.RX
+	slotOf []int32       // decay slot of each sender in the current pass
+	start  []int32       // per-slot offsets into tx
+	tx     []radio.TX    // the current pass's senders, grouped by slot
+	heard  []radio.Heard // one round's deliveries
 	rnd    rng.Source
 
 	// BFS state.
@@ -81,64 +80,56 @@ type Scratch struct {
 // Lemma 2.4); senders transmit once per pass in a decay-distributed slot.
 // callSeed must be fresh per call (derive it from a root seed and a call
 // counter). got and ok must have len(receivers).
+//
+// The call is one listen window on the engine (radio.Engine.Listen), so it
+// costs its transmissions plus one pass over the receivers, not one pass
+// per round.
 func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers []int32, callSeed uint64, got []radio.Msg, ok []bool) {
 	if len(got) != len(receivers) || len(ok) != len(receivers) {
 		panic("decay: result slices must match receivers length")
 	}
-	for i := range ok {
-		ok[i] = false
-		got[i] = radio.Msg{}
-	}
+	clear(got)
+	clear(ok)
 	if len(senders) == 0 && len(receivers) == 0 {
 		e.SkipRounds(p.Duration())
 		return
 	}
-	// active receivers, tracked by index into receivers.
-	active := scratch.Grow(s.active, len(receivers))
-	idx := scratch.Grow(s.idx, len(receivers)) // idx[j] = original position of active[j]
-	s.active, s.idx = active, idx
-	for i, r := range receivers {
-		active[i] = r
-		idx[i] = i
-	}
 	slotOf := scratch.Grow(s.slotOf, len(senders))
-	s.slotOf = slotOf
-	tx := s.tx
-	out := scratch.Grow(s.out, len(receivers))
-	s.out = out
+	start := scratch.Grow(s.start, p.Slots+2)
+	tx := scratch.Grow(s.tx, len(senders))
+	s.slotOf, s.start, s.tx = slotOf, start, tx
+	heard := s.heard
+	e.Listen(receivers)
 	for pass := 0; pass < p.Passes; pass++ {
-		// Each sender independently picks its decay slot for this pass.
+		// Each sender independently picks its decay slot for this pass; a
+		// stable counting sort then lays tx out slot by slot, senders in
+		// index order within a slot.
+		clear(start)
 		for i := range senders {
 			s.rnd.Reseed(rng.Derive(callSeed, uint64(pass), uint64(senders[i].ID)))
-			slotOf[i] = s.rnd.GeometricSlot(p.Slots)
+			slotOf[i] = int32(s.rnd.GeometricSlot(p.Slots))
+			start[slotOf[i]+1]++
 		}
 		for slot := 1; slot <= p.Slots; slot++ {
-			tx = tx[:0]
-			for i := range senders {
-				if slotOf[i] == slot {
-					tx = append(tx, senders[i])
-				}
+			start[slot+1] += start[slot]
+		}
+		for i := range senders {
+			tx[start[slotOf[i]]] = senders[i]
+			start[slotOf[i]]++
+		}
+		// Placement left start[slot] at the end of slot's run of tx; the
+		// run begins where the previous slot's ends.
+		var lo int32
+		for slot := 1; slot <= p.Slots; slot++ {
+			heard = e.StepWindow(tx[lo:start[slot]], heard[:0])
+			for _, h := range heard {
+				got[h.Index], ok[h.Index] = h.Msg, true
 			}
-			if len(tx) == 0 && len(active) == 0 {
-				e.SkipRounds(1)
-				continue
-			}
-			e.Step(tx, active, out[:len(active)])
-			// Retire receivers that heard something.
-			w := 0
-			for j := range active {
-				if out[j].OK {
-					got[idx[j]] = out[j].Msg
-					ok[idx[j]] = true
-				} else {
-					active[w], idx[w] = active[j], idx[j]
-					w++
-				}
-			}
-			active, idx = active[:w], idx[:w]
+			lo = start[slot]
 		}
 	}
-	s.tx = tx
+	e.EndListen()
+	s.heard = heard
 }
 
 // LocalBroadcast is the scratch-free convenience wrapper: it allocates fresh

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -208,5 +209,30 @@ func TestBuilderResetSteadyStateAllocs(t *testing.T) {
 	}
 	if pooled >= fresh {
 		t.Fatalf("pooled build (%v allocs) should beat fresh build (%v allocs)", pooled, fresh)
+	}
+}
+
+// TestGNPReservationCoversSample pins the arc reservation GNPInto makes
+// before sampling: on a builder hinted for average degree 8 (the harness's
+// pooled builder), a connected G(n, p) sample — including
+// ConnectedGNPInto's augmentation refill — ends with exactly the capacity
+// the one up-front reservation gives, so the arc arrays never regrew
+// mid-sample, and its graph matches a fresh build's.
+func TestGNPReservationCoversSample(t *testing.T) {
+	for _, n := range []int{2, 3, 10, 100, 1 << 10, 1 << 14} {
+		p := gnpP(n)
+		for seed := uint64(0); seed < 4; seed++ {
+			b := FromDegreeHint(n, 8)
+			want := cap(slices.Grow(make([]int32, 0, cap(b.src)), gnpReserve(n, p)))
+			g := ConnectedGNPInto(b, n, p, rng.New(seed))
+			if cap(b.src) != want || cap(b.dst) != want {
+				t.Fatalf("n=%d seed=%d: arc capacity %d/%d after %d arcs, want the reserved %d",
+					n, seed, cap(b.src), cap(b.dst), len(b.src), want)
+			}
+			fresh := ConnectedGNP(n, p, rng.New(seed))
+			if !slices.Equal(g.neighbors, fresh.neighbors) || !slices.Equal(g.offsets, fresh.offsets) {
+				t.Fatalf("n=%d seed=%d: pooled sample differs from a fresh one", n, seed)
+			}
+		}
 	}
 }

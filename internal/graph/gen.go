@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -148,6 +149,11 @@ func GNPInto(b *Builder, n int, p float64, r *rng.Source) *Graph {
 	if p <= 0 {
 		return b.Graph()
 	}
+	// Reserve the arcs up front, so a pooled builder hinted for a sparser
+	// family grows once instead of regrowing its arc arrays mid-sample.
+	arcs := gnpReserve(n, p)
+	b.src = slices.Grow(b.src, arcs)
+	b.dst = slices.Grow(b.dst, arcs)
 	// Geometric skipping for sparse p: iterate over present edges only.
 	logq := math.Log(1 - p)
 	u, v := int64(0), int64(0)
@@ -164,6 +170,14 @@ func GNPInto(b *Builder, n int, p float64, r *rng.Source) *Graph {
 		}
 	}
 	return b.Graph()
+}
+
+// gnpReserve bounds the arcs a G(n, p) sample fills a builder with: the
+// mean edge count plus four standard deviations, plus the n-1 edges
+// ConnectedGNPInto's augmentation adds, each edge stored in both directions.
+func gnpReserve(n int, p float64) int {
+	mean := p * float64(n) * float64(n-1) / 2
+	return 2 * (int(mean+4*math.Sqrt(mean)) + n)
 }
 
 // ConnectedGNP returns G(n, p) with a uniform random spanning tree's worth of

@@ -17,6 +17,10 @@
 //     parallel shards, which is how million-vertex instances use every core
 //     inside a single trial. Both are byte-identical in every observable
 //     (outputs, meters, clock, violation counter) at every shard count.
+//     A listen window (Listen, StepWindow, EndListen) runs many rounds over
+//     one fixed listener set — a Local-Broadcast — for the cost of its
+//     transmissions plus one pass over the listeners, byte-identical to
+//     stepping those rounds one by one.
 //
 //   - Sim/Device: a goroutine-per-device blocking API (Listen, Transmit,
 //     Idle) on which free-form protocols can be written as ordinary
@@ -96,6 +100,14 @@ type Engine struct {
 	cnt     []int32
 	from    []int32
 	touched []int32
+
+	// Listen-window state (see Listen). lpos[v] is v's position in the
+	// window's receiver list plus one while v waits in an open window, and 0
+	// otherwise; window is that list and windowStart the round it opened.
+	lpos        []int32
+	window      []int32
+	windowOpen  bool
+	windowStart int64
 
 	// Sharded execution state (see stepSharded). shards is the
 	// configured shard count; bounds caches the vertex ownership boundaries
@@ -179,7 +191,7 @@ func NewEngine(g *graph.Graph, opts ...Option) *Engine {
 // than any graph the engine has seen, so one engine can serve many trials of
 // same-size instances without allocating; the trial harness relies on this.
 // An engine after Reset(g) is indistinguishable from NewEngine(g) with the
-// same options.
+// same options; an open listen window is discarded without charging anyone.
 func (e *Engine) Reset(g *graph.Graph) {
 	n := g.N()
 	e.g = g
@@ -189,19 +201,23 @@ func (e *Engine) Reset(g *graph.Graph) {
 		e.transmits = make([]int64, n)
 		e.cnt = make([]int32, n)
 		e.from = make([]int32, n)
+		e.lpos = make([]int32, n)
 	} else {
 		e.energy = e.energy[:n]
 		e.listens = e.listens[:n]
 		e.transmits = e.transmits[:n]
 		e.cnt = e.cnt[:n]
 		e.from = e.from[:n]
+		e.lpos = e.lpos[:n]
 		clear(e.energy)
 		clear(e.listens)
 		clear(e.transmits)
 		clear(e.cnt)
 		clear(e.from)
+		clear(e.lpos)
 	}
 	e.touched = e.touched[:0]
+	e.window, e.windowOpen = nil, false
 	e.bounds = e.bounds[:0] // shard ownership is per-graph; recompute lazily
 	e.round = 0
 	e.msgViolations = 0
@@ -240,9 +256,13 @@ func (e *Engine) N() int { return e.g.N() }
 func (e *Engine) Round() int64 { return e.round }
 
 // SkipRounds advances the clock by k rounds in which every device idles.
+// Nobody idles while a listen window is open, so there it panics.
 func (e *Engine) SkipRounds(k int64) {
 	if k < 0 {
 		panic("radio: negative round skip")
+	}
+	if e.windowOpen {
+		panic("radio: SkipRounds during an open listen window")
 	}
 	e.round += k
 }
@@ -310,6 +330,7 @@ var shardStepMinWork = 1 << 16
 // of that listener transmitted. A device must not both transmit and listen
 // in the same round, and must not appear twice in tx; both are programming
 // errors that panic. Listeners must be duplicate-free (caller contract).
+// Step panics while a listen window is open: the window owns the rounds.
 //
 // On an engine configured with WithShards(k > 1), a step whose activity
 // (Σ deg(transmitters) + #listeners) reaches shardStepMinWork executes as k
@@ -319,37 +340,16 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 	if len(out) != len(listeners) {
 		panic(fmt.Sprintf("radio: out length %d != listeners length %d", len(out), len(listeners)))
 	}
-	// The sequential body lives here, not behind a call: one bare step is
-	// ~50ns and an unsharded engine must not even pay for measuring the
-	// step's activity.
+	if e.windowOpen {
+		panic("radio: Step during an open listen window")
+	}
+	// An unsharded engine must not even pay for measuring the step's
+	// activity: one bare step is ~50ns.
 	if e.shards > 1 && e.stepWork(tx, listeners) >= shardStepMinWork {
 		e.stepSharded(tx, listeners, out)
 		return
 	}
-	// Mark transmissions into neighbor counters, recording every counter the
-	// first time it is touched so teardown never re-walks a neighborhood.
-	for i := range tx {
-		t := &tx[i]
-		if e.cnt[t.ID] == -1 {
-			panic(fmt.Sprintf("radio: device %d transmits twice in round %d", t.ID, e.round))
-		}
-		if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
-			e.msgViolations++
-		}
-		e.energy[t.ID]++
-		e.transmits[t.ID]++
-		for _, u := range e.g.Neighbors(t.ID) {
-			if e.cnt[u] >= 0 {
-				if e.cnt[u] == 0 {
-					e.touched = append(e.touched, u)
-				}
-				e.cnt[u]++
-				e.from[u] = int32(i)
-			}
-		}
-		e.touched = append(e.touched, t.ID)
-		e.cnt[t.ID] = -1 // transmitter marker; also catches transmit+listen
-	}
+	e.mark(tx)
 	for i, v := range listeners {
 		c := e.cnt[v]
 		if c == -1 {
@@ -372,6 +372,116 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 	}
 	e.touched = e.touched[:0]
 	e.round++
+}
+
+// mark is the sequential mark phase shared by Step and StepWindow: it
+// meters every transmitter and walks its CSR adjacency into the
+// per-neighbor counters, recording every counter the first time it is
+// touched so teardown never re-walks a neighborhood. Afterwards cnt[v] is
+// -1 for a transmitter and otherwise the number of v's transmitting
+// neighbors, with from[v] the tx index of the last of them.
+func (e *Engine) mark(tx []TX) {
+	for i := range tx {
+		t := &tx[i]
+		if e.cnt[t.ID] == -1 {
+			panic(fmt.Sprintf("radio: device %d transmits twice in round %d", t.ID, e.round))
+		}
+		if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
+			e.msgViolations++
+		}
+		e.energy[t.ID]++
+		e.transmits[t.ID]++
+		for _, u := range e.g.Neighbors(t.ID) {
+			if e.cnt[u] >= 0 {
+				if e.cnt[u] == 0 {
+					e.touched = append(e.touched, u)
+				}
+				e.cnt[u]++
+				e.from[u] = int32(i)
+			}
+		}
+		e.touched = append(e.touched, t.ID)
+		e.cnt[t.ID] = -1 // transmitter marker; also catches transmit+listen
+	}
+}
+
+// Heard is one delivery of a listen-window round: the listener at position
+// Index of the window's receiver list heard Msg from its only transmitting
+// neighbor.
+type Heard struct {
+	Index int32
+	Msg   Msg
+}
+
+// Listen opens a listen window: every device in receivers listens in each
+// following round until it hears a message or EndListen closes the window,
+// exactly as if each of those rounds were a Step with the still-waiting
+// receivers as listeners. Rounds advance only through StepWindow until
+// EndListen; Step and SkipRounds panic meanwhile. Opening costs
+// O(#receivers); receivers must stay unmodified until EndListen. A device
+// listed twice panics, as does opening a second window.
+//
+// A listener's meters settle in one add each when it hears (StepWindow) or
+// when the window closes (EndListen) — until then Energy and Listens omit
+// its open window. The window reports clean deliveries only: an engine
+// WithCollisionDetection gives waiting listeners no noise feedback.
+func (e *Engine) Listen(receivers []int32) {
+	if e.windowOpen {
+		panic("radio: listen window already open")
+	}
+	e.window, e.windowOpen, e.windowStart = receivers, true, e.round
+	for i, v := range receivers {
+		if e.lpos[v] != 0 {
+			panic(fmt.Sprintf("radio: device %d listens twice in round %d", v, e.round))
+		}
+		e.lpos[v] = int32(i) + 1
+	}
+}
+
+// StepWindow executes one round of the open listen window with tx as the
+// transmitters (same rules as Step's tx; a waiting listener must not
+// transmit). It appends to heard every waiting listener that heard exactly
+// one transmitting neighbor, charges each of them the rounds it listened,
+// ends their wait, and returns the extended slice. The round costs
+// O(Σ deg(tx)) — O(1) without transmitters — and always runs sequentially,
+// even on a sharded engine.
+func (e *Engine) StepWindow(tx []TX, heard []Heard) []Heard {
+	if !e.windowOpen {
+		panic("radio: StepWindow without an open listen window")
+	}
+	e.mark(tx)
+	k := e.round - e.windowStart + 1 // rounds listened, this one included
+	for _, u := range e.touched {
+		if p := e.lpos[u]; p != 0 {
+			switch e.cnt[u] {
+			case -1:
+				panic(fmt.Sprintf("radio: device %d both transmits and listens in round %d", u, e.round))
+			case 1:
+				heard = append(heard, Heard{Index: p - 1, Msg: tx[e.from[u]].Msg})
+				e.energy[u] += k
+				e.listens[u] += k
+				e.lpos[u] = 0
+			}
+		}
+		e.cnt[u] = 0
+	}
+	e.touched = e.touched[:0]
+	e.round++
+	return heard
+}
+
+// EndListen closes the listen window, charging every listener still
+// waiting for each round the window ran, in O(#receivers).
+func (e *Engine) EndListen() {
+	k := e.round - e.windowStart
+	for _, v := range e.window {
+		if e.lpos[v] != 0 {
+			e.energy[v] += k
+			e.listens[v] += k
+			e.lpos[v] = 0
+		}
+	}
+	e.window, e.windowOpen = nil, false
 }
 
 // stepWork estimates the activity of one step — the quantity the model
