@@ -1,6 +1,6 @@
 # Development targets for the radio-network BFS reproduction.
 
-.PHONY: build test bench bench-pr5 bench-check experiments scale-suite chaos-check remote-check resume-check serve-check fmt vet
+.PHONY: build test bench bench-check experiments scale-suite chaos-check remote-check resume-check serve-check fmt vet
 
 build:
 	go build ./...
@@ -22,15 +22,6 @@ bench:
 	go run ./cmd/benchjson -benchtime 20x \
 		-before BENCH_baseline.json \
 		-out BENCH_baseline.json
-
-# bench-pr5 re-records the sharded-execution performance report: the full
-# suite (including the scale-step benchmarks) against the tracked baseline.
-# Run on a quiet multi-core machine; the sharded speedups scale with cores.
-bench-pr5:
-	go run ./cmd/benchjson -benchtime 20x \
-		-before BENCH_baseline.json \
-		-note "PR5 sharded execution; GOMAXPROCS-dependent" \
-		-out BENCH_pr5.json
 
 # bench-check is the CI smoke comparison: every baseline benchmark must
 # still exist, and benchmarks whose committed allocs/op is zero must still

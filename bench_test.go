@@ -12,7 +12,6 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro"
@@ -526,12 +525,7 @@ func BenchmarkEngineStep(b *testing.B) {
 
 // BenchmarkScaleStep measures one physical slot in the million-vertex
 // regime the scale suite exercises: a 1024-vertex frontier transmits while
-// every other vertex listens on a random tree with n = 2²⁰. Sub-benchmarks
-// sweep the shard count of the same step; results are byte-identical at
-// every count (see radio.WithShards), so the spread is pure wall-clock. The
-// step's activity is far above the engine's sharding threshold, so every
-// shards > 1 row times the sharded walk. On a single-core runner those rows
-// only show the fan-out overhead; the speedup scales with GOMAXPROCS.
+// every other vertex listens on a random tree with n = 2²⁰.
 func BenchmarkScaleStep(b *testing.B) {
 	n := 1 << 20
 	g := graph.RandomTree(n, rng.New(1))
@@ -549,20 +543,17 @@ func BenchmarkScaleStep(b *testing.B) {
 		}
 	}
 	out := make([]radio.RX, len(listeners))
-	for _, shards := range []int{1, 2, 4, 8} {
-		eng := radio.NewEngine(g, radio.WithShards(shards))
-		b.Run(fmt.Sprintf("n=1M/shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.Step(tx, listeners, out)
-			}
-		})
-	}
+	eng := radio.NewEngine(g)
+	b.Run("n=1M", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng.Step(tx, listeners, out)
+		}
+	})
 }
 
 // BenchmarkScaleDecayTrial measures one full scale-suite trial — seeded
 // graph build plus Decay BFS on the physical channel at n = 2²⁰ — through
-// the pooled worker context, sequentially and with the engine sharded
-// across all cores (the Runner's big-instance scheduling policy).
+// the pooled worker context, as one worker of the Runner executes it.
 func BenchmarkScaleDecayTrial(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-scale-decay",
@@ -571,19 +562,12 @@ func BenchmarkScaleDecayTrial(b *testing.B) {
 		Instances: []harness.Instance{{Family: "tree", N: 1 << 20, MaxDist: 4}},
 	}
 	inst := sc.Instances[0]
-	shardCounts := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		shardCounts = append(shardCounts, p)
-	}
-	for _, shards := range shardCounts {
-		ctx := harness.NewContext()
-		ctx.SetShards(shards)
-		b.Run(fmt.Sprintf("n=1M/shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				execTrial(b, ctx, sc, inst, i)
-			}
-		})
-	}
+	ctx := harness.NewContext()
+	b.Run("n=1M", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			execTrial(b, ctx, sc, inst, i)
+		}
+	})
 }
 
 // BenchmarkSeededGraphBuild measures the per-trial topology rebuild of a

@@ -11,14 +11,14 @@ import (
 )
 
 // runScale executes the production-scale suite (scenarios/scale_suite.json):
-// Decay BFS on the physical channel at n = 10⁶–4·10⁶, the regime the sharded
-// Step path and the Runner's intra-trial scheduling policy exist for. The
-// suite is heavy (about a minute of single-core wall time at full size), so
-// the driver runs it only under -quick or when explicitly selected with
-// -only SCALE. The stdout table carries only the paper metrics — rows are
-// byte-identical at any worker or shard count, like every experiment —
-// while per-instance wall time, the quantity this experiment exists to
-// move, goes to stderr with the rest of the timing.
+// Decay BFS on the physical channel at n = 10⁶–4·10⁶, the largest instances
+// the repository runs. Each instance is run on its own, and like every trial
+// it runs its physics sequentially on one worker. The suite is heavy (over
+// ten seconds of wall time at full size), so it runs only under -quick or
+// when explicitly selected with -only SCALE. The stdout table carries only
+// the paper metrics — rows are byte-identical at any worker count, like
+// every experiment — while per-instance wall time, the quantity this
+// experiment exists to move, goes to stderr with the rest of the timing.
 func runScale(cfg config) {
 	_, scs := cfg.loadSpec("scale_suite.json", nil)
 
@@ -44,8 +44,8 @@ func runScale(cfg config) {
 		}
 	}
 	tbl.Render(cfg.out)
-	fmt.Fprintln(cfg.out, "Instances at n >= the shard threshold run one at a time with Step sharded")
-	fmt.Fprintln(cfg.out, "across the worker pool (see DESIGN.md, \"Sharded step\"); rows are identical")
-	fmt.Fprintln(cfg.out, "at every worker/shard count — only the stderr wall times move.")
+	fmt.Fprintln(cfg.out, "Every trial runs its physics sequentially on one worker; parallelism is")
+	fmt.Fprintln(cfg.out, "between trials (see DESIGN.md, \"Parallelism is between trials\"). Rows are")
+	fmt.Fprintln(cfg.out, "identical at every worker count — only the stderr wall times move.")
 	fmt.Fprintln(cfg.out)
 }

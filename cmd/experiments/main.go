@@ -122,7 +122,7 @@ func main() {
 		{"E12", "Theorem 5.3 — 2-approximate diameter", runE12},
 		{"E13", "Theorem 5.4 — 3/2-approximate diameter", runE13},
 		{"E14", "§1 motivation — polling-period dissemination", runE14},
-		{"SCALE", "production-scale physics stress — sharded Step at n ≥ 10⁶", runScale},
+		{"SCALE", "production-scale physics stress — Decay BFS at n ≥ 10⁶", runScale},
 	}
 	// Heavy experiments are opt-in at full size: they run when named in
 	// -only, or via their reduced quick overlay, but not in a default full

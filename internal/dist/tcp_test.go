@@ -46,6 +46,19 @@ func startRemoteWorkers(t *testing.T, n int, addr, token string) func() []error 
 	}
 }
 
+// waitAuthenticated polls the transport log until n workers have passed
+// the handshake.
+func waitAuthenticated(t *testing.T, log *syncBuffer, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for strings.Count(log.String(), "worker authenticated from") < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers never authenticated:\n%s", n, log.String())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // tcpExecute runs the spec over a loopback TCP transport with nw remote
 // worker processes and returns the artifacts plus the coordinator log.
 func tcpExecute(t *testing.T, f *spec.File, nw int, cfg Config) ([]byte, *syncBuffer) {
@@ -57,6 +70,11 @@ func tcpExecute(t *testing.T, f *spec.File, nw int, cfg Config) ([]byte, *syncBu
 	}
 	defer tr.Close()
 	wait := startRemoteWorkers(t, nw, tr.Addr().String(), "s3cret")
+	// Every worker is parked before the run starts. A worker process slow
+	// to start could otherwise first dial after the run finished and the
+	// listener closed, and exit with a failed dial that says nothing about
+	// the run.
+	waitAuthenticated(t, &log, nw)
 	cfg.Transport = tr
 	cfg.Log = &log
 	out, err := Execute(f, 0, spec.Options{}, cfg)
@@ -64,8 +82,9 @@ func tcpExecute(t *testing.T, f *spec.File, nw int, cfg Config) ([]byte, *syncBu
 		t.Fatalf("Execute over TCP: %v\nlog: %s", err, log.Bytes())
 	}
 	// Shutdown frames ended the attached workers; closing the transport
-	// releases any chaos-disconnected worker that redialed after the run
-	// finished and is parked awaiting an attach that will never come.
+	// releases any parked worker awaiting an attach that will never come:
+	// one the run finished without, or a chaos-disconnected one that
+	// redialed after the run finished.
 	tr.Close()
 	for i, werr := range wait() {
 		if werr != nil {
@@ -184,13 +203,7 @@ func TestTCPWrongTokenRejected(t *testing.T) {
 	// finished sits parked awaiting an attach that will never come. Once
 	// both workers have authenticated, closing the listener releases any
 	// such worker with a clean exit.
-	deadline := time.Now().Add(30 * time.Second)
-	for strings.Count(log.String(), "worker authenticated from") < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("both workers never authenticated:\n%s", log.String())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitAuthenticated(t, &log, 2)
 	tr.Close()
 	for i, werr := range wait() {
 		if werr != nil {

@@ -59,47 +59,6 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	return i < len(adj) && adj[i] == v
 }
 
-// NeighborsRange returns the sub-slice of Neighbors(v) whose values lie in
-// [lo, hi). Adjacency lists are sorted, so the sub-range is located with two
-// binary searches in O(log deg(v)); the result aliases internal storage and
-// must not be modified. It is the per-shard adjacency view behind the radio
-// engine's sharded step: a shard owning the ID range [lo, hi) marks exactly
-// the neighbors this slice holds.
-func (g *Graph) NeighborsRange(v, lo, hi int32) []int32 {
-	adj := g.neighbors[g.offsets[v]:g.offsets[v+1]]
-	a := sort.Search(len(adj), func(i int) bool { return adj[i] >= lo })
-	b := a + sort.Search(len(adj)-a, func(i int) bool { return adj[a+i] >= hi })
-	return adj[a:b]
-}
-
-// ShardBounds appends to buf the k+1 boundaries of a partition of the vertex
-// range into k contiguous shards: shard s owns IDs [bounds[s], bounds[s+1]),
-// with bounds[0] = 0 and bounds[k] = N(). Shards are balanced by work, not
-// by vertex count: the weight of vertex v is deg(v) + 1, so a shard's share
-// of (arcs + vertices) is within one vertex of total/k even on skewed degree
-// distributions. Boundaries are found by binary search on the monotone
-// prefix weight offsets[v] + v. k > N() yields trailing empty shards; the
-// partition is always exhaustive and disjoint.
-func (g *Graph) ShardBounds(k int, buf []int32) []int32 {
-	if k < 1 {
-		panic("graph: shard count must be >= 1")
-	}
-	n := int32(g.N())
-	buf = append(buf[:0], 0)
-	total := int64(len(g.neighbors)) + int64(n)
-	for s := 1; s < k; s++ {
-		target := total * int64(s) / int64(k)
-		v := int32(sort.Search(int(n), func(v int) bool {
-			return int64(g.offsets[v])+int64(v) >= target
-		}))
-		if prev := buf[len(buf)-1]; v < prev {
-			v = prev
-		}
-		buf = append(buf, v)
-	}
-	return append(buf, n)
-}
-
 // Edges calls fn once per undirected edge {u, v} with u < v.
 func (g *Graph) Edges(fn func(u, v int32)) {
 	for u := int32(0); u < int32(g.N()); u++ {

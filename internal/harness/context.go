@@ -34,10 +34,6 @@ type Context struct {
 	// Reset between trials, so steady-state seeded sweeps stop paying a
 	// cold build per trial.
 	builder *graph.Builder
-	// shards is the engine shard count trials executed on this context use
-	// (1 = sequential). The Runner sets it to the worker-pool size for
-	// contexts that execute big instances one at a time.
-	shards int
 	// shared is a read-only cache of deterministic-family graphs built
 	// before worker fan-out, so one instance serves every worker; graphs
 	// are immutable, so lock-free concurrent reads are safe. graphs is the
@@ -117,22 +113,12 @@ func (c *Context) Graph(family string, n int, seed uint64) (*graph.Graph, error)
 	return g, nil
 }
 
-// SetShards fixes the engine shard count for trials executed on this
-// context. Sharded and sequential execution are byte-identical (see
-// radio.WithShards), so this is scheduling policy, never semantics.
-func (c *Context) SetShards(k int) {
-	c.shards = k
-	if c.eng != nil {
-		c.eng.SetShards(k)
-	}
-}
-
 // Engine returns the context's radio engine reset onto g: meters and clock
 // zeroed, scratch reused. The returned engine is valid until the next
 // Engine call on the same context.
 func (c *Context) Engine(g *graph.Graph) *radio.Engine {
 	if c.eng == nil {
-		c.eng = radio.NewEngine(g, radio.WithShards(c.shards))
+		c.eng = radio.NewEngine(g)
 		return c.eng
 	}
 	c.eng.Reset(g)

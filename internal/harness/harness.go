@@ -18,12 +18,10 @@
 //     on a worker pool. Every trial builds its own graph and network from a
 //     seed derived with rng.Derive from (root, scenario, family, n,
 //     maxDist, trial index), so results are bit-identical regardless of
-//     worker count or scheduling. Small instances run trial-parallel (one
-//     trial per worker); instances at or above DefaultShardMinN instead run
-//     one at a time with the radio engine's physics steps sharded across
-//     the whole pool (radio.WithShards — itself byte-identical to
-//     sequential stepping), so a single million-vertex trial saturates the
-//     machine too;
+//     worker count or scheduling. Parallelism is between trials only: every
+//     trial, whatever its size, runs its physics sequentially on one worker,
+//     so the worker count also bounds how many big instances are resident
+//     at once;
 //   - Aggregate folds per-trial Metrics into per-cell summaries
 //     (mean/stddev/min/quantiles/max via the streaming accumulators in
 //     internal/stats) and writes text tables, CSV, or JSON.

@@ -187,19 +187,16 @@ func (c chainObserver) RoundBatch(p string, n int64) {
 
 // TestOnTrialNotifiesEveryTrialOnce: the runner's OnTrial hook fires
 // exactly once per expanded trial with the settled result, on the
-// sequential, pooled, and big-instance (sharded) scheduling paths alike.
+// sequential and pooled paths alike.
 func TestOnTrialNotifiesEveryTrialOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		bigN    int
 	}{
-		{"sequential", 1, DefaultShardMinN},
-		{"pooled", 3, DefaultShardMinN},
-		{"pooled+sharded", 3, 45}, // grid n=49 takes the big-instance path
+		{"sequential", 1},
+		{"pooled", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer withBigInstanceN(tc.bigN)()
 			var mu sync.Mutex
 			seen := map[Trial]Result{}
 			counts := map[Trial]int{}

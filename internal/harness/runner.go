@@ -5,19 +5,12 @@ import (
 	"sync"
 )
 
-// DefaultShardMinN is the instance size at which the Runner switches a
-// trial from competing trial-parallel to running alone with the radio
-// engine sharded across the whole worker pool. Below it, trial-level
-// parallelism dominates (many independent small trials keep every core
-// busy); above it, a single trial's physics steps carry enough activity for
-// intra-trial sharding to win, and running such trials concurrently would
-// only thrash memory.
+// DefaultShardMinN is 2¹⁷, the instance size of the benchmark's
+// scale-physics workload (perfbench sizes it from this constant). It steers
+// nothing: every trial, whatever its size, runs sequentially on one worker
+// of the Runner's pool, and Workers alone bounds how many big instances are
+// resident at once.
 const DefaultShardMinN = 1 << 17
-
-// bigInstanceN is the big-instance threshold Run and Stream schedule by. A
-// var, not a const, so tests can move small instances onto the sharded
-// schedule.
-var bigInstanceN = DefaultShardMinN
 
 // Runner executes scenarios on a worker pool. The zero value runs every
 // trial on GOMAXPROCS workers with root seed 0; set Root to reproduce a
@@ -27,11 +20,9 @@ var bigInstanceN = DefaultShardMinN
 // TrialFor) and results are written to position-indexed slots, Run's output
 // is byte-for-byte independent of Workers and of goroutine scheduling.
 //
-// Trials of big instances (Instance.N >= DefaultShardMinN) are scheduled
-// differently — one at a time, with the engine sharded across the pool (see
-// radio.WithShards) — but that changes only where the parallelism lives,
-// never the bytes: sharded steps are proven identical to sequential ones,
-// so aggregate output remains independent of Workers.
+// Trial-level parallelism is the only parallelism: each trial runs its
+// physics sequentially on its worker's engine, so peak memory grows with
+// Workers × the largest trial, and Workers = 1 is the low-memory setting.
 type Runner struct {
 	// Workers bounds concurrent trials; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -59,6 +50,7 @@ func (r *Runner) Run(scenarios ...*Scenario) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(jobs))
 	// Deterministic-family graphs are built once up front and shared
 	// read-only by every worker, so neither the construction work nor the
 	// resident memory scales with the worker count.
@@ -70,32 +62,6 @@ func (r *Runner) Run(scenarios ...*Scenario) []Result {
 			r.notify(results[j.Slot])
 		}
 		return results
-	}
-	// Big instances do not compete trial-parallel: each runs alone with its
-	// physics steps sharded across the full pool, so one million-vertex
-	// trial saturates the machine instead of serializing behind a worker.
-	small := jobs[:0] // filtered in place: appends never overtake the scan
-	var big []TrialRef
-	for _, j := range jobs {
-		if j.Trial.N >= bigInstanceN {
-			big = append(big, j)
-		} else {
-			small = append(small, j)
-		}
-	}
-	if len(big) > 0 {
-		ctx := newContextShared(shared)
-		ctx.SetShards(workers)
-		for _, j := range big {
-			results[j.Slot] = ExecuteCtx(ctx, j.Scenario, j.Trial)
-			r.notify(results[j.Slot])
-		}
-	}
-	if len(small) == 0 {
-		return results
-	}
-	if workers > len(small) {
-		workers = len(small)
 	}
 	ch := make(chan TrialRef)
 	var wg sync.WaitGroup
@@ -115,7 +81,7 @@ func (r *Runner) Run(scenarios ...*Scenario) []Result {
 			}
 		}()
 	}
-	for _, j := range small {
+	for _, j := range jobs {
 		ch <- j
 	}
 	close(ch)

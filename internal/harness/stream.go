@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 )
 
 // This file holds the resumable trial-range execution layer used by the
@@ -55,17 +54,14 @@ func (r *Runner) ExpandAll(scenarios ...*Scenario) []TrialRef {
 type Stream struct {
 	refs []TrialRef
 	ctx  *Context
-	// procs is the shard count for trials of big instances (see Run).
-	procs int
 }
 
 // Stream builds the canonical trial list for the scenarios and a pooled
 // execution context.
 func (r *Runner) Stream(scenarios ...*Scenario) *Stream {
 	return &Stream{
-		refs:  r.ExpandAll(scenarios...),
-		ctx:   newContextShared(sharedGraphs(scenarios...)),
-		procs: runtime.GOMAXPROCS(0),
+		refs: r.ExpandAll(scenarios...),
+		ctx:  newContextShared(sharedGraphs(scenarios...)),
 	}
 }
 
@@ -93,14 +89,6 @@ func (s *Stream) RunRange(ctx context.Context, start, end int, skip func(slot in
 			continue
 		}
 		ref := s.refs[i]
-		// Big instances shard their physics steps across the process's
-		// cores, exactly as the Runner schedules them; small ones run
-		// sequentially. Both paths are proven byte-identical.
-		if ref.Trial.N >= bigInstanceN {
-			s.ctx.SetShards(s.procs)
-		} else {
-			s.ctx.SetShards(1)
-		}
 		emit(ref, ExecuteCtx(s.ctx, ref.Scenario, ref.Trial))
 	}
 	return nil

@@ -11,16 +11,13 @@
 //     activity-proportional — the cost of a step is O(Σ deg(transmitters) +
 //     #listeners), and rounds in which nobody is awake are skipped in O(1).
 //     This mirrors the paper's central concern: sleeping radios are free.
-//     A step is one walk over the CSR adjacency of the transmitters into
-//     per-neighbor counters. It runs sequentially, or — on an engine built
-//     WithShards(k) when the step carries enough activity — split into k
-//     parallel shards, which is how million-vertex instances use every core
-//     inside a single trial. Both are byte-identical in every observable
-//     (outputs, meters, clock, violation counter) at every shard count.
-//     A listen window (Listen, StepWindow, EndListen) runs many rounds over
-//     one fixed listener set — a Local-Broadcast — for the cost of its
-//     transmissions plus one pass over the listeners, byte-identical to
-//     stepping those rounds one by one.
+//     A step is one sequential walk over the CSR adjacency of the
+//     transmitters into per-neighbor counters; parallelism lives between
+//     trials, each on its own engine, never inside one. A listen window
+//     (Listen, StepWindow, EndListen) runs many rounds over one fixed
+//     listener set — a Local-Broadcast — for the cost of its transmissions
+//     plus one pass over the listeners, byte-identical to stepping those
+//     rounds one by one.
 //
 //   - Sim/Device: a goroutine-per-device blocking API (Listen, Transmit,
 //     Idle) on which free-form protocols can be written as ordinary
@@ -33,8 +30,6 @@ package radio
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -108,33 +103,6 @@ type Engine struct {
 	window      []int32
 	windowOpen  bool
 	windowStart int64
-
-	// Sharded execution state (see stepSharded). shards is the
-	// configured shard count; bounds caches the vertex ownership boundaries
-	// for the current graph (recomputed lazily after Reset or SetShards);
-	// shardScratch holds one touched list and violation counter per shard.
-	shards       int
-	bounds       []int32
-	shardScratch []shardScratch
-
-	// Persistent shard workers (see parallelShards): pool holds the parked
-	// goroutines executing shards 1..k-1, phaseWG joins each phase, and
-	// curTX/curListeners/curOut stage the step arguments for the workers —
-	// passing them through a closure would allocate on every step.
-	pool         *shardPool
-	phaseWG      sync.WaitGroup
-	curTX        []TX
-	curListeners []int32
-	curOut       []RX
-}
-
-// shardScratch is the per-shard private state of one sharded step. Entries
-// are written only by their owning shard goroutine during a step and read by
-// the coordinator after the join, so no field needs atomics.
-type shardScratch struct {
-	touched    []int32
-	violations int64
-	panicked   any
 }
 
 // Option configures an Engine.
@@ -165,15 +133,6 @@ func DefaultMsgBits(n int) int {
 // which the lowerbound package exercises.
 func WithCollisionDetection() Option {
 	return func(e *Engine) { e.cd = true }
-}
-
-// WithShards configures the engine to execute sufficiently large steps as k
-// parallel shards (see Step). k <= 1 keeps every step sequential.
-// Sharded and sequential execution are byte-identical — outputs, meters, the
-// round clock and the message-violation counter never depend on the shard
-// count — so the option is purely a performance knob.
-func WithShards(k int) Option {
-	return func(e *Engine) { e.shards = k }
 }
 
 // NewEngine builds an engine over graph g.
@@ -218,32 +177,11 @@ func (e *Engine) Reset(g *graph.Graph) {
 	}
 	e.touched = e.touched[:0]
 	e.window, e.windowOpen = nil, false
-	e.bounds = e.bounds[:0] // shard ownership is per-graph; recompute lazily
 	e.round = 0
 	e.msgViolations = 0
 	if !e.msgBitsSet {
 		e.maxMsgBits = DefaultMsgBits(n)
 	}
-}
-
-// SetShards reconfigures the shard count of an existing engine (the pooled
-// trial contexts use it when switching between trial-parallel and
-// intra-trial-parallel scheduling). Like WithShards, it never changes
-// results.
-func (e *Engine) SetShards(k int) {
-	if k == e.shards {
-		return
-	}
-	e.shards = k
-	e.bounds = e.bounds[:0]
-}
-
-// Shards returns the configured shard count (1 when sharding is off).
-func (e *Engine) Shards() int {
-	if e.shards < 1 {
-		return 1
-	}
-	return e.shards
 }
 
 // Graph returns the underlying topology.
@@ -317,12 +255,6 @@ func (e *Engine) ResetMeters() {
 // budget. Protocol tests assert this is zero.
 func (e *Engine) MsgViolations() int64 { return e.msgViolations }
 
-// shardStepMinWork is the activity threshold (Σ deg(transmitters) +
-// #listeners) below which Step stays sequential even on a sharded engine:
-// under it, the fixed cost of waking the shard goroutines exceeds the work
-// being split. A var, not a const, so tests can force either path.
-var shardStepMinWork = 1 << 16
-
 // Step executes one physical round. tx lists the transmitting devices with
 // their messages; listeners lists the listening devices. All other devices
 // idle. Results are written to out (which must have len(listeners)):
@@ -331,23 +263,12 @@ var shardStepMinWork = 1 << 16
 // in the same round, and must not appear twice in tx; both are programming
 // errors that panic. Listeners must be duplicate-free (caller contract).
 // Step panics while a listen window is open: the window owns the rounds.
-//
-// On an engine configured with WithShards(k > 1), a step whose activity
-// (Σ deg(transmitters) + #listeners) reaches shardStepMinWork executes as k
-// parallel shards (see stepSharded); every other step runs sequentially.
-// Results are byte-identical either way.
 func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 	if len(out) != len(listeners) {
 		panic(fmt.Sprintf("radio: out length %d != listeners length %d", len(out), len(listeners)))
 	}
 	if e.windowOpen {
 		panic("radio: Step during an open listen window")
-	}
-	// An unsharded engine must not even pay for measuring the step's
-	// activity: one bare step is ~50ns.
-	if e.shards > 1 && e.stepWork(tx, listeners) >= shardStepMinWork {
-		e.stepSharded(tx, listeners, out)
-		return
 	}
 	e.mark(tx)
 	for i, v := range listeners {
@@ -374,7 +295,7 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 	e.round++
 }
 
-// mark is the sequential mark phase shared by Step and StepWindow: it
+// mark is the mark phase shared by Step and StepWindow: it
 // meters every transmitter and walks its CSR adjacency into the
 // per-neighbor counters, recording every counter the first time it is
 // touched so teardown never re-walks a neighborhood. Afterwards cnt[v] is
@@ -443,8 +364,7 @@ func (e *Engine) Listen(receivers []int32) {
 // transmit). It appends to heard every waiting listener that heard exactly
 // one transmitting neighbor, charges each of them the rounds it listened,
 // ends their wait, and returns the extended slice. The round costs
-// O(Σ deg(tx)) — O(1) without transmitters — and always runs sequentially,
-// even on a sharded engine.
+// O(Σ deg(tx)) — O(1) without transmitters.
 func (e *Engine) StepWindow(tx []TX, heard []Heard) []Heard {
 	if !e.windowOpen {
 		panic("radio: StepWindow without an open listen window")
@@ -482,254 +402,4 @@ func (e *Engine) EndListen() {
 		}
 	}
 	e.window, e.windowOpen = nil, false
-}
-
-// stepWork estimates the activity of one step — the quantity the model
-// charges for: Σ deg(transmitters) + #listeners.
-func (e *Engine) stepWork(tx []TX, listeners []int32) int {
-	w := len(listeners)
-	for i := range tx {
-		w += e.g.Degree(tx[i].ID)
-	}
-	return w
-}
-
-// stepSharded executes one physical round as e.shards parallel shards, in
-// three barrier-separated phases:
-//
-//   - Mark: vertex IDs are partitioned into contiguous ranges balanced by
-//     CSR arc count (graph.ShardBounds). Shard s owns the IDs in
-//     [bounds[s], bounds[s+1]) exclusively: it alone writes their cnt/from
-//     counters and transmitter meters, so marking needs no atomics. Each
-//     shard scans the tx slice in index order — exactly the sequential
-//     order — and marks, per transmitter, only the sub-range of its sorted
-//     adjacency list the shard owns (graph.NeighborsRange): per-shard mark
-//     work is O(Σdeg/k + |tx|·(1 + log deg)).
-//
-//   - Listen: listeners are partitioned by position, |listeners|/k
-//     contiguous slots per shard, so resolution is balanced and scan-free.
-//     Listeners are duplicate-free (Step's caller contract), so position
-//     ownership gives every listener's meters and out slot exactly one
-//     writer; the phase only reads the counters the mark phase settled,
-//     which is why the barrier sits between them.
-//
-//   - Teardown: each shard resets exactly the counters it recorded during
-//     its mark phase, after every reader is done.
-//
-// Because ownership is exclusive within every phase and the mark scan order
-// matches the sequential path, every counter, winner index, meter and
-// delivery is byte-identical to the sequential path's.
-//
-// Programming-error panics (duplicate transmitter, transmit+listen) are
-// recovered inside the shard, joined, and re-raised here — first shard wins
-// — so they surface on the caller's goroutine just as in the sequential
-// path. As there, engine state after such a panic is unspecified.
-func (e *Engine) stepSharded(tx []TX, listeners []int32, out []RX) {
-	k := e.shards
-	if len(e.bounds) != k+1 {
-		e.bounds = e.g.ShardBounds(k, e.bounds)
-	}
-	if len(e.shardScratch) < k {
-		e.shardScratch = append(e.shardScratch, make([]shardScratch, k-len(e.shardScratch))...)
-	}
-	e.curTX, e.curListeners, e.curOut = tx, listeners, out
-	e.parallelShards(k, phaseMark)
-	if !e.shardsPanicked(k) {
-		e.parallelShards(k, phaseListen)
-	}
-	e.parallelShards(k, phaseTeardown)
-	e.curTX, e.curListeners, e.curOut = nil, nil, nil
-	// Join: fold the per-shard violation counters into the engine and
-	// re-raise the first captured panic on the caller's goroutine.
-	var panicked any
-	for s := 0; s < k; s++ {
-		st := &e.shardScratch[s]
-		e.msgViolations += st.violations
-		st.violations = 0
-		if st.panicked != nil && panicked == nil {
-			panicked = st.panicked
-		}
-		st.panicked = nil
-	}
-	if panicked != nil {
-		panic(panicked)
-	}
-	e.round++
-}
-
-// phaseCode names one barrier-separated phase of a sharded step. Phases are
-// dispatched by code, not by closure: a closure handed to a worker
-// goroutine would allocate on every step, and the sharded hot paths are
-// pinned at zero allocations in steady state.
-type phaseCode uint8
-
-const (
-	phaseMark phaseCode = iota
-	phaseListen
-	phaseTeardown
-)
-
-// shardPool holds the parked worker goroutines of one engine: chans[i]
-// feeds the worker that executes shard i+1 (shard 0 runs on the caller).
-// The pool is a separate allocation referencing only its channels — never
-// the engine — so an unreachable engine stays collectable and its runtime
-// cleanup can close the channels, letting the workers exit instead of
-// leaking.
-type shardPool struct {
-	chans []chan shardReq
-}
-
-// shardReq asks a parked worker to run one phase of one step. The engine
-// pointer rides along in the request so idle workers hold no reference to
-// their engine between steps.
-type shardReq struct {
-	e     *Engine
-	code  phaseCode
-	shard int
-}
-
-func shardWorker(ch chan shardReq) {
-	for req := range ch {
-		req.e.runShard(req.code, req.shard)
-		req.e.phaseWG.Done()
-	}
-}
-
-// ensureWorkers grows the persistent worker pool to serve k shards. Workers
-// are spawned once and parked on per-shard channels between phases, so a
-// steady-state sharded step costs 2(k-1) channel operations per phase and
-// zero allocations or goroutine spawns. A shrunken shard count simply
-// leaves the extra workers parked.
-func (e *Engine) ensureWorkers(k int) {
-	if e.pool == nil {
-		e.pool = &shardPool{}
-		runtime.AddCleanup(e, func(p *shardPool) {
-			for _, ch := range p.chans {
-				close(ch)
-			}
-		}, e.pool)
-	}
-	for len(e.pool.chans) < k-1 {
-		ch := make(chan shardReq, 1)
-		e.pool.chans = append(e.pool.chans, ch)
-		go shardWorker(ch)
-	}
-}
-
-// parallelShards runs one phase on every shard s in [0, k): shard 0 on the
-// calling goroutine, shards 1..k-1 on the engine's persistent workers, and
-// joins. The phase reads its step arguments from curTX/curListeners/curOut,
-// staged by the caller; the channel send publishes them to the workers and
-// the WaitGroup join publishes the workers' writes back.
-func (e *Engine) parallelShards(k int, code phaseCode) {
-	e.ensureWorkers(k)
-	e.phaseWG.Add(k - 1)
-	for s := 1; s < k; s++ {
-		e.pool.chans[s-1] <- shardReq{e: e, code: code, shard: s}
-	}
-	e.runShard(code, 0)
-	e.phaseWG.Wait()
-}
-
-// runShard executes one phase on one shard, capturing a panic (first one
-// per shard wins) into the shard's scratch slot rather than crashing the
-// process; stepSharded re-raises it after the join.
-func (e *Engine) runShard(code phaseCode, s int) {
-	defer func() {
-		if r := recover(); r != nil && e.shardScratch[s].panicked == nil {
-			e.shardScratch[s].panicked = r
-		}
-	}()
-	switch code {
-	case phaseMark:
-		e.shardMark(s, e.curTX)
-	case phaseListen:
-		e.shardListen(s, e.shards, e.curTX, e.curListeners, e.curOut)
-	case phaseTeardown:
-		e.shardTeardown(s)
-	}
-}
-
-// shardsPanicked reports whether any shard has captured a panic — the
-// signal to skip the listen phase, whose reads would be meaningless over a
-// half-marked round.
-func (e *Engine) shardsPanicked(k int) bool {
-	for s := 0; s < k; s++ {
-		if e.shardScratch[s].panicked != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// shardMark is the mark phase of one shard: transmitter accounting for the
-// IDs it owns and counter updates for the owned sub-range of every
-// transmitter's adjacency.
-func (e *Engine) shardMark(s int, tx []TX) {
-	st := &e.shardScratch[s]
-	lo, hi := e.bounds[s], e.bounds[s+1]
-	touched := st.touched[:0]
-	// The deferred store keeps the full list — the teardown phase walks it —
-	// and survives a mid-mark panic, so teardown still resets what was
-	// marked before the abort.
-	defer func() { st.touched = touched }()
-	for i := range tx {
-		t := &tx[i]
-		own := t.ID >= lo && t.ID < hi
-		if own {
-			if e.cnt[t.ID] == -1 {
-				panic(fmt.Sprintf("radio: device %d transmits twice in round %d", t.ID, e.round))
-			}
-			if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
-				st.violations++
-			}
-			e.energy[t.ID]++
-			e.transmits[t.ID]++
-		}
-		for _, u := range e.g.NeighborsRange(t.ID, lo, hi) {
-			if e.cnt[u] >= 0 {
-				if e.cnt[u] == 0 {
-					touched = append(touched, u)
-				}
-				e.cnt[u]++
-				e.from[u] = int32(i)
-			}
-		}
-		if own {
-			touched = append(touched, t.ID)
-			e.cnt[t.ID] = -1
-		}
-	}
-}
-
-// shardListen resolves the contiguous position range of listeners shard s
-// owns, identically to the sequential listener loop.
-func (e *Engine) shardListen(s, k int, tx []TX, listeners []int32, out []RX) {
-	plo, phi := s*len(listeners)/k, (s+1)*len(listeners)/k
-	for i := plo; i < phi; i++ {
-		v := listeners[i]
-		c := e.cnt[v]
-		if c == -1 {
-			panic(fmt.Sprintf("radio: device %d both transmits and listens in round %d", v, e.round))
-		}
-		e.energy[v]++
-		e.listens[v]++
-		switch {
-		case c == 1:
-			out[i] = RX{Msg: tx[e.from[v]].Msg, OK: true}
-		case c >= 2 && e.cd:
-			out[i] = RX{Noise: true}
-		default:
-			out[i] = RX{}
-		}
-	}
-}
-
-// shardTeardown resets exactly the counters shard s recorded while marking.
-func (e *Engine) shardTeardown(s int) {
-	st := &e.shardScratch[s]
-	for _, t := range st.touched {
-		e.cnt[t] = 0
-	}
-	st.touched = st.touched[:0]
 }

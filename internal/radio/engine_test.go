@@ -4,12 +4,128 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 func step(e *Engine, tx []TX, listeners []int32) []RX {
 	out := make([]RX, len(listeners))
 	e.Step(tx, listeners, out)
 	return out
+}
+
+// randomTestGraph builds a random test topology with deliberately awkward
+// shape: a G(n,p)-style random core, a high-degree hub, and a tail of
+// isolated (degree-0) vertices, so rounds mix clean deliveries, collisions
+// and listeners nobody can reach.
+func randomTestGraph(n int, r *rng.Source) *graph.Graph {
+	b := graph.NewBuilder(n)
+	core := n - n/8 // last n/8 vertices stay isolated
+	if core < 2 {
+		core = n
+	}
+	for u := 0; u < core; u++ {
+		for e := 0; e < 3; e++ {
+			v := r.Intn(core)
+			if v != u {
+				b.AddEdge(int32(u), int32(v))
+			}
+		}
+	}
+	// Hub: vertex 0 is adjacent to every fourth core vertex.
+	for v := 1; v < core; v += 4 {
+		b.AddEdge(0, int32(v))
+	}
+	return b.Graph()
+}
+
+// stepPattern draws one random, non-overlapping transmitter/listener split.
+// Message sizes vary, so a tight budget sees both legal and oversized ones.
+func stepPattern(n int, r *rng.Source) (tx []TX, listeners []int32) {
+	for v := 0; v < n; v++ {
+		switch r.Intn(5) {
+		case 0:
+			tx = append(tx, TX{ID: int32(v), Msg: Msg{Kind: 3, A: uint64(v), B: r.Uint64() >> r.Intn(64)}})
+		case 1, 2:
+			listeners = append(listeners, int32(v))
+		}
+	}
+	return tx, listeners
+}
+
+// recoverFrom runs f and returns the value it panicked with (nil if none).
+func recoverFrom(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestStepMatchesModel checks Step against the model itself (§1.1) rather
+// than against another execution path: over random graphs and random
+// transmitter/listener splits, a listener hears iff exactly one of its
+// neighbors transmits (with CD, two or more is noise), every awake device
+// pays one unit per round, and every oversized message counts one
+// violation. Every delivery, every device's meters, the clock and the
+// violation counter are compared.
+func TestStepMatchesModel(t *testing.T) {
+	const budget = 40 // tight: some messages violate
+	for seed := uint64(0); seed < 40; seed++ {
+		r := rng.New(seed)
+		n := 1 + r.Intn(200)
+		g := randomTestGraph(n, r)
+		cd := seed%2 == 1
+		opts := []Option{WithMaxMsgBits(budget)}
+		if cd {
+			opts = append(opts, WithCollisionDetection())
+		}
+		e := NewEngine(g, opts...)
+		energy, listens, transmits := make([]int64, n), make([]int64, n), make([]int64, n)
+		var violations int64
+		sender := make([]int, n) // tx index + 1 of a transmitting device, else 0
+		const rounds = 20
+		for round := 0; round < rounds; round++ {
+			tx, listeners := stepPattern(n, r)
+			clear(sender)
+			for i, x := range tx {
+				sender[x.ID] = i + 1
+				energy[x.ID]++
+				transmits[x.ID]++
+				if x.Msg.Bits() > budget {
+					violations++
+				}
+			}
+			out := step(e, tx, listeners)
+			for i, v := range listeners {
+				energy[v]++
+				listens[v]++
+				heard, from := 0, 0
+				for _, u := range g.Neighbors(v) {
+					if sender[u] != 0 {
+						heard, from = heard+1, sender[u]-1
+					}
+				}
+				var want RX
+				switch {
+				case heard == 1:
+					want = RX{Msg: tx[from].Msg, OK: true}
+				case heard >= 2 && cd:
+					want = RX{Noise: true}
+				}
+				if out[i] != want {
+					t.Fatalf("seed %d (n=%d cd=%v) round %d: listener %d with %d transmitting neighbors got %+v, want %+v",
+						seed, n, cd, round, v, heard, out[i], want)
+				}
+			}
+		}
+		if e.Round() != rounds || e.MsgViolations() != violations {
+			t.Fatalf("seed %d: clock/violations (%d, %d), want (%d, %d)", seed, e.Round(), e.MsgViolations(), rounds, violations)
+		}
+		for v := int32(0); int(v) < n; v++ {
+			if e.Energy(v) != energy[v] || e.Listens(v) != listens[v] || e.Transmits(v) != transmits[v] {
+				t.Fatalf("seed %d: device %d meters (%d,%d,%d), want (%d,%d,%d)", seed, v,
+					e.Energy(v), e.Listens(v), e.Transmits(v), energy[v], listens[v], transmits[v])
+			}
+		}
+	}
 }
 
 func TestSingleTransmitterDelivers(t *testing.T) {
@@ -131,23 +247,54 @@ func TestResetMeters(t *testing.T) {
 }
 
 func TestDoubleTransmitPanics(t *testing.T) {
-	e := NewEngine(graph.Path(3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate transmitter")
-		}
-	}()
-	step(e, []TX{{ID: 0}, {ID: 0}}, nil)
+	requirePanic(t, "device 0 transmits twice in round 0", func() {
+		step(NewEngine(graph.Path(3)), []TX{{ID: 0}, {ID: 0}}, nil)
+	})
 }
 
 func TestTransmitAndListenPanics(t *testing.T) {
-	e := NewEngine(graph.Path(3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on transmit+listen")
-		}
-	}()
-	step(e, []TX{{ID: 0}}, []int32{0})
+	requirePanic(t, "device 0 both transmits and listens in round 0", func() {
+		step(NewEngine(graph.Path(3)), []TX{{ID: 0}}, []int32{0})
+	})
+}
+
+// requireSamePanic runs one programming error through Step and through a
+// listen window's StepWindow on Path(64), and requires both to panic with
+// the identical value: the window shares Step's mark phase, so a contract
+// violation reads the same whichever way the round runs.
+func requireSamePanic(t *testing.T, what string, viaStep, viaWindow func(e *Engine)) {
+	t.Helper()
+	g := graph.Path(64)
+	want := recoverFrom(func() { viaStep(NewEngine(g)) })
+	if want == nil {
+		t.Fatalf("Step did not panic on %s", what)
+	}
+	if got := recoverFrom(func() { viaWindow(NewEngine(g)) }); got != want {
+		t.Fatalf("listen-window %s panic %v, want Step's %v", what, got, want)
+	}
+}
+
+// TestShardedDoubleTransmitPanics pins a duplicate transmitter to one panic
+// value on both ways a round runs, Step and the listen window. (The name
+// dates from the sharded step, the other path it once compared.)
+func TestShardedDoubleTransmitPanics(t *testing.T) {
+	requireSamePanic(t, "duplicate transmitter",
+		func(e *Engine) { e.Step([]TX{{ID: 5}, {ID: 5}}, nil, nil) },
+		func(e *Engine) {
+			e.Listen([]int32{7})
+			e.StepWindow([]TX{{ID: 5}, {ID: 5}}, nil)
+		})
+}
+
+// TestShardedTransmitAndListenPanics pins a device that both transmits and
+// listens to one panic value on Step and on the listen window.
+func TestShardedTransmitAndListenPanics(t *testing.T) {
+	requireSamePanic(t, "transmit+listen",
+		func(e *Engine) { e.Step([]TX{{ID: 5}}, []int32{5}, make([]RX, 1)) },
+		func(e *Engine) {
+			e.Listen([]int32{5})
+			e.StepWindow([]TX{{ID: 5}}, nil)
+		})
 }
 
 func TestMsgBitsAccounting(t *testing.T) {

@@ -94,6 +94,58 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestShardedReset reuses one engine across graphs of different sizes via
+// Reset (growing, then shrinking) with Step rounds and listen windows
+// interleaved and a window left open at every switch, and requires the
+// trajectory of a fresh engine on each graph: every delivery, the clock,
+// the violation counter and every device's meters. No scratch, window state
+// included, may leak across graphs. (The name dates from the sharded step,
+// whose shard ownership Reset also had to recompute.)
+func TestShardedReset(t *testing.T) {
+	const budget = 40 // tight: some messages violate
+	graphs := []*graph.Graph{graph.Cycle(100), graph.Grid(16, 16), graph.Star(40)}
+	reused := NewEngine(graphs[0], WithMaxMsgBits(budget))
+	for gi, g := range graphs {
+		r := rng.New(uint64(500 + gi))
+		fresh := NewEngine(g, WithMaxMsgBits(budget))
+		reused.Reset(g)
+		var got, want []Heard
+		for call := 0; call < 4; call++ {
+			for round := 0; round < 5; round++ {
+				tx, listeners := stepPattern(g.N(), r)
+				outR, outF := step(reused, tx, listeners), step(fresh, tx, listeners)
+				for i := range outF {
+					if outR[i] != outF[i] {
+						t.Fatalf("graph %d call %d round %d: listener %d got %+v, fresh engine %+v",
+							gi, call, round, listeners[i], outR[i], outF[i])
+					}
+				}
+			}
+			w := drawWindow(g.N(), r)
+			reused.Listen(w.listeners)
+			fresh.Listen(w.listeners)
+			for round, tx := range w.rounds {
+				got, want = reused.StepWindow(tx, got[:0]), fresh.StepWindow(tx, want[:0])
+				if !sameHeard(got, want) {
+					t.Fatalf("graph %d call %d window round %d: heard %+v, fresh engine %+v", gi, call, round, got, want)
+				}
+			}
+			reused.EndListen()
+			fresh.EndListen()
+		}
+		if reused.Round() != fresh.Round() || reused.MsgViolations() != fresh.MsgViolations() {
+			t.Fatalf("graph %d: clock/violations (%d, %d), fresh engine (%d, %d)",
+				gi, reused.Round(), reused.MsgViolations(), fresh.Round(), fresh.MsgViolations())
+		}
+		for v := int32(0); int(v) < g.N(); v++ {
+			if reused.Energy(v) != fresh.Energy(v) || reused.Listens(v) != fresh.Listens(v) || reused.Transmits(v) != fresh.Transmits(v) {
+				t.Fatalf("graph %d: device %d meters diverge from a fresh engine's", gi, v)
+			}
+		}
+		reused.Listen(drawWindow(g.N(), r).listeners) // abandoned: the next Reset discards it
+	}
+}
+
 // TestEngineResetKeepsOptions checks Reset preserves an explicit message
 // budget but recomputes the default one for the new size.
 func TestEngineResetKeepsOptions(t *testing.T) {
@@ -123,33 +175,5 @@ func TestEngineStepZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Engine.Step allocates %v per call in steady state, want 0", allocs)
-	}
-}
-
-// TestShardedStepZeroAllocs pins the sharded CSR kernel to zero steady-state
-// allocations — a capability of the persistent phase-worker pool (the old
-// per-phase goroutine spawn allocated on every step).
-func TestShardedStepZeroAllocs(t *testing.T) {
-	defer forceSharded()()
-	g := graph.Grid(32, 32)
-	// A quarter of the grid transmits and the rest listens, so every phase
-	// of every shard sees real work.
-	var tx []TX
-	var listeners []int32
-	for v := int32(0); int(v) < g.N(); v++ {
-		if v%4 == 0 {
-			tx = append(tx, TX{ID: v, Msg: Msg{A: uint64(v)}})
-		} else {
-			listeners = append(listeners, v)
-		}
-	}
-	out := make([]RX, len(listeners))
-	e := NewEngine(g, WithShards(4))
-	e.Step(tx, listeners, out) // warm: shard scratch and workers
-	allocs := testing.AllocsPerRun(200, func() {
-		e.Step(tx, listeners, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("sharded Step allocates %v per call in steady state, want 0", allocs)
 	}
 }

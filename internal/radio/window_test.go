@@ -108,18 +108,18 @@ func requireSameMeters(t *testing.T, what string, got, want *Engine) {
 // TestWindowMatchesSteps is the engine-level byte-identity property: over
 // random graphs and windows, consecutive windows on one engine deliver
 // exactly what per-round Steps deliver and leave identical meters, clock
-// and violation counter — on sequential, sharded and CD engines alike.
+// and violation counter — with and without CD.
 func TestWindowMatchesSteps(t *testing.T) {
 	for seed := uint64(0); seed < 60; seed++ {
 		r := rng.New(seed)
 		n := 1 + r.Intn(90)
-		g := randomShardGraph(n, r)
+		g := randomTestGraph(n, r)
 		opts := []Option{WithMaxMsgBits(40)} // tight: some messages violate
 		if seed%3 == 1 {
 			opts = append(opts, WithCollisionDetection())
 		}
 		ref := NewEngine(g, opts...)
-		win := NewEngine(g, append(opts, WithShards(int(seed%4)+1))...)
+		win := NewEngine(g, opts...)
 		var heard []Heard
 		for call := 0; call < 3; call++ {
 			w := drawWindow(n, r)

@@ -7,8 +7,8 @@
 //
 // The design leans entirely on the determinism contract built up by the
 // lower layers: a spec's artifacts are a pure function of (canonical spec,
-// root seed, code version) — byte-identical at any worker count, shard
-// count, or scheduling — so a completed result is cacheable forever
+// root seed, code version) — byte-identical at any worker count or
+// scheduling — so a completed result is cacheable forever
 // under that key. Identical submissions are cache hits served without
 // recomputation; concurrent identical submissions coalesce onto one running
 // job (single-flight); and the artifact files a client fetches are the same
