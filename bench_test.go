@@ -572,7 +572,9 @@ func BenchmarkScaleDecayTrial(b *testing.B) {
 
 // BenchmarkSeededGraphBuild measures the per-trial topology rebuild of a
 // seeded-family sweep at scale: the pooled worker-context path (one builder
-// Reset per trial) against a cold build per trial.
+// Reset per trial) against a cold build per trial, and G(n, p) at n = 2¹⁷
+// through a pooled context, the per-trial build of the scale-physics
+// benchmark workload.
 func BenchmarkSeededGraphBuild(b *testing.B) {
 	n := 1 << 20
 	b.Run("pooled", func(b *testing.B) {
@@ -586,6 +588,14 @@ func BenchmarkSeededGraphBuild(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := repro.NewGraph("tree", n, uint64(i+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("gnp", func(b *testing.B) {
+		ctx := harness.NewContext()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctx.Graph("gnp", 1<<17, uint64(i+1)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // referenceCSR builds the (offsets, neighbors) arrays of an edge list the
 // slow, obviously-correct way: per-vertex comparison sort plus dedupe. The
-// counting-sort fast path in Builder.Graph must match it exactly.
+// one-scatter finalize in Builder.Graph must match it exactly.
 func referenceCSR(n int, edges [][2]int32) ([]int32, []int32) {
 	adj := make([][]int32, n)
 	for _, e := range edges {
@@ -37,7 +38,57 @@ func referenceCSR(n int, edges [][2]int32) ([]int32, []int32) {
 	return offsets, neighbors
 }
 
+// requireReferenceCSR fails the test unless g's offsets, neighbors and
+// MaxDegree are exactly referenceCSR's for the n-vertex edge list.
+func requireReferenceCSR(t *testing.T, label string, g *Graph, n int, edges [][2]int32) {
+	t.Helper()
+	wantOff, wantAdj := referenceCSR(n, edges)
+	if !slices.Equal(g.offsets, wantOff) {
+		t.Fatalf("%s: offsets = %v, want %v", label, g.offsets, wantOff)
+	}
+	if !slices.Equal(g.neighbors, wantAdj) {
+		t.Fatalf("%s: neighbors = %v, want %v", label, g.neighbors, wantAdj)
+	}
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, int(wantOff[v+1]-wantOff[v]))
+	}
+	if g.MaxDegree() != maxDeg {
+		t.Fatalf("%s: MaxDegree = %d, want %d", label, g.MaxDegree(), maxDeg)
+	}
+}
+
+// builderEdges returns the undirected edges a builder holds, in the order
+// they were added: AddEdge appends the arc u→v and then v→u, so the arcs at
+// even positions are the edges.
+func builderEdges(b *Builder) [][2]int32 {
+	edges := make([][2]int32, 0, len(b.src)/2)
+	for i := 0; i < len(b.src); i += 2 {
+		edges = append(edges, [2]int32{b.src[i], b.dst[i]})
+	}
+	return edges
+}
+
+// TestBuilderCountingSortMatchesReference compares the finalize with
+// referenceCSR on hand cases for the row shapes that decide its branches
+// (rows that arrive sorted or unsorted, with adjacent or non-adjacent
+// duplicates; self-loops; the empty and one-vertex graphs), then on random
+// edge lists.
 func TestBuilderCountingSortMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges [][2]int32
+	}{
+		{"sorted row with adjacent duplicates", 4, [][2]int32{{0, 1}, {0, 1}, {0, 2}, {0, 3}, {0, 3}}},
+		{"unsorted row with non-adjacent duplicates", 3, [][2]int32{{0, 2}, {0, 1}, {0, 2}}},
+		{"self-loops", 3, [][2]int32{{1, 1}, {0, 1}, {2, 2}, {1, 2}, {0, 0}}},
+		{"n=0", 0, nil},
+		{"n=1", 1, [][2]int32{{0, 0}}},
+	} {
+		requireReferenceCSR(t, tc.name, FromEdges(tc.n, tc.edges), tc.n, tc.edges)
+	}
+
 	r := rng.New(42)
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + r.Intn(60)
@@ -52,34 +103,52 @@ func TestBuilderCountingSortMatchesReference(t *testing.T) {
 		}
 		edges = append(edges, [2]int32{0, 0})
 
-		g := FromEdges(n, edges)
-		wantOff, wantAdj := referenceCSR(n, edges)
-		if len(g.offsets) != len(wantOff) {
-			t.Fatalf("n=%d: offsets length %d, want %d", n, len(g.offsets), len(wantOff))
-		}
-		for v, o := range wantOff {
-			if g.offsets[v] != o {
-				t.Fatalf("n=%d: offsets[%d] = %d, want %d", n, v, g.offsets[v], o)
+		requireReferenceCSR(t, fmt.Sprintf("trial %d n=%d", trial, n), FromEdges(n, edges), n, edges)
+	}
+}
+
+// TestGeneratorArcOrderMatchesReference runs the seeded generators straight
+// on a builder and compares each finalized graph with referenceCSR of the
+// arcs the builder still holds. G(n, p)'s augmentation refill and the
+// geometric stitch re-add edges out of row order, so the sweep must reach
+// both.
+func TestGeneratorArcOrderMatchesReference(t *testing.T) {
+	gens := []struct {
+		name  string
+		build func(b *Builder, n int, r *rng.Source) *Graph
+	}{
+		{"gnp", func(b *Builder, n int, r *rng.Source) *Graph { return GNPInto(b, n, gnpP(n), r) }},
+		{"tree", RandomTreeInto},
+		{"connected-gnp", func(b *Builder, n int, r *rng.Source) *Graph { return ConnectedGNPInto(b, n, gnpP(n), r) }},
+		{"geometric", func(b *Builder, n int, r *rng.Source) *Graph {
+			return RandomGeometricInto(b, n, geoRadius(n), r, false)
+		}},
+		{"connected-geometric", func(b *Builder, n int, r *rng.Source) *Graph {
+			return RandomGeometricInto(b, n, geoRadius(n), r, true)
+		}},
+	}
+	refills, stitches := 0, 0
+	b := NewBuilder(0)
+	for _, gen := range gens {
+		for _, n := range []int{0, 1, 2, 3, 100, 1 << 14} {
+			for seed := uint64(0); seed < 4; seed++ {
+				g := gen.build(b, n, rng.New(seed))
+				requireReferenceCSR(t, fmt.Sprintf("%s n=%d seed=%d", gen.name, n, seed), g, n, builderEdges(b))
+				switch gen.name {
+				case "connected-gnp":
+					if !IsConnected(GNP(n, gnpP(n), rng.New(seed))) {
+						refills++
+					}
+				case "connected-geometric":
+					if !IsConnected(RandomGeometric(n, geoRadius(n), rng.New(seed), false)) {
+						stitches++
+					}
+				}
 			}
 		}
-		if len(g.neighbors) != len(wantAdj) {
-			t.Fatalf("n=%d: neighbors length %d, want %d", n, len(g.neighbors), len(wantAdj))
-		}
-		for i, x := range wantAdj {
-			if g.neighbors[i] != x {
-				t.Fatalf("n=%d: neighbors[%d] = %d, want %d", n, i, g.neighbors[i], x)
-			}
-		}
-		// MaxDegree must match the densest row.
-		maxDeg := 0
-		for v := 0; v < n; v++ {
-			if d := int(wantOff[v+1] - wantOff[v]); d > maxDeg {
-				maxDeg = d
-			}
-		}
-		if g.MaxDegree() != maxDeg {
-			t.Fatalf("n=%d: MaxDegree = %d, want %d", n, g.MaxDegree(), maxDeg)
-		}
+	}
+	if refills == 0 || stitches == 0 {
+		t.Fatalf("sweep reached %d G(n,p) refills and %d geometric stitches; want both > 0", refills, stitches)
 	}
 }
 
@@ -140,9 +209,11 @@ func graphsEqual(a, b *Graph) bool {
 
 // TestBuilderResetMatchesFresh pins the pooled-builder contract: a builder
 // Reset and refilled — across size changes, in both directions — produces
-// graphs identical to a fresh builder's.
+// graphs identical to a fresh builder's and to referenceCSR, also when its
+// row-cursor scratch is longer than the smaller graph needs.
 func TestBuilderResetMatchesFresh(t *testing.T) {
 	pooled := NewBuilder(0)
+	largest := 0
 	for _, n := range []int{17, 64, 9, 128, 0, 33} {
 		r := rng.New(uint64(n + 1))
 		edges := make([][2]int32, 0, 2*n)
@@ -157,9 +228,16 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 				pooled.AddEdge(e[0], e[1])
 			}
 		}
-		if got := pooled.Graph(); !graphsEqual(got, want) {
+		if n < largest && cap(pooled.pos) <= n+1 {
+			t.Fatalf("n=%d after n=%d: row-cursor scratch capacity %d, want more than %d",
+				n, largest, cap(pooled.pos), n+1)
+		}
+		largest = max(largest, n)
+		got := pooled.Graph()
+		if !graphsEqual(got, want) {
 			t.Fatalf("n=%d: pooled builder graph differs from fresh", n)
 		}
+		requireReferenceCSR(t, fmt.Sprintf("pooled n=%d", n), got, n, edges)
 	}
 }
 
@@ -188,7 +266,7 @@ func TestNamedIntoMatchesNamed(t *testing.T) {
 // warmed builder rebuilding a same-size seeded tree must allocate only what
 // the immutable result itself owns (offsets + neighbors + the Graph header)
 // plus the generator's rng — under 8 allocations, where a cold build pays
-// the accumulation arrays and the three counting-sort scratch slices on top.
+// the accumulation arrays and the one scratch slice on top.
 func TestBuilderResetSteadyStateAllocs(t *testing.T) {
 	const n = 4096
 	b := FromDegreeHint(n, 2)

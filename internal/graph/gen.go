@@ -336,7 +336,9 @@ func Lollipop(k, tail int) *Graph {
 			b.AddEdge(int32(u), int32(v))
 		}
 	}
-	for v := k - 1; v < n-1; v++ {
+	// The tail hangs off the clique's last vertex; with no clique (k = 0)
+	// it is a plain path from 0.
+	for v := max(k-1, 0); v < n-1; v++ {
 		b.AddEdge(int32(v), int32(v+1))
 	}
 	return b.Graph()

@@ -8,6 +8,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/scratch"
@@ -75,8 +76,10 @@ func (g *Graph) Edges(fn func(u, v int32)) {
 //
 // Edges are stored as a flat directed-arc list (each undirected edge appears
 // once per direction), so accumulation is two appends with no per-vertex
-// slice headers, and finalization is a two-pass counting sort rather than a
-// comparison sort per vertex.
+// slice headers. Finalization scatters the arcs into their rows in one
+// stable counting pass and comparison-sorts only the rows that arrived out
+// of order; generators that append every row in ascending order (star, grid,
+// uniform-attachment tree, G(n, p)) pay no sort at all.
 // A Builder may be reused across graphs via Reset: the arc arrays and the
 // finalization scratch persist, so a pooled builder that has reached its
 // working size accumulates and finalizes follow-up graphs with only the two
@@ -88,10 +91,9 @@ type Builder struct {
 	src []int32
 	dst []int32
 
-	// finalization scratch, reused across Graph calls.
-	pos    []int32
-	tmpSrc []int32
-	tmpDst []int32
+	// pos is the finalization scratch (row cursors), reused across Graph
+	// calls.
+	pos []int32
 }
 
 // NewBuilder returns a Builder for an n-vertex graph.
@@ -148,69 +150,44 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.dst = append(b.dst, v, u)
 }
 
-// Graph finalizes the builder into an immutable Graph: a counting sort by
-// destination followed by a stable counting sort by source leaves the arc
-// list grouped by source with each row sorted by destination, after which one
-// linear pass drops adjacent duplicates. Total work is O(n + m) with no
-// comparison sorting.
+// Graph finalizes the builder into an immutable Graph. One stable counting
+// scatter groups the arcs by source, each row keeping the order its arcs
+// were added in; a row is comparison-sorted only if some adjacent pair is
+// out of order, and one linear pass then drops adjacent duplicates. Work is
+// O(n + m) plus the sorts of the rows that arrived unsorted.
 func (b *Builder) Graph() *Graph {
-	n, m := b.n, len(b.src)
+	n := b.n
+	src, dst := b.src, b.dst[:len(b.src)]
 	pos := scratch.Grow(b.pos, n+1)
 	b.pos = pos
-	for v := range pos {
-		pos[v] = 0
-	}
-
-	// Pass 1: counting sort the arcs by destination.
-	for _, d := range b.dst {
-		pos[d]++
+	clear(pos)
+	for _, s := range src {
+		pos[s]++
 	}
 	var sum int32
-	for v := 0; v <= n; v++ {
-		c := pos[v]
+	for v, c := range pos {
 		pos[v] = sum
 		sum += c
 	}
-	tmpSrc := scratch.Grow(b.tmpSrc, m)
-	tmpDst := scratch.Grow(b.tmpDst, m)
-	b.tmpSrc, b.tmpDst = tmpSrc, tmpDst
-	for i := 0; i < m; i++ {
-		d := b.dst[i]
-		j := pos[d]
-		pos[d]++
-		tmpSrc[j] = b.src[i]
-		tmpDst[j] = d
-	}
-
-	// Pass 2: stable counting sort by source; rows come out sorted by
-	// destination because pass 1 ordered the input.
-	for v := range pos {
-		pos[v] = 0
-	}
-	for _, s := range b.src {
-		pos[s]++
-	}
-	sum = 0
-	for v := 0; v <= n; v++ {
-		c := pos[v]
-		pos[v] = sum
-		sum += c
-	}
-	neighbors := make([]int32, m)
-	for i := 0; i < m; i++ {
-		s := tmpSrc[i]
-		neighbors[pos[s]] = tmpDst[i]
+	neighbors := make([]int32, len(src))
+	for i, s := range src {
+		neighbors[pos[s]] = dst[i]
 		pos[s]++
 	}
 
-	// Per-row dedupe in place. After pass 2, pos[v] is the end of row v.
+	// Per-row sort-if-needed and dedupe in place. After the scatter, pos[v]
+	// is the end of row v.
 	g := &Graph{offsets: make([]int32, n+1)}
 	var w, start int32
 	for v := 0; v < n; v++ {
+		row := neighbors[start:pos[v]]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
 		g.offsets[v] = w
 		prev := int32(-1)
-		for i := start; i < pos[v]; i++ {
-			if x := neighbors[i]; x != prev {
+		for _, x := range row {
+			if x != prev {
 				neighbors[w] = x
 				prev = x
 				w++

@@ -393,6 +393,33 @@ func TestNamedFamiliesConnected(t *testing.T) {
 	}
 }
 
+// TestFamiliesSmallN builds every registered family at the smallest sizes a
+// spec accepts (n >= 1): each must build without panicking and yield sorted,
+// duplicate-free, loop-free rows. Lollipop at n = 1 has no clique, only a
+// one-vertex tail, which must not reach back to a vertex -1.
+func TestFamiliesSmallN(t *testing.T) {
+	for _, name := range FamilyNames() {
+		for n := 1; n <= 4; n++ {
+			for seed := uint64(0); seed < 3; seed++ {
+				g, ok := Named(name, n, seed)
+				if !ok {
+					t.Fatalf("family %q not found", name)
+				}
+				for v := int32(0); int(v) < g.N(); v++ {
+					prev := int32(-1)
+					for _, x := range g.Neighbors(v) {
+						if x == v || x <= prev {
+							t.Fatalf("family %q n=%d seed=%d: row %d = %v is not sorted, duplicate-free and loop-free",
+								name, n, seed, v, g.Neighbors(v))
+						}
+						prev = x
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNamedDeterministic(t *testing.T) {
 	for _, name := range []string{"gnp", "geometric", "tree"} {
 		a, _ := Named(name, 50, 99)
