@@ -136,32 +136,6 @@ func TestDesignatedLeader(t *testing.T) {
 	}
 }
 
-func TestMaxRankFloodAgreement(t *testing.T) {
-	r := rng.New(17)
-	for trial := 0; trial < 5; trial++ {
-		g := graph.ConnectedGNP(60, 0.08, r)
-		net := lbnet.NewUnitNet(g, 0, uint64(trial))
-		net.SetDelivery(lbnet.DeliverRandom)
-		diam := int(graph.Diameter(g))
-		lead := MaxRankFlood(net, 4*diam+80, 2, uint64(trial))
-		if !lead.Agreed {
-			t.Fatalf("trial %d: vertices disagree on the leader", trial)
-		}
-	}
-}
-
-func TestMaxRankFloodOnPath(t *testing.T) {
-	// The pathological case for min-ID delivery; random delivery must
-	// propagate the maximum from wherever it lands.
-	g := graph.Path(40)
-	net := lbnet.NewUnitNet(g, 0, 21)
-	net.SetDelivery(lbnet.DeliverRandom)
-	lead := MaxRankFlood(net, 260, 2, 21)
-	if !lead.Agreed {
-		t.Fatal("max-rank flood failed on a path")
-	}
-}
-
 func TestTwoApproxBounds(t *testing.T) {
 	r := rng.New(23)
 	cases := []*graph.Graph{

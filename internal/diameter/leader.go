@@ -1,14 +1,5 @@
 package diameter
 
-import (
-	"repro/internal/lbnet"
-	"repro/internal/radio"
-	"repro/internal/rng"
-)
-
-// MsgRank carries a leader-election rank.
-const MsgRank = 0x48
-
 // Leader is the outcome of a leader election.
 type Leader struct {
 	// ID is the elected vertex.
@@ -20,83 +11,8 @@ type Leader struct {
 
 // Designated returns the zero-cost "leader election" in which device 0 is
 // the leader by convention (e.g. devices flashed with distinct roles).
-// The paper's Theorems 5.3/5.4 use the LeaderElection of [Chang et al.
-// PODC'18] as a black box; this is the default substitute recorded in
-// DESIGN.md.
+// Theorems 5.3/5.4 take LeaderElection from The Energy Complexity of
+// Broadcast (arXiv:1710.01800) as a black box; `diam2` and `diam32` use
+// this substitute instead and charge no energy for the election, a
+// deviation recorded in DESIGN.md.
 func Designated() Leader { return Leader{ID: 0, Agreed: true} }
-
-// MaxRankFlood elects a leader distributedly: every vertex draws a 62-bit
-// rank and the maximum (rank, ID) pair is flooded for `rounds`
-// Local-Broadcasts. A vertex whose belief improved within the last `repeat`
-// calls is *eligible* to transmit and does so with probability 1/2 on a
-// private coin (mixing senders with listeners — without it, the symmetric
-// all-fresh start would have everyone transmit into deaf air); otherwise it
-// listens. With rounds comfortably above the diameter every vertex
-// converges on the global maximum w.h.p. Expected transmissions per vertex
-// are O(repeat · log n) (belief improvements are record values among random
-// ranks); listening dominates at O(rounds).
-func MaxRankFlood(net lbnet.Net, rounds int, repeat int, seed uint64) Leader {
-	n := net.N()
-	if repeat < 1 {
-		repeat = 1
-	}
-	rank := make([]int64, n)
-	bestRank := make([]int64, n)
-	bestID := make([]int32, n)
-	lastImprove := make([]int, n)
-	coins := make([]*rng.Source, n)
-	for v := 0; v < n; v++ {
-		src := rng.New(rng.Derive(seed, uint64(v), 0x1eade2))
-		rank[v] = src.Rank() >> 1
-		bestRank[v] = rank[v]
-		bestID[v] = int32(v)
-		lastImprove[v] = 0
-		coins[v] = src
-	}
-	// The retransmission window must be Θ(log n): on a path, a single hop
-	// where the receiver misses every transmission kills the flood, so each
-	// improvement is offered for window rounds to push the per-hop failure
-	// probability to 1/poly(n).
-	lg := 1
-	for 1<<lg < n {
-		lg++
-	}
-	window := 2 * repeat * lg
-	var senders []radio.TX
-	var receivers []int32
-	got := make([]radio.Msg, n)
-	ok := make([]bool, n)
-	for t := 0; t < rounds; t++ {
-		senders, receivers = senders[:0], receivers[:0]
-		for v := int32(0); v < int32(n); v++ {
-			if t-lastImprove[v] < window && coins[v].Bernoulli(0.5) {
-				senders = append(senders, radio.TX{ID: v, Msg: radio.Msg{
-					Kind: MsgRank, A: uint64(bestRank[v]), B: uint64(bestID[v]),
-				}})
-			} else {
-				receivers = append(receivers, v)
-			}
-		}
-		net.LocalBroadcast(senders, receivers, got[:len(receivers)], ok[:len(receivers)])
-		for j, v := range receivers {
-			if !ok[j] || got[j].Kind != MsgRank {
-				continue
-			}
-			r, id := int64(got[j].A), int32(got[j].B)
-			if r > bestRank[v] || (r == bestRank[v] && id > bestID[v]) {
-				bestRank[v], bestID[v] = r, id
-				lastImprove[v] = t + 1
-			}
-		}
-	}
-	out := Leader{ID: bestID[0], Agreed: true}
-	for v := 1; v < n; v++ {
-		if bestID[v] != out.ID {
-			out.Agreed = false
-		}
-		if bestRank[v] > bestRank[out.ID] {
-			out.ID = bestID[v] // report the true maximum's owner
-		}
-	}
-	return out
-}

@@ -38,8 +38,8 @@ const chaosTag = 0xc4a05
 // makes progress, so the coordinator's checkpointing converges no matter
 // how hostile the schedule. Independently, DelayMS > 0 injects a seeded
 // per-trial result latency in [0, DelayMS] milliseconds — a slow link, not
-// a failure — which exercises the latency-aware lease policy without ever
-// changing bytes.
+// a failure: heartbeats keep flowing, so the coordinator must not revoke
+// the worker's lease, and the bytes never change.
 type ChaosSpec struct {
 	Seed       uint64 `json:"seed,omitempty"`
 	KillAfter  int    `json:"killAfter,omitempty"`

@@ -14,9 +14,9 @@ import (
 )
 
 // Config tunes the coordinator. The zero value is usable: GOMAXPROCS worker
-// processes over the fork/exec pipe transport, automatic latency-aware
-// lease sizing, production-scale heartbeat and backoff parameters, no
-// chaos, and `<this binary> work` as the worker command.
+// processes over the fork/exec pipe transport, about four leases per
+// worker, production-scale heartbeat and backoff parameters, no chaos, and
+// `<this binary> work` as the worker command.
 type Config struct {
 	// Workers is the number of worker slots (<= 0 = GOMAXPROCS), capped at
 	// the lease count. On the pipe transport each slot is a spawned
@@ -35,19 +35,13 @@ type Config struct {
 	// (default 60s).
 	ConnectWait time.Duration
 	// LeaseSize is the number of trial slots per lease (<= 0 = automatic:
-	// about four leases per worker). Setting it pins grants to exactly one
-	// lease and disables latency-aware sizing.
+	// about four leases per worker). Every grant is exactly one lease.
 	LeaseSize int
-	// LeaseTarget is the wall time one grant should aim for under the
-	// latency-aware policy (default 2s); LeaseCeil caps a single grant's
-	// slot count (default 4 leases' worth). See LeasePolicy.
-	LeaseTarget time.Duration
-	LeaseCeil   int
 	// Heartbeat is the interval workers emit liveness frames at
 	// (default 500ms).
 	Heartbeat time.Duration
 	// HeartbeatTimeout is the silence after which a worker is declared dead,
-	// killed, and its leases revoked (default 3s). Results count as
+	// killed, and its lease revoked (default 3s). Results count as
 	// heartbeats, so only a truly wedged worker trips it.
 	HeartbeatTimeout time.Duration
 	// RetryBudget bounds consecutive no-progress grants of one lease and
@@ -89,9 +83,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.ConnectWait <= 0 {
 		cfg.ConnectWait = 60 * time.Second
-	}
-	if cfg.LeaseTarget <= 0 {
-		cfg.LeaseTarget = 2 * time.Second
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 500 * time.Millisecond
@@ -141,13 +132,7 @@ type workerProc struct {
 	live      bool
 	readySeen bool
 	lastSeen  time.Time
-	leases    []*leaseState
-	// policy sizes this incarnation's grants from its measured per-trial
-	// round trip; it resets on attach so a fresh link earns its own trust.
-	policy LeasePolicy
-	// lastMark anchors the next round-trip sample: the latest grant or
-	// result on an outstanding grant.
-	lastMark time.Time
+	lease     *leaseState // the lease this incarnation holds, or nil
 	// fails counts consecutive spawn failures / exits without an ack;
 	// it drives backoff and the give-up decision, and resets on progress.
 	fails     int
@@ -195,7 +180,7 @@ type coordinator struct {
 	ckptAppends int
 
 	stats struct {
-		spawns, releases, duplicates, dupResults, inproc int
+		spawns, releases, dupResults, inproc int
 	}
 }
 
@@ -276,20 +261,6 @@ func Execute(f *spec.File, root uint64, opts spec.Options, cfg Config) (*spec.Ou
 	}, nil
 }
 
-// newPolicy builds one incarnation's grant-sizing policy. A pinned
-// LeaseSize disables latency-aware sizing: every grant is exactly one
-// lease, the PR 7 behavior tests rely on.
-func (c *coordinator) newPolicy() LeasePolicy {
-	floor := c.tbl.size
-	ceil := c.cfg.LeaseCeil
-	if c.cfg.LeaseSize > 0 {
-		ceil = floor
-	} else if ceil <= 0 {
-		ceil = 4 * floor
-	}
-	return LeasePolicy{Floor: floor, Ceil: ceil, Target: c.cfg.LeaseTarget}.withDefaults()
-}
-
 // run populates the fleet and drives the event loop to completion.
 func (c *coordinator) run() error {
 	if c.tbl.allDone() {
@@ -334,9 +305,9 @@ func (c *coordinator) run() error {
 	err := c.loop()
 	c.shutdownAll()
 	if err == nil {
-		fmt.Fprintf(c.cfg.Log, "dist: %d trials over %d leases on %d worker slots: %d spawns, %d re-leases, %d speculative grants, %d duplicate results dropped, %d leases finished in-process\n",
+		fmt.Fprintf(c.cfg.Log, "dist: %d trials over %d leases on %d worker slots: %d spawns, %d re-leases, %d duplicate results dropped, %d leases finished in-process\n",
 			len(c.refs), len(c.tbl.leases), len(c.workers),
-			c.stats.spawns, c.stats.releases, c.stats.duplicates, c.stats.dupResults, c.stats.inproc)
+			c.stats.spawns, c.stats.releases, c.stats.dupResults, c.stats.inproc)
 	}
 	return err
 }
@@ -435,8 +406,7 @@ func (c *coordinator) checkConnectWait(now time.Time) {
 }
 
 func (c *coordinator) handleMsg(w *workerProc, m *Message) {
-	now := time.Now()
-	w.lastSeen = now
+	w.lastSeen = time.Now()
 	switch m.Kind {
 	case KindReady:
 		w.readySeen = true
@@ -455,13 +425,6 @@ func (c *coordinator) handleMsg(w *workerProc, m *Message) {
 			c.fatal = fmt.Errorf("dist: worker %d disagrees on slot %d's trial seed (%d != %d) — coordinator and worker are not running the same spec/binary", w.inc, m.Slot, m.Seed, want)
 			return
 		}
-		// One per-trial round-trip sample for the lease policy: the first
-		// result of a grant measures grant→result (link round trip
-		// included), the rest inter-result gaps.
-		if !w.lastMark.IsZero() {
-			w.policy.Observe(now.Sub(w.lastMark))
-		}
-		w.lastMark = now
 		if c.tbl.acked[m.Slot] {
 			c.stats.dupResults++
 			return
@@ -486,9 +449,9 @@ func (c *coordinator) handleMsg(w *workerProc, m *Message) {
 			return
 		}
 		l := c.tbl.leases[m.LeaseID]
-		if l.heldBy(w.slot) {
-			c.tbl.release(l, w.slot)
-			w.leases = removeLease(w.leases, l)
+		if w.lease == l {
+			c.tbl.release(l)
+			w.lease = nil
 		}
 		if !l.done && c.tbl.remaining(l) == 0 {
 			l.done = true
@@ -511,7 +474,7 @@ func (c *coordinator) notifyTrial(slot int) {
 	}
 }
 
-// handleExit revokes a dead worker's leases and schedules its respawn.
+// handleExit revokes a dead worker's lease and schedules its respawn.
 func (c *coordinator) handleExit(w *workerProc, err error) {
 	if !w.live {
 		return
@@ -519,7 +482,6 @@ func (c *coordinator) handleExit(w *workerProc, err error) {
 	w.live = false
 	w.readySeen = false
 	w.conn = nil
-	w.lastMark = time.Time{}
 	c.lastAlive = time.Now()
 	reason := "exit"
 	if w.killedFor != "" {
@@ -529,21 +491,18 @@ func (c *coordinator) handleExit(w *workerProc, err error) {
 	}
 	c.cfg.Observer.WorkerExited(w.inc, reason)
 	progressed := false
-	for _, l := range w.leases {
-		before := l.retries
-		c.tbl.release(l, w.slot)
+	if l := w.lease; l != nil {
+		w.lease = nil
+		c.tbl.release(l)
 		if !l.done {
 			c.stats.releases++
 			c.cfg.Observer.LeaseRevoked(l.id, w.inc, reason)
-			if l.retries == 0 && before >= 0 {
-				progressed = true
-			}
+			progressed = l.retries == 0
 			if l.retries > c.cfg.RetryBudget {
 				c.runLeaseInProcess(l)
 			}
 		}
 	}
-	w.leases = w.leases[:0]
 	if progressed {
 		w.fails = 0
 	} else {
@@ -578,54 +537,27 @@ func (c *coordinator) backoff(fails int) time.Duration {
 	return d
 }
 
-// assign hands an idle worker its next unit of work: a bundle of pending
-// leases sized by its latency policy (the lowest pending leases, granted
-// back to back so the worker streams through them without another round
-// trip), else a speculative duplicate of the most-behind outstanding lease
-// (straggler hedging near the end of the sweep).
+// assign grants an idle worker the lowest pending lease. A lease has at
+// most one holder, so once every lease is held or done an idle worker
+// stays idle until a revocation frees one or shutdown arrives. A failed
+// grant write kills the worker; its reader goroutine then delivers the
+// exit event.
 func (c *coordinator) assign(w *workerProc) {
-	if !w.live || !w.readySeen || len(w.leases) > 0 {
+	if !w.live || !w.readySeen || w.lease != nil {
 		return
 	}
-	want := w.policy.Slots()
-	granted := 0
-	for granted < want {
-		l := c.tbl.pending()
-		if l == nil {
-			break
-		}
-		if !c.grantTo(w, l, false) {
-			return
-		}
-		granted += c.tbl.remaining(l)
-	}
-	if granted > 0 {
-		w.lastMark = time.Now()
+	l := c.tbl.pending()
+	if l == nil {
 		return
 	}
-	if l := c.tbl.straggler(w.slot); l != nil {
-		if c.grantTo(w, l, true) {
-			w.lastMark = time.Now()
-		}
-	}
-	// Otherwise idle; shutdown arrives once the sweep completes.
-}
-
-// grantTo writes one lease grant; false means the connection died (the
-// reader goroutine delivers the exit event).
-func (c *coordinator) grantTo(w *workerProc, l *leaseState, speculative bool) bool {
 	skip := c.tbl.skipList(l)
 	if err := w.conn.Write(&Message{Kind: KindLease, Lease: &Lease{ID: l.id, Start: l.start, End: l.end, Skip: skip}}); err != nil {
 		c.kill(w, "lease write failed: "+err.Error())
-		return false
+		return
 	}
-	c.tbl.grant(l, w.slot)
-	w.leases = append(w.leases, l)
-	if speculative {
-		c.stats.duplicates++
-	}
+	c.tbl.grant(l)
+	w.lease = l
 	c.cfg.Observer.LeaseGranted(l.id, w.inc, l.start, l.end)
-	return true
 }
 
 // assignIdle offers work to every idle live worker. A lease released by a
@@ -740,8 +672,7 @@ func (c *coordinator) spawn(w *workerProc) bool {
 }
 
 // attach binds a live connection to a worker slot as a fresh incarnation:
-// hello goes out, the reader goroutine starts, and the slot's lease policy
-// resets so the new link earns its own grant size.
+// hello goes out and the reader goroutine starts.
 func (c *coordinator) attach(w *workerProc, conn Conn) {
 	inc := c.incs
 	c.incs++
@@ -752,8 +683,6 @@ func (c *coordinator) attach(w *workerProc, conn Conn) {
 	w.readySeen = false
 	w.killedFor = ""
 	w.lastSeen = time.Now()
-	w.lastMark = time.Time{}
-	w.policy = c.newPolicy()
 	c.lastAlive = w.lastSeen
 	if werr := conn.Write(&Message{Kind: KindHello, Hello: &Hello{
 		Worker:      inc,
@@ -861,13 +790,4 @@ func (c *coordinator) shutdownAll() {
 			return
 		}
 	}
-}
-
-func removeLease(ls []*leaseState, l *leaseState) []*leaseState {
-	for i, x := range ls {
-		if x == l {
-			return append(ls[:i], ls[i+1:]...)
-		}
-	}
-	return ls
 }

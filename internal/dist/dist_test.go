@@ -90,9 +90,12 @@ func workerCommand(t *testing.T, mode string) []string {
 	return []string{exe, mode}
 }
 
+// testFileTrials is testFile's trial count.
+const testFileTrials = 14
+
 // testFile is a small but multi-scenario spec: 14 trials across two
-// scenarios and two instance shapes, enough slots for leases, re-leases, and
-// speculative duplication to all occur.
+// scenarios and two instance shapes, enough slots for several leases per
+// worker and for re-leases after faults.
 func testFile() *spec.File {
 	return &spec.File{
 		Name: "disttest",
@@ -140,15 +143,20 @@ func baseline(t *testing.T, f *spec.File) []byte {
 	return artifactBytes(t, out)
 }
 
+// TestExecuteMatchesInProcess: a fault-free sweep over pipe workers merges
+// artifacts byte-identical to the in-process runner's and runs every lease
+// exactly once.
 func TestExecuteMatchesInProcess(t *testing.T) {
 	f := testFile()
 	want := baseline(t, f)
 	for _, workers := range []int{1, 3} {
 		var log bytes.Buffer
+		rec := &leaseRecorder{}
 		out, err := Execute(f, 0, spec.Options{}, Config{
-			Workers: workers,
-			Command: workerCommand(t, "dist-worker"),
-			Log:     &log,
+			Workers:  workers,
+			Command:  workerCommand(t, "dist-worker"),
+			Log:      &log,
+			Observer: rec,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v\nlog: %s", workers, err, log.Bytes())
@@ -156,6 +164,7 @@ func TestExecuteMatchesInProcess(t *testing.T) {
 		if got := artifactBytes(t, out); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: distributed artifacts differ from in-process run\ngot:\n%s\nwant:\n%s", workers, got, want)
 		}
+		rec.checkOneGrantEach(t, testFileTrials)
 	}
 }
 
@@ -191,6 +200,7 @@ func TestChaosByteIdentity(t *testing.T) {
 type leaseRecorder struct {
 	mu       sync.Mutex
 	granted  map[int]int // lease id → grant count
+	slots    int         // slots covered by all grants, skips included
 	revoked  int
 	exited   int
 	started  int
@@ -205,6 +215,24 @@ func (r *leaseRecorder) LeaseGranted(lease, worker, start, end int) {
 		r.granted = map[int]int{}
 	}
 	r.granted[lease]++
+	r.slots += end - start
+}
+
+// checkOneGrantEach asserts the one-holder rule on a fault-free run: every
+// lease was granted exactly once, so the granted slots sum to the trial
+// count.
+func (r *leaseRecorder) checkOneGrantEach(t *testing.T, trials int) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for id, n := range r.granted {
+		if n != 1 {
+			t.Errorf("lease %d granted %d times, want once", id, n)
+		}
+	}
+	if r.slots != trials {
+		t.Errorf("granted slots sum to %d, want the %d trials; grants = %v", r.slots, trials, r.granted)
+	}
 }
 func (r *leaseRecorder) LeaseDone(lease int) { r.mu.Lock(); r.done++; r.mu.Unlock() }
 func (r *leaseRecorder) LeaseRevoked(lease, worker int, reason string) {
@@ -271,60 +299,6 @@ func TestStallRevocationAndReLease(t *testing.T) {
 	}
 	if regranted == 0 {
 		t.Errorf("stalled leases were never re-granted; grants = %v", rec.granted)
-	}
-}
-
-// TestSpeculativeDuplication pins one worker in a stall while the other
-// finishes everything else: the idle survivor must receive a speculative
-// duplicate grant of the straggling lease, and the first-writer-wins merge
-// must keep the artifacts clean.
-func TestSpeculativeDuplication(t *testing.T) {
-	f := testFile()
-	want := baseline(t, f)
-	// Plan is a pure function of (seed, incarnation), so pick a chaos seed
-	// where incarnation 0 stalls after its first trial and the next few run
-	// clean: worker 0 wedges mid-lease while worker 1 finishes its own lease,
-	// goes idle, and must hedge the straggler with a speculative duplicate.
-	var chaos ChaosSpec
-	for s := uint64(1); ; s++ {
-		c := ChaosSpec{Seed: s, StallPct: 10}
-		if c.Plan(0).Kind == FaultStall &&
-			c.Plan(1).Kind == FaultNone && c.Plan(2).Kind == FaultNone && c.Plan(3).Kind == FaultNone {
-			chaos = c
-			break
-		}
-	}
-	rec := &leaseRecorder{}
-	var log bytes.Buffer
-	out, err := Execute(f, 0, spec.Options{}, Config{
-		Workers:   2,
-		LeaseSize: 7, // two leases: one stalls, one finishes and hedges
-		Command:   workerCommand(t, "dist-worker"),
-		Chaos:     chaos,
-		Heartbeat: 15 * time.Millisecond,
-		// Generous timeout: the hedge should finish the sweep well before
-		// the stalled worker is even revoked.
-		HeartbeatTimeout: 2 * time.Second,
-		BackoffBase:      time.Millisecond,
-		Log:              &log,
-		Observer:         rec,
-	})
-	if err != nil {
-		t.Fatalf("Execute: %v\nlog: %s", err, log.Bytes())
-	}
-	if got := artifactBytes(t, out); !bytes.Equal(got, want) {
-		t.Errorf("artifacts differ from unfaulted run\nlog: %s", log.Bytes())
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	dup := 0
-	for _, n := range rec.granted {
-		if n > 1 {
-			dup++
-		}
-	}
-	if dup == 0 {
-		t.Errorf("straggling lease was never speculatively duplicated; grants = %v\nlog: %s", rec.granted, log.Bytes())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package dist executes a compiled scenario spec across multiple worker
 // processes under a lease-based coordinator, producing output byte-identical
 // to the single-process `radiobfs run` path — including under injected
-// worker crashes, stalls, and duplicated work.
+// worker crashes, stalls, disconnects and re-executed work.
 //
 // # Why leases, and why the bytes cannot change
 //
@@ -12,9 +12,8 @@
 // coordination problem: partition the slot space [0, T) into leases —
 // contiguous slot ranges — hand them to workers, and merge the streamed
 // results back into the position-indexed layout Runner.Run would have
-// produced. Re-executing a slot (after a crash, or speculatively on a
-// duplicated lease) reproduces the identical Result, so the coordinator
-// resolves races by first-writer-wins on the slot index and the merged
+// produced. Re-executing a slot (after a crash) reproduces the identical
+// Result, so the coordinator keeps the first result per slot and the merged
 // artifacts stay byte-identical to an unfaulted in-process run.
 //
 // # Lease lifecycle and failure model
@@ -25,16 +24,19 @@
 // loses no completed trials: the coordinator has already checkpointed every
 // acked slot. Liveness is heartbeat-based — workers emit heartbeat frames on
 // a timer, and results double as heartbeats; a worker silent past the
-// heartbeat timeout is killed and its leases are revoked. A revoked or
+// heartbeat timeout is killed and its lease is revoked. A revoked or
 // orphaned lease is narrowed to its remaining slots and re-queued; grants
 // that end without acking a single new slot count against the lease's retry
 // budget, and a lease that exhausts the budget is executed in-process by the
 // coordinator itself, which also happens wholesale when no worker process
 // can be spawned at all (graceful degradation, with a warning). Worker
-// respawns back off exponentially with a cap, resetting on progress. When
-// every lease is granted and a worker goes idle, the coordinator
-// speculatively duplicates the most-behind outstanding lease (straggler
-// hedging); duplicate results are deduplicated by slot.
+// respawns back off exponentially with a cap, resetting on progress.
+//
+// Granting is pull-based with one rule: an idle worker is granted the
+// lowest pending lease, and a lease has at most one holder. Load balances by
+// completion, and every slot granted in a fault-free run executes exactly
+// once. A slot reported twice anyway is dropped by first-writer-wins on the
+// slot index.
 //
 // # Protocol and transports
 //
@@ -63,19 +65,6 @@
 // remains the runtime backstop against binaries that lie. A successful
 // handshake logs the negotiated versions.
 //
-// # Latency-aware lease sizing
-//
-// Grant size adapts per worker incarnation (LeasePolicy): the coordinator
-// folds the gaps between a worker's result frames into an EWMA of its
-// per-trial round trip and sizes the next grant — a bundle of consecutive
-// fixed-size leases — to a constant target wall time, clamped to
-// [floor, ceiling]. Fast streamers on high-latency links earn big bundles
-// (latency shifts arrivals without spreading them), while genuinely slow
-// workers shrink toward single leases so revocation and straggler hedging
-// stay fine-grained. Grant sizing is pure scheduling: results merge by
-// slot, so the bytes cannot depend on it. Pinning Config.LeaseSize disables
-// the policy (every grant is exactly one lease).
-//
 // # Deterministic fault injection
 //
 // ChaosSpec ("seed=S,killafter=K,stall=P,disconnect=D,delay=MS") makes
@@ -84,8 +73,8 @@
 // incarnations) after a seeded number of completed trials, and injects a
 // seeded per-trial result latency. The fault schedule is a pure function of
 // (chaos seed, worker incarnation number), so every failure path — crash
-// re-lease, heartbeat-timeout revocation, reconnect, straggler duplication,
-// backoff, policy shrink — is exercised deterministically in tests and CI,
-// with the merged artifacts byte-diffed against an unfaulted
+// re-lease, heartbeat-timeout revocation, reconnect, backoff, a slow link
+// that must not be revoked — is exercised deterministically in tests and
+// CI, with the merged artifacts byte-diffed against an unfaulted
 // single-process run.
 package dist

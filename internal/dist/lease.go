@@ -4,18 +4,17 @@ package dist
 // slot space [0, total) into contiguous ranges, plus the acked-slot
 // checkpoint that makes re-leasing loss-free. Completed slots are recorded
 // the moment their result frame arrives, so a revoked lease re-issues only
-// its remainder, and duplicated grants resolve by first-writer-wins on the
-// slot index — re-executing a slot reproduces the identical Result, so the
-// winner is irrelevant to the bytes.
+// its remainder. A lease has at most one holder at a time, and a slot
+// reported twice resolves by first-writer-wins on the slot index —
+// re-executing a slot reproduces the identical Result, so the winner is
+// irrelevant to the bytes.
 
 // leaseState tracks one lease through its grant/revoke/complete lifecycle.
 type leaseState struct {
 	id         int
 	start, end int // global slots [start, end)
-	// grants counts outstanding grants; holders lists the worker slots
-	// currently serving it (≥ 2 during speculative duplication).
-	grants  int
-	holders []int
+	// held is set while a worker holds the lease.
+	held bool
 	// retries counts consecutive grants that ended without acking a single
 	// new slot; it resets whenever a revocation finds fresh progress. A
 	// lease whose retries exceed the budget is executed in-process.
@@ -34,9 +33,9 @@ type table struct {
 	ackedN int
 }
 
-// defaultLeaseSize targets roughly four leases per worker so re-lease and
-// straggler-duplication granularity stays fine without drowning the
-// protocol in tiny grants.
+// defaultLeaseSize targets roughly four leases per worker: fine enough that
+// load balances by completion and a revocation re-issues little, coarse
+// enough that each worker pays only a handful of grant round trips.
 func defaultLeaseSize(total, workers int) int {
 	if workers < 1 {
 		workers = 1
@@ -108,24 +107,17 @@ func (t *table) skipList(l *leaseState) []int {
 	return skip
 }
 
-// grant records that worker w now holds the lease.
-func (t *table) grant(l *leaseState, w int) {
-	l.grants++
-	l.holders = append(l.holders, w)
+// grant records that a worker now holds the lease.
+func (t *table) grant(l *leaseState) {
+	l.held = true
 	l.remainingAtGrant = t.remaining(l)
 }
 
-// release records that worker w's grant ended (completion, exit, or
+// release records that the lease's grant ended (completion, exit, or
 // revocation) and updates the retry counter: a grant that made no progress
 // counts against the budget, one that did resets it.
-func (t *table) release(l *leaseState, w int) {
-	l.grants--
-	for i, h := range l.holders {
-		if h == w {
-			l.holders = append(l.holders[:i], l.holders[i+1:]...)
-			break
-		}
-	}
+func (t *table) release(l *leaseState) {
+	l.held = false
 	if l.done {
 		return
 	}
@@ -136,45 +128,13 @@ func (t *table) release(l *leaseState, w int) {
 	}
 }
 
-// heldBy reports whether worker w currently holds the lease.
-func (l *leaseState) heldBy(w int) bool {
-	for _, h := range l.holders {
-		if h == w {
-			return true
-		}
-	}
-	return false
-}
-
-// pending returns the lowest-id lease that is incomplete and currently
-// granted to nobody, or nil.
+// pending returns the lowest-id lease that is incomplete and held by
+// nobody, or nil.
 func (t *table) pending() *leaseState {
 	for _, l := range t.leases {
-		if !l.done && l.grants == 0 && t.remaining(l) > 0 {
+		if !l.done && !l.held && t.remaining(l) > 0 {
 			return l
 		}
 	}
 	return nil
-}
-
-// maxGrants caps speculative duplication: at most two workers chew on one
-// lease, the original holder plus one hedge.
-const maxGrants = 2
-
-// straggler picks the lease to speculatively duplicate for an idle worker w:
-// among incomplete leases already granted elsewhere (but not to w, and not
-// yet at the duplication cap), the one with the most remaining work, ties to
-// the lowest id. Returns nil when nothing qualifies.
-func (t *table) straggler(w int) *leaseState {
-	var best *leaseState
-	bestRem := 0
-	for _, l := range t.leases {
-		if l.done || l.grants == 0 || l.grants >= maxGrants || l.heldBy(w) {
-			continue
-		}
-		if rem := t.remaining(l); rem > bestRem {
-			best, bestRem = l, rem
-		}
-	}
-	return best
 }

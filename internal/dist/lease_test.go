@@ -57,58 +57,71 @@ func TestLeaseRetryAccounting(t *testing.T) {
 	l := tbl.leases[0]
 
 	// A grant that ends with no new acks counts against the budget.
-	tbl.grant(l, 0)
-	tbl.release(l, 0)
+	tbl.grant(l)
+	tbl.release(l)
 	if l.retries != 1 {
 		t.Fatalf("no-progress release: retries = %d, want 1", l.retries)
 	}
 	// A grant that acked something resets the counter.
-	tbl.grant(l, 1)
+	tbl.grant(l)
 	tbl.ack(0)
-	tbl.release(l, 1)
+	tbl.release(l)
 	if l.retries != 0 {
 		t.Fatalf("progressing release: retries = %d, want 0", l.retries)
 	}
-	if l.grants != 0 || len(l.holders) != 0 {
-		t.Fatalf("after releases: grants=%d holders=%v", l.grants, l.holders)
+	if l.held {
+		t.Fatal("lease still held after its release")
 	}
 }
 
+// TestPendingAndStraggler pins the one-holder rule: pending offers the
+// lowest lease nobody holds, never a held one, and offers a released lease
+// again while it has unacked slots. (The name dates from straggler
+// hedging, which granted a held lease to a second worker; that mechanism
+// is gone.)
 func TestPendingAndStraggler(t *testing.T) {
 	tbl := newTable(9, 3) // leases 0,1,2
 	if p := tbl.pending(); p == nil || p.id != 0 {
 		t.Fatalf("pending = %v, want lease 0", p)
 	}
-	tbl.grant(tbl.leases[0], 0)
-	tbl.grant(tbl.leases[1], 1)
-	tbl.grant(tbl.leases[2], 2)
+	tbl.grant(tbl.leases[0])
+	if p := tbl.pending(); p == nil || p.id != 1 {
+		t.Fatalf("pending with lease 0 held = %v, want lease 1", p)
+	}
+	tbl.grant(tbl.leases[1])
+	tbl.grant(tbl.leases[2])
 	if p := tbl.pending(); p != nil {
-		t.Fatalf("pending = lease %d with everything granted", p.id)
+		t.Fatalf("pending = lease %d with everything held", p.id)
 	}
 
-	// Worker 0 finishes lease 0 and goes idle: it must duplicate the
-	// most-behind lease it does not already hold.
+	// Lease 0 completes and lease 2 falls behind: an idle worker is offered
+	// nothing, because every incomplete lease already has its one holder.
 	tbl.ack(0)
 	tbl.ack(1)
 	tbl.ack(2)
 	tbl.leases[0].done = true
-	tbl.release(tbl.leases[0], 0)
-	tbl.ack(3) // lease 1 is one trial ahead of lease 2
-	s := tbl.straggler(0)
-	if s == nil || s.id != 2 {
-		t.Fatalf("straggler = %v, want lease 2 (most remaining)", s)
+	tbl.release(tbl.leases[0])
+	tbl.ack(3)
+	if p := tbl.pending(); p != nil {
+		t.Fatalf("pending = lease %d, a held lease offered to a second worker", p.id)
 	}
-	// The duplication cap: once two workers hold lease 2, nobody else joins.
-	tbl.grant(s, 0)
-	if again := tbl.straggler(3); again == nil || again.id != 1 {
-		t.Fatalf("straggler with lease 2 at cap = %v, want lease 1", again)
+
+	// Lease 1's holder dies with slots 4 and 5 unacked: the released lease
+	// is offered again, to exactly one new holder.
+	tbl.release(tbl.leases[1])
+	if p := tbl.pending(); p == nil || p.id != 1 {
+		t.Fatalf("pending after release = %v, want lease 1", p)
 	}
-	tbl.grant(tbl.leases[1], 3)
-	if again := tbl.straggler(4); again != nil {
-		t.Fatalf("straggler with every lease at cap = lease %d, want none", again.id)
+	tbl.grant(tbl.leases[1])
+	if p := tbl.pending(); p != nil {
+		t.Fatalf("pending = lease %d after lease 1 was re-granted", p.id)
 	}
-	// A holder never duplicates its own lease.
-	if own := tbl.straggler(2); own != nil && own.heldBy(2) {
-		t.Fatalf("worker 2 offered its own lease %d", own.id)
+
+	// A released lease whose slots were all acked is not offered again.
+	tbl.ack(4)
+	tbl.ack(5)
+	tbl.release(tbl.leases[1])
+	if p := tbl.pending(); p != nil {
+		t.Fatalf("pending = lease %d, a fully acked lease", p.id)
 	}
 }

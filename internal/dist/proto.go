@@ -158,7 +158,8 @@ type Lease struct {
 	Start int `json:"start"`
 	End   int `json:"end"`
 	// Skip lists slots within the range that are already completed
-	// elsewhere (re-leases and speculative duplicates carry them).
+	// elsewhere (a re-lease after a revocation or a checkpoint resume
+	// carries them).
 	Skip []int `json:"skip,omitempty"`
 }
 

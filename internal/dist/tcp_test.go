@@ -96,14 +96,16 @@ func tcpExecute(t *testing.T, f *spec.File, nw int, cfg Config) ([]byte, *syncBu
 
 // TestTCPExecuteMatchesInProcess: a sweep over real remote worker processes
 // on the loopback TCP transport produces artifacts byte-identical to the
-// in-process runner's.
+// in-process runner's, and runs every lease exactly once.
 func TestTCPExecuteMatchesInProcess(t *testing.T) {
 	f := testFile()
 	want := baseline(t, f)
-	got, log := tcpExecute(t, f, 3, Config{Workers: 3})
+	rec := &leaseRecorder{}
+	got, log := tcpExecute(t, f, 3, Config{Workers: 3, Observer: rec})
 	if !bytes.Equal(got, want) {
 		t.Errorf("TCP artifacts differ from in-process run\nlog: %s", log.Bytes())
 	}
+	rec.checkOneGrantEach(t, testFileTrials)
 	if !strings.Contains(log.String(), "worker authenticated from") {
 		t.Errorf("coordinator log missing authentication lines: %s", log.String())
 	}
@@ -135,15 +137,13 @@ func TestTCPChaosByteIdentity(t *testing.T) {
 }
 
 // TestTCPLatencyIsNotFailure: delay chaos slows every result without
-// stopping heartbeats, so a latency-saturated worker must keep its leases —
-// zero revocations — while the policy (unit-tested in policy_test.go)
-// shrinks its grants; and the bytes never move.
+// stopping heartbeats, so a worker behind a slow link must keep its
+// leases — zero revocations — and the bytes never move.
 func TestTCPLatencyIsNotFailure(t *testing.T) {
 	f := testFile()
 	rec := &leaseRecorder{}
 	got, log := tcpExecute(t, f, 2, Config{
 		Workers:          2,
-		LeaseTarget:      100 * time.Millisecond,
 		Chaos:            ChaosSpec{Seed: 7, DelayMS: 40},
 		Heartbeat:        20 * time.Millisecond,
 		HeartbeatTimeout: 2 * time.Second,

@@ -153,10 +153,10 @@ func serveHello(fr *FrameReader, fw *FrameWriter, h *Hello, remote bool) error {
 						return
 					}
 					if fault.Delay > 0 {
-						// Injected link latency: results arrive late, the
-						// coordinator's EWMA sees a slower link, but the
-						// heartbeat goroutine keeps the lease alive and the
-						// bytes never change.
+						// Injected link latency: results arrive late, but
+						// the heartbeat goroutine keeps the lease alive, so
+						// a slow link is never revoked, and the bytes never
+						// change.
 						time.Sleep(fault.Delay)
 					}
 					// A corrupt fault damages the frame AFTER the planned

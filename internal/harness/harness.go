@@ -50,6 +50,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro"
@@ -254,7 +255,19 @@ func Execute(sc *Scenario, t Trial) Result {
 // ExecuteCtx runs a single trial synchronously against the given worker
 // Context, reusing its pooled engine, scratch and graph cache. Results are
 // identical to Execute's for any context history.
-func ExecuteCtx(ctx *Context, sc *Scenario, t Trial) Result {
+//
+// A panic inside the trial fails that trial alone: its Result.Err is
+// "panic: " and the panic value, with no stack or address so artifacts stay
+// deterministic. The panic may have left the pooled engine, Decay scratch
+// or graph builder half-written, so ctx is replaced by a fresh context over
+// the same shared graphs before the next trial can see it.
+func ExecuteCtx(ctx *Context, sc *Scenario, t Trial) (res Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			*ctx = *newContextShared(ctx.shared)
+			res = Result{Trial: t, Err: fmt.Sprintf("panic: %v", r)}
+		}
+	}()
 	var m Metrics
 	var err error
 	switch {
@@ -265,7 +278,7 @@ func ExecuteCtx(ctx *Context, sc *Scenario, t Trial) Result {
 	default:
 		m, err = runBuiltin(ctx, sc, t)
 	}
-	res := Result{Trial: t, Metrics: m}
+	res = Result{Trial: t, Metrics: m}
 	if err != nil {
 		res.Err = err.Error()
 	}

@@ -70,41 +70,26 @@ func (m *meters) charge(senders []radio.TX, receivers []int32) {
 	m.lbTime++
 }
 
-// Delivery selects which sending neighbor a UnitNet receiver hears.
-type Delivery uint8
-
-const (
-	// DeliverMinID delivers the minimum-ID sending neighbor: a legal,
-	// adversarial, fully deterministic resolution of the Lemma 2.4
-	// guarantee. It is the default.
-	DeliverMinID Delivery = iota
-	// DeliverRandom delivers a uniformly random sending neighbor, matching
-	// the symmetry of the Decay protocol. Protocols that flood maxima need
-	// this: under DeliverMinID a low-ID neighbor can permanently shadow the
-	// informative one.
-	DeliverRandom
-)
-
 // UnitNet is an abstract network with ideal Local-Broadcast semantics: a
-// receiver with at least one sending neighbor hears the message of one of
-// them (per the Delivery policy) with probability 1-failProb (default:
-// always). It is fully deterministic for a fixed seed, fast, and is the
-// cost model in which the paper states its headline bounds.
+// receiver with at least one sending neighbor hears the message of its
+// minimum-ID sending neighbor with probability 1-failProb (default:
+// always). Minimum-ID delivery is a legal, adversarial and fully
+// deterministic resolution of the Lemma 2.4 guarantee. UnitNet is fast, and
+// it is the cost model in which the paper states its headline bounds.
 type UnitNet struct {
 	meters
 	g        *graph.Graph
 	failProb float64
 	rnd      *rng.Source
-	policy   Delivery
 
-	cnt     []int32
+	// from[v] indexes the sender v hears in the current call (-1 = none
+	// yet); touched lists the vertices to reset afterwards.
 	from    []int32
 	touched []int32
 }
 
 // NewUnitNet builds a UnitNet on g. failProb injects per-receiver delivery
-// failures (0 for exact semantics); seed drives the failure and
-// delivery-choice coin flips.
+// failures (0 for exact semantics); seed drives the failure coin flips.
 func NewUnitNet(g *graph.Graph, failProb float64, seed uint64) *UnitNet {
 	n := g.N()
 	u := &UnitNet{
@@ -112,7 +97,6 @@ func NewUnitNet(g *graph.Graph, failProb float64, seed uint64) *UnitNet {
 		g:        g,
 		failProb: failProb,
 		rnd:      rng.New(rng.Derive(seed, 0x0417)),
-		cnt:      make([]int32, n),
 		from:     make([]int32, n),
 	}
 	for i := range u.from {
@@ -120,9 +104,6 @@ func NewUnitNet(g *graph.Graph, failProb float64, seed uint64) *UnitNet {
 	}
 	return u
 }
-
-// SetDelivery selects the delivery policy (default DeliverMinID).
-func (u *UnitNet) SetDelivery(p Delivery) { u.policy = p }
 
 // N implements Net.
 func (u *UnitNet) N() int { return u.g.N() }
@@ -155,51 +136,37 @@ func (u *UnitNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []ra
 		panic("lbnet: result slices must match receivers length")
 	}
 	// Fast paths that change no observable state: with no senders every
-	// receiver hears silence (the slow path's counters stay zero and no
-	// randomness is consumed); with no receivers under the deterministic
-	// MinID policy the neighbor marking is write-only (DeliverRandom is
-	// excluded because its reservoir sampling draws from the shared stream
-	// even when nobody listens). Cast schedules hit the latter constantly:
-	// senders re-transmit in every subset slot after all listeners of a
-	// stage have been served.
-	if len(senders) == 0 || (len(receivers) == 0 && u.policy == DeliverMinID) {
+	// receiver hears silence (the slow path marks nobody and consumes no
+	// randomness); with no receivers the neighbor marking is write-only.
+	// Cast schedules hit the latter constantly: senders re-transmit in every
+	// subset slot after all listeners of a stage have been served.
+	if len(senders) == 0 || len(receivers) == 0 {
 		for i := range receivers {
 			got[i], ok[i] = radio.Msg{}, false
 		}
 		u.charge(senders, receivers)
 		return
 	}
-	cnt, from, touched := u.cnt, u.from, u.touched
+	from, touched := u.from, u.touched
 	for i := range senders {
 		s := senders[i].ID
 		for _, v := range u.g.Neighbors(s) {
-			if cnt[v] == 0 {
+			if from[v] == -1 {
 				touched = append(touched, v)
-			}
-			cnt[v]++
-			switch {
-			case from[v] == -1:
 				from[v] = int32(i)
-			case u.policy == DeliverMinID:
-				if s < senders[from[v]].ID {
-					from[v] = int32(i)
-				}
-			default: // DeliverRandom: reservoir-sample among senders
-				if u.rnd.Intn(int(cnt[v])) == 0 {
-					from[v] = int32(i)
-				}
+			} else if s < senders[from[v]].ID {
+				from[v] = int32(i)
 			}
 		}
 	}
 	for i, v := range receivers {
-		if cnt[v] >= 1 && (u.failProb <= 0 || !u.rnd.Bernoulli(u.failProb)) {
+		if from[v] != -1 && (u.failProb <= 0 || !u.rnd.Bernoulli(u.failProb)) {
 			got[i], ok[i] = senders[from[v]].Msg, true
 		} else {
 			got[i], ok[i] = radio.Msg{}, false
 		}
 	}
 	for _, v := range touched {
-		cnt[v] = 0
 		from[v] = -1
 	}
 	u.touched = touched[:0]

@@ -96,9 +96,8 @@ func (f Funcs) RoundBatch(phase string, rounds int64) {
 }
 
 // LeaseObserver receives coordinator-level lifecycle events from a
-// distributed sweep (internal/dist): lease grants (including re-leases and
-// speculative duplicates), completions, revocations, and worker process
-// churn. It is the distributed sibling of Observer — same contract:
+// distributed sweep (internal/dist): lease grants (including re-leases),
+// completions, revocations, and worker process churn. It is the distributed sibling of Observer — same contract:
 // implementations must be cheap, and the coordinator invokes them from its
 // single event loop, so they need not be safe for concurrent use.
 type LeaseObserver interface {

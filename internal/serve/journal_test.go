@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,9 +9,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/journal"
 	"repro/internal/spec"
 )
@@ -68,6 +71,69 @@ func TestJournalRequeuesUnfinishedJobs(t *testing.T) {
 	code, st2, _ := submit(t, ts2, tinySpec, "", nil)
 	if code != http.StatusOK || !st2.CacheHit {
 		t.Errorf("resubmission after recovery: code %d, cacheHit %v; want 200 cache hit", code, st2.CacheHit)
+	}
+}
+
+// panicAlgo is a test-only registry entry whose every run panics.
+type panicAlgo struct{}
+
+func (panicAlgo) Name() string              { return "panic-test" }
+func (panicAlgo) Doc() string               { return "test-only entry whose every run panics" }
+func (panicAlgo) Params() []repro.ParamSpec { return nil }
+func (panicAlgo) Run(context.Context, *repro.Network, repro.Request) (*repro.Result, error) {
+	panic("injected trial panic")
+}
+func (panicAlgo) Check(*repro.Network, repro.Request, *repro.Result) {}
+
+// registerPanic guards the process-global registry: Register panics on
+// duplicates, so -count=2 must not re-register.
+var registerPanic sync.Once
+
+const panicSpec = `{
+  "name": "srv-panic",
+  "seed": 9,
+  "scenarios": [
+    {"name": "srv-boom", "algorithm": "panic-test", "trials": 2,
+     "instances": [{"family": "cycle", "n": 12}]},
+    {"name": "srv-recursive", "algorithm": "recursive", "trials": 1,
+     "instances": [{"family": "grid", "n": 16}]}
+  ]
+}`
+
+// TestJournalTrialPanicSettlesJob: a panicking trial fails alone. Its job
+// reaches done with the panics counted as trial errors, the daemon keeps
+// answering, and a restart over the same store requeues nothing — the
+// journal holds the job's terminal record, not a job to replay.
+func TestJournalTrialPanicSettlesJob(t *testing.T) {
+	registerPanic.Do(func() { repro.Register(panicAlgo{}) })
+	store := filepath.Join(t.TempDir(), "store")
+	s1, err := New(Config{Store: store, Workers: 2, Heartbeat: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	code, st, body := submit(t, ts1, panicSpec, "", nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", code, body)
+	}
+	final := waitTerminal(t, ts1, st.ID)
+	if final.State != StateDone || final.Done != 3 || final.Errors != 2 {
+		t.Fatalf("panicking job settled as %+v; want done, 3 trials, 2 errors", final)
+	}
+	if stats := getStats(t, ts1); stats.Done != 1 || stats.Executions != 1 {
+		t.Errorf("stats after the panicking job = %+v; want done 1, executions 1", stats)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, err := New(Config{Store: store, Workers: 2, Heartbeat: time.Hour})
+	if err != nil {
+		t.Fatalf("restart over the store: %v", err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(func() { ts2.Close(); s2.Close() })
+	if stats := getStats(t, ts2); stats.Recovered != 0 || stats.Executions != 0 {
+		t.Errorf("stats after restart = %+v; want recovered 0, executions 0", stats)
 	}
 }
 
