@@ -167,9 +167,20 @@ func Build(net lbnet.Net, cfg Config, seed uint64) *Clustering {
 }
 
 // BuildWithStarts is Build with externally supplied start times, enabling
-// exact comparison against the centralized mirror.
+// exact comparison against the centralized mirror. A start time below 1
+// counts as 1; a vertex starting after TMax never becomes a center.
+//
+// The unclustered (receiver) and clustered (sender) lists are kept in
+// vertex-ID order and change only when a vertex starts or joins: vertices
+// are bucketed by start time once, and the newly clustered are merged into
+// the sender list in place. Every Net therefore receives the same arguments
+// as from a per-iteration rebuild. On a *lbnet.UnitNet, iterations before
+// the first start time have no sender, so they deliver nothing and draw no
+// randomness: such a stretch is charged in one Charge per vertex and one
+// SkipLB instead of one LocalBroadcast per iteration.
 func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Clustering {
 	n := net.N()
+	tmax := int32(cfg.TMax)
 	clusterOf := make([]int32, n) // center vertex ID during growth
 	layer := make([]int32, n)
 	seedOf := make([]uint64, n) // cluster seed as known to each member
@@ -177,42 +188,76 @@ func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Cl
 		clusterOf[v] = -1
 		layer[v] = -1
 	}
-	clustered := make([]int32, 0, n)
-	unclustered := make([]int32, 0, n)
+	// byStart[first[i]:first[i+1]] lists the vertices starting at time i,
+	// ascending (a counting sort by start time).
+	first := make([]int32, tmax+2)
+	for _, s := range starts {
+		if s <= tmax {
+			first[max(s, 1)+1]++
+		}
+	}
+	for i := int32(1); i <= tmax; i++ {
+		first[i+1] += first[i]
+	}
+	byStart := make([]int32, first[tmax+1])
+	fill := append([]int32(nil), first...)
+	for v, s := range starts {
+		if s <= tmax {
+			i := max(s, 1)
+			byStart[fill[i]] = int32(v)
+			fill[i]++
+		}
+	}
+
+	unit, _ := net.(*lbnet.UnitNet)
+	unclustered := make([]int32, n)
+	for v := range unclustered {
+		unclustered[v] = int32(v)
+	}
 	senders := make([]radio.TX, 0, n)
 	got := make([]radio.Msg, n)
 	ok := make([]bool, n)
+	fresh := 0 // vertices clustered but not yet moved to senders
 
-	for i := int32(1); i <= int32(cfg.TMax); i++ {
+	for i := int32(1); i <= tmax; i++ {
 		// New centers: unclustered vertices whose start time has arrived.
-		for v := int32(0); v < int32(n); v++ {
-			if clusterOf[v] == -1 && starts[v] <= i {
+		for _, v := range byStart[first[i]:first[i+1]] {
+			if clusterOf[v] == -1 {
 				clusterOf[v] = v
 				layer[v] = 0
 				seedOf[v] = rng.Derive(seed, uint64(v), 0xc157e2)
+				fresh++
 			}
 		}
-		clustered, unclustered = clustered[:0], unclustered[:0]
-		for v := int32(0); v < int32(n); v++ {
-			if clusterOf[v] >= 0 {
-				clustered = append(clustered, v)
-			} else {
-				unclustered = append(unclustered, v)
+		if fresh > 0 {
+			senders = mergeSenders(senders, unclustered, fresh, clusterOf, layer, seedOf)
+			kept := unclustered[:0]
+			for _, v := range unclustered {
+				if clusterOf[v] == -1 {
+					kept = append(kept, v)
+				}
 			}
+			unclustered, fresh = kept, 0
 		}
 		if len(unclustered) == 0 {
 			// Everyone is clustered; the remaining iterations are silent.
-			net.SkipLB(int64(cfg.TMax) - int64(i) + 1)
+			net.SkipLB(int64(tmax) - int64(i) + 1)
 			break
 		}
-		senders = senders[:0]
-		for _, v := range clustered {
-			senders = append(senders, radio.TX{ID: v, Msg: radio.Msg{
-				Kind: MsgJoin,
-				A:    uint64(clusterOf[v]),
-				B:    uint64(layer[v]),
-				C:    seedOf[v],
-			}})
+		if len(senders) == 0 && unit != nil {
+			// Nobody is clustered, so every vertex listens to silence
+			// until the next start time.
+			next := i + 1
+			for next <= tmax && first[next] == first[next+1] {
+				next++
+			}
+			k := int64(next - i)
+			for _, v := range unclustered {
+				unit.Charge(v, k)
+			}
+			unit.SkipLB(k)
+			i = next - 1
+			continue
 		}
 		net.LocalBroadcast(senders, unclustered, got[:len(unclustered)], ok[:len(unclustered)])
 		for j, v := range unclustered {
@@ -220,10 +265,40 @@ func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Cl
 				clusterOf[v] = int32(got[j].A)
 				layer[v] = int32(got[j].B) + 1
 				seedOf[v] = got[j].C
+				fresh++
 			}
 		}
 	}
 	return densify(cfg, clusterOf, layer, seedOf, starts)
+}
+
+// mergeSenders moves the k clustered vertices of unclustered into senders,
+// keeping senders ascending by ID: a backward merge into the k free entries
+// past its end (senders has capacity n), so nothing is copied twice and no
+// buffer is allocated. Each new entry carries the vertex's final (center,
+// layer, cluster seed): a clustered vertex never changes cluster.
+func mergeSenders(senders []radio.TX, unclustered []int32, k int, clusterOf, layer []int32, seedOf []uint64) []radio.TX {
+	o := len(senders) - 1
+	senders = senders[:len(senders)+k]
+	w := len(senders) - 1
+	for r := len(unclustered) - 1; w > o; r-- {
+		v := unclustered[r]
+		if clusterOf[v] == -1 {
+			continue
+		}
+		for o >= 0 && senders[o].ID > v {
+			senders[w] = senders[o]
+			w, o = w-1, o-1
+		}
+		senders[w] = radio.TX{ID: v, Msg: radio.Msg{
+			Kind: MsgJoin,
+			A:    uint64(clusterOf[v]),
+			B:    uint64(layer[v]),
+			C:    seedOf[v],
+		}}
+		w--
+	}
+	return senders
 }
 
 // densify remaps center-vertex cluster IDs to dense indices sorted by center.

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/decay"
 	"repro/internal/graph"
 	"repro/internal/lbnet"
+	"repro/internal/radio"
 	"repro/internal/rng"
 )
 
@@ -135,6 +138,134 @@ func TestClusterEnergyAndTime(t *testing.T) {
 	}
 	if e := lbnet.MaxLBEnergy(net); e > int64(cfg.TMax) {
 		t.Fatalf("max energy %d exceeds TMax %d", e, cfg.TMax)
+	}
+	// Every vertex sends or listens in every iteration until all are
+	// clustered, so every vertex pays the same.
+	for v := int32(1); v < int32(g.N()); v++ {
+		if net.LBEnergy(v) != net.LBEnergy(0) {
+			t.Fatalf("vertex %d paid %d LB units, vertex 0 paid %d", v, net.LBEnergy(v), net.LBEnergy(0))
+		}
+	}
+}
+
+// opaque hides a UnitNet's concrete type, so code that specializes on
+// *lbnet.UnitNet takes its general path over the same network.
+type opaque struct{ *lbnet.UnitNet }
+
+// TestBuildUnitMatchesPerIteration pins the UnitNet fast-forward of growth
+// against the path that runs every iteration as a LocalBroadcast: same
+// clustering, same per-vertex energy, same clock, with and without failure
+// draws.
+func TestBuildUnitMatchesPerIteration(t *testing.T) {
+	r := rng.New(7)
+	for name, g := range testGraphs(r) {
+		for _, fp := range []float64{0, 0.1} {
+			cfg := DefaultConfig(g.N(), 4)
+			fast := lbnet.NewUnitNet(g, fp, 5)
+			slow := lbnet.NewUnitNet(g, fp, 5)
+			a := Build(fast, cfg, 5)
+			b := Build(opaque{slow}, cfg, 5)
+			for v := range a.ClusterOf {
+				if a.ClusterOf[v] != b.ClusterOf[v] || a.Layer[v] != b.Layer[v] {
+					t.Fatalf("%s fp=%v: vertex %d: cluster %d/%d layer %d/%d",
+						name, fp, v, a.ClusterOf[v], b.ClusterOf[v], a.Layer[v], b.Layer[v])
+				}
+				if fast.LBEnergy(int32(v)) != slow.LBEnergy(int32(v)) {
+					t.Fatalf("%s fp=%v: vertex %d paid %d, per-iteration path %d",
+						name, fp, v, fast.LBEnergy(int32(v)), slow.LBEnergy(int32(v)))
+				}
+			}
+			if !slices.Equal(a.Center, b.Center) || !slices.Equal(a.Seed, b.Seed) {
+				t.Fatalf("%s fp=%v: centers or seeds differ", name, fp)
+			}
+			if fast.LBTime() != slow.LBTime() {
+				t.Fatalf("%s fp=%v: LBTime %d, per-iteration path %d", name, fp, fast.LBTime(), slow.LBTime())
+			}
+		}
+	}
+}
+
+// growthRecorder wraps a Net and checks the arguments of every growth
+// LocalBroadcast as they arrive.
+type growthRecorder struct {
+	lbnet.Net
+	t       *testing.T
+	calls   int
+	role    []int  // per vertex: the call number that last saw it
+	sender  []bool // per vertex: sent in some call so far
+	senders int    // len(senders) of the previous call
+	sent    []radio.Msg
+}
+
+func (r *growthRecorder) LocalBroadcast(senders []radio.TX, receivers []int32, got []radio.Msg, ok []bool) {
+	t := r.t
+	r.calls++
+	if len(senders)+len(receivers) != r.N() {
+		t.Fatalf("call %d: %d senders + %d receivers, want all %d vertices", r.calls, len(senders), len(receivers), r.N())
+	}
+	if len(senders) < r.senders {
+		t.Fatalf("call %d: sender set shrank from %d to %d", r.calls, r.senders, len(senders))
+	}
+	kept := 0
+	for i, s := range senders {
+		if i > 0 && s.ID <= senders[i-1].ID {
+			t.Fatalf("call %d: senders not ascending at %d", r.calls, i)
+		}
+		r.role[s.ID] = r.calls
+		if r.sender[s.ID] {
+			kept++
+			if s.Msg != r.sent[s.ID] {
+				t.Fatalf("call %d: sender %d changed its message", r.calls, s.ID)
+			}
+		}
+		r.sender[s.ID], r.sent[s.ID] = true, s.Msg
+	}
+	if kept != r.senders {
+		t.Fatalf("call %d: only %d of the previous %d senders still send", r.calls, kept, r.senders)
+	}
+	for i, v := range receivers {
+		if i > 0 && v <= receivers[i-1] {
+			t.Fatalf("call %d: receivers not ascending at %d", r.calls, i)
+		}
+		if r.role[v] == r.calls {
+			t.Fatalf("call %d: vertex %d both sends and listens", r.calls, v)
+		}
+		r.role[v] = r.calls
+	}
+	r.senders = len(senders)
+	r.Net.LocalBroadcast(senders, receivers, got, ok)
+}
+
+// TestBuildCallContents pins what the incrementally kept sender and
+// receiver lists hand the net: on a PhysNet (which gets every iteration)
+// each call's lists are ascending, disjoint and cover all vertices, the
+// sender set only grows, and each sender announces its final center, layer
+// and cluster seed.
+func TestBuildCallContents(t *testing.T) {
+	r := rng.New(9)
+	for name, g := range testGraphs(r) {
+		n := g.N()
+		rec := &growthRecorder{
+			Net:    lbnet.NewPhysNet(radio.NewEngine(g), decay.ParamsFor(n, 8), 3),
+			t:      t,
+			role:   make([]int, n),
+			sender: make([]bool, n),
+			sent:   make([]radio.Msg, n),
+		}
+		cl := Build(rec, DefaultConfig(n, 4), 3)
+		if rec.calls == 0 {
+			t.Fatalf("%s: no LocalBroadcast reached the net", name)
+		}
+		for v := 0; v < n; v++ {
+			if !rec.sender[v] {
+				continue
+			}
+			c := cl.ClusterOf[v]
+			want := radio.Msg{Kind: MsgJoin, A: uint64(cl.Center[c]), B: uint64(cl.Layer[v]), C: cl.Seed[c]}
+			if rec.sent[v] != want {
+				t.Fatalf("%s: vertex %d announced %+v, final state %+v", name, v, rec.sent[v], want)
+			}
+		}
 	}
 }
 

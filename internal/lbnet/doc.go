@@ -15,8 +15,11 @@
 //
 // Calls carry sparse participant lists, so the cost of a Local-Broadcast is
 // proportional to the number of participants — sleeping vertices are free,
-// in the simulator exactly as in the model; UnitNet additionally takes an
-// exact O(1) fast path for sender-only and receiver-only slots.
+// in the simulator exactly as in the model. On a UnitNet a sender-only or
+// receiver-only slot changes nothing but meters, so schedules that run many
+// slots (vnet casts, cluster growth) resolve only the slots with both
+// through UnitNet.Deliver and settle the meters with UnitNet.Charge and
+// SkipLB, byte-identical to one LocalBroadcast per slot.
 //
 // Control flow above this interface is data-independent: the sequence and
 // duration of collective calls depends only on globally known parameters,

@@ -76,6 +76,12 @@ func (m *meters) charge(senders []radio.TX, receivers []int32) {
 // always). Minimum-ID delivery is a legal, adversarial and fully
 // deterministic resolution of the Lemma 2.4 guarantee. UnitNet is fast, and
 // it is the cost model in which the paper states its headline bounds.
+//
+// A slot on a UnitNet changes nothing but meters unless it has both a
+// sender and a receiver. So a caller running a fixed schedule of slots (a
+// vnet cast, a stretch of cluster growth) may resolve only those slots
+// with Deliver and settle everyone's energy with Charge and the clock with
+// SkipLB; LocalBroadcast is Deliver plus one unit per participant.
 type UnitNet struct {
 	meters
 	g        *graph.Graph
@@ -128,23 +134,30 @@ func (u *UnitNet) LBTime() int64 { return u.lbTime }
 // LBEnergy implements Net.
 func (u *UnitNet) LBEnergy(v int32) int64 { return u.energy[v] }
 
-// LocalBroadcast implements Net with ideal LB semantics. Delivery choice is
-// the minimum-ID sending neighbor, a legal (adversarial) resolution of the
-// Lemma 2.4 guarantee that keeps runs deterministic.
+// LocalBroadcast implements Net with ideal LB semantics: Deliver resolves
+// the slot, then every participant pays one unit and the clock advances one.
 func (u *UnitNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []radio.Msg, ok []bool) {
+	u.Deliver(senders, receivers, got, ok)
+	u.charge(senders, receivers)
+}
+
+// Deliver resolves one Local-Broadcast exactly as LocalBroadcast does —
+// each receiver hears its minimum-ID sending neighbor, a legal
+// (adversarial) resolution of the Lemma 2.4 guarantee that keeps runs
+// deterministic, and loses it with probability failProb — but charges no
+// meters and leaves the clock alone. A slot with no sender or no receiver
+// delivers nothing and draws no randomness.
+func (u *UnitNet) Deliver(senders []radio.TX, receivers []int32, got []radio.Msg, ok []bool) {
 	if len(got) != len(receivers) || len(ok) != len(receivers) {
 		panic("lbnet: result slices must match receivers length")
 	}
-	// Fast paths that change no observable state: with no senders every
-	// receiver hears silence (the slow path marks nobody and consumes no
-	// randomness); with no receivers the neighbor marking is write-only.
-	// Cast schedules hit the latter constantly: senders re-transmit in every
-	// subset slot after all listeners of a stage have been served.
+	// With no senders every receiver hears silence (the marking below marks
+	// nobody and draws no randomness); with no receivers the marking is
+	// write-only.
 	if len(senders) == 0 || len(receivers) == 0 {
 		for i := range receivers {
 			got[i], ok[i] = radio.Msg{}, false
 		}
-		u.charge(senders, receivers)
 		return
 	}
 	from, touched := u.from, u.touched
@@ -170,8 +183,12 @@ func (u *UnitNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []ra
 		from[v] = -1
 	}
 	u.touched = touched[:0]
-	u.charge(senders, receivers)
 }
+
+// Charge adds k LB units to vertex v's energy without advancing the clock:
+// the energy of k slots of a schedule in which v was awake, when those
+// slots run through Deliver or are skipped.
+func (u *UnitNet) Charge(v int32, k int64) { u.energy[v] += k }
 
 // PhysNet adapts a radio engine into a Net: each collective Local-Broadcast
 // runs one Decay Local-Broadcast (Lemma 2.4) on the physical channel, so

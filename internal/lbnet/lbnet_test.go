@@ -114,6 +114,48 @@ func TestUnitNetScratchReset(t *testing.T) {
 	}
 }
 
+// TestUnitNetDeliverAndCharge pins the split of LocalBroadcast: Deliver
+// resolves a slot exactly as LocalBroadcast does (same deliveries, same
+// failure draws) without touching a meter, and Charge plus SkipLB restore
+// the meters LocalBroadcast would have set.
+func TestUnitNetDeliverAndCharge(t *testing.T) {
+	g := graph.Grid(5, 5)
+	whole := NewUnitNet(g, 0.3, 7)
+	split := NewUnitNet(g, 0.3, 7)
+	senders := []radio.TX{{ID: 6, Msg: radio.Msg{A: 6}}, {ID: 12, Msg: radio.Msg{A: 12}}, {ID: 18, Msg: radio.Msg{A: 18}}}
+	receivers := []int32{1, 5, 7, 11, 13, 17, 19, 23}
+	for slot := 0; slot < 50; slot++ {
+		gotW, okW := oneLB(whole, senders, receivers)
+		gotS := make([]radio.Msg, len(receivers))
+		okS := make([]bool, len(receivers))
+		split.Deliver(senders, receivers, gotS, okS)
+		for i := range receivers {
+			if gotW[i] != gotS[i] || okW[i] != okS[i] {
+				t.Fatalf("slot %d: receiver %d: LocalBroadcast %v/%v, Deliver %v/%v",
+					slot, receivers[i], gotW[i], okW[i], gotS[i], okS[i])
+			}
+		}
+	}
+	if split.LBTime() != 0 || TotalLBEnergy(split) != 0 {
+		t.Fatalf("Deliver moved the meters: time %d, energy %d", split.LBTime(), TotalLBEnergy(split))
+	}
+	for _, s := range senders {
+		split.Charge(s.ID, 50)
+	}
+	for _, v := range receivers {
+		split.Charge(v, 50)
+	}
+	split.SkipLB(50)
+	for v := int32(0); v < int32(g.N()); v++ {
+		if whole.LBEnergy(v) != split.LBEnergy(v) {
+			t.Fatalf("vertex %d: LocalBroadcast charged %d, Charge %d", v, whole.LBEnergy(v), split.LBEnergy(v))
+		}
+	}
+	if whole.LBTime() != split.LBTime() {
+		t.Fatalf("LBTime %d vs %d", whole.LBTime(), split.LBTime())
+	}
+}
+
 func TestPhysNetContendedDelivery(t *testing.T) {
 	// All leaves of a star send; the center should hear w.h.p. thanks to
 	// Decay, matching the UnitNet guarantee.

@@ -9,24 +9,41 @@ import (
 	"repro/internal/radio"
 )
 
-// buildVNet assembles a small grid-backed virtual network for the
-// allocation regression tests.
-func buildAllocVNet(t testing.TB) (*VNet, *graph.Graph) {
+// allocParents names the two cast paths the allocation tests cover: the
+// unit-cost path on a UnitNet parent, and the per-slot path, reached here
+// through opaque (it is the path every PhysNet and VNet parent takes).
+var allocParents = []struct {
+	name string
+	wrap func(*lbnet.UnitNet) lbnet.Net
+}{
+	{"unit", func(u *lbnet.UnitNet) lbnet.Net { return u }},
+	{"per-slot", func(u *lbnet.UnitNet) lbnet.Net { return opaque{u} }},
+}
+
+// buildAllocVNet assembles a small grid-backed virtual network for the
+// allocation regression tests, over the parent wrap makes of a UnitNet.
+func buildAllocVNet(t testing.TB, wrap func(*lbnet.UnitNet) lbnet.Net) (*VNet, *graph.Graph) {
 	t.Helper()
 	g, ok := graph.Named("grid", 144, 1)
 	if !ok {
 		t.Fatal("grid family missing")
 	}
-	base := lbnet.NewUnitNet(g, 0, 1)
+	base := wrap(lbnet.NewUnitNet(g, 0, 1))
 	cl := cluster.Build(base, cluster.DefaultConfig(g.N(), 4), 1)
 	return New(base, cl), g
 }
 
 // TestDowncastUpcastZeroAllocs asserts the steady-state cast paths —
-// Downcast and Upcast over VNet-owned scratch — allocate nothing once the
-// scratch slices have reached their working size.
+// Downcast and Upcast over VNet-owned scratch, on both cast paths — allocate
+// nothing once the scratch slices have reached their working size.
 func TestDowncastUpcastZeroAllocs(t *testing.T) {
-	vn, g := buildAllocVNet(t)
+	for _, p := range allocParents {
+		t.Run(p.name, func(t *testing.T) { testCastZeroAllocs(t, p.wrap) })
+	}
+}
+
+func testCastZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net) {
+	vn, g := buildAllocVNet(t, wrap)
 	nc := vn.N()
 	part := make([]bool, nc)
 	has := make([]bool, nc)
@@ -58,9 +75,15 @@ func TestDowncastUpcastZeroAllocs(t *testing.T) {
 
 // TestVirtualLocalBroadcastZeroAllocs asserts the simulated Local-Broadcast
 // (Lemma 3.2: three casts plus one parent LB) allocates nothing in steady
-// state after the first call has sized the scratch.
+// state after the first call has sized the scratch, on both cast paths.
 func TestVirtualLocalBroadcastZeroAllocs(t *testing.T) {
-	vn, _ := buildAllocVNet(t)
+	for _, p := range allocParents {
+		t.Run(p.name, func(t *testing.T) { testVirtualLBZeroAllocs(t, p.wrap) })
+	}
+}
+
+func testVirtualLBZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net) {
+	vn, _ := buildAllocVNet(t, wrap)
 	if vn.N() < 2 {
 		t.Skip("degenerate clustering")
 	}

@@ -20,10 +20,19 @@
 // determined only by the clustering parameters, so non-participating
 // clusters sleep through it at zero energy.
 //
-// Allocation contract: the cast slot schedule is built once per cast and
-// clamped to the deepest relevant stage, per-call buffers live in VNet
-// scratch, and cast directions pass by pointer — Downcast, Upcast, and
-// LocalBroadcast run at 0 allocs/op once warm (pinned by AllocsPerRun
-// tests). Cast randomness derives from the seed the VNet was built with,
-// preserving the trial-level determinism contract.
+// Cost: a cast builds its slot schedule once, clamped to the deepest
+// relevant stage, and each stage builds every participating cluster's
+// sender block and waiting-receiver list once. On a parent that is a
+// *lbnet.UnitNet only the steps holding both a sender and a waiting
+// receiver are resolved (lbnet.UnitNet.Deliver) and every member is charged
+// once per stage (lbnet.UnitNet.Charge); any other parent — a PhysNet, or a
+// lower VNet — gets one LocalBroadcast per step with a participant. Both
+// paths leave identical outputs, meters and clocks.
+//
+// Allocation contract: per-call buffers live in VNet scratch — one sender
+// buffer and one receiver buffer hold a stage's lists and, merged in place
+// past them, one step's — so Downcast, Upcast, and LocalBroadcast run at 0
+// allocs/op once warm on either path (pinned by AllocsPerRun tests). Cast
+// randomness derives from the seed the VNet was built with, preserving the
+// trial-level determinism contract.
 package vnet

@@ -15,8 +15,12 @@ const MsgCast = 0x20
 // VNet is the cluster graph of a parent network, usable as an lbnet.Net.
 type VNet struct {
 	parent lbnet.Net
-	cl     *cluster.Clustering
-	g      *graph.Graph // cluster graph (reference topology)
+	// unit is the parent when it is a *lbnet.UnitNet, else nil. Casts on a
+	// unit-cost parent resolve only the steps that can deliver and charge
+	// the others (see castStage).
+	unit *lbnet.UnitNet
+	cl   *cluster.Clustering
+	g    *graph.Graph // cluster graph (reference topology)
 
 	// Precomputed schedule data.
 	membersAtLayer [][][]int32 // [cluster][layer] -> member vertices
@@ -37,16 +41,14 @@ type VNet struct {
 	// LocalBroadcast paths allocate nothing.
 	memberMsg   []radio.Msg
 	memberHas   []bool
-	phase2Got   []radio.Msg
-	phase2Ok    []bool
 	partScratch []bool
 	slotBucket  [][]int32
-	slotDepth   [][]int32
 	slotUsed    []bool
 	steps       []int32
 	stageCap    []int32
-	txScratch   []radio.TX
-	rxScratch   []int32
+	spans       []castSpan // [cluster] -> its lists in sendBuf/waitBuf
+	sendBuf     []radio.TX // a cast stage's sender blocks, then one step's senders; phase 2's senders
+	waitBuf     []int32    // a cast stage's waiting receivers, then one step's receivers; phase 2's receivers
 	gotScratch  []radio.Msg
 	okScratch   []bool
 	active      []int32
@@ -55,19 +57,22 @@ type VNet struct {
 	lbGot       []radio.Msg // LocalBroadcast: per-cluster upcast results
 	lbOk        []bool
 	lbPartR     []bool
-
-	// Persistent direction scratch: cast receives these by pointer so the
-	// castDirection interface conversion never heap-allocates.
-	down castDown
-	up   castUp
 }
+
+// castSpan locates one cluster's lists for the current cast stage: its
+// sender block (transport header already pushed) is sendBuf[s0:s1], and the
+// members still waiting to hear are waitBuf[w0:w1], a list that shrinks as
+// they hear.
+type castSpan struct{ s0, s1, w0, w1 int32 }
 
 // New builds the virtual network for clustering cl of the parent net.
 func New(parent lbnet.Net, cl *cluster.Clustering) *VNet {
 	pn := parent.N()
 	nc := cl.NumClusters()
+	unit, _ := parent.(*lbnet.UnitNet)
 	v := &VNet{
 		parent:     parent,
+		unit:       unit,
 		cl:         cl,
 		g:          cl.ClusterGraph(parent.Graph()),
 		maxLayerOf: make([]int32, nc),
@@ -76,13 +81,11 @@ func New(parent lbnet.Net, cl *cluster.Clustering) *VNet {
 
 		memberMsg:   make([]radio.Msg, pn),
 		memberHas:   make([]bool, pn),
-		phase2Got:   make([]radio.Msg, pn),
-		phase2Ok:    make([]bool, pn),
 		partScratch: make([]bool, nc),
 		slotBucket:  make([][]int32, cl.Cfg.SubsetLen),
-		slotDepth:   make([][]int32, cl.Cfg.SubsetLen),
 		slotUsed:    make([]bool, cl.Cfg.SubsetLen),
 		stageCap:    make([]int32, cl.Cfg.SubsetLen),
+		spans:       make([]castSpan, nc),
 		gotScratch:  make([]radio.Msg, pn),
 		okScratch:   make([]bool, pn),
 		lbMsg:       make([]radio.Msg, nc),
@@ -180,8 +183,31 @@ func (v *VNet) unwrap(m radio.Msg, want int32) (radio.Msg, bool) {
 // without a message (has[c] false) still listen on schedule. The call always
 // consumes CastLBs() parent LB units.
 func (v *VNet) Downcast(part, has []bool, clusterMsg []radio.Msg, memberGot []radio.Msg, memberOk []bool) {
-	v.down = castDown{v: v, has: has, clusterMsg: clusterMsg, memberGot: memberGot, memberOk: memberOk}
-	v.cast(part, &v.down)
+	for i := range memberGot {
+		memberGot[i], memberOk[i] = radio.Msg{}, false
+	}
+	for c, center := range v.cl.Center {
+		if has != nil && !has[c] {
+			continue
+		}
+		memberGot[center] = clusterMsg[c]
+		memberOk[center] = true
+	}
+	v.cast(part, memberGot, memberOk, false)
+	// A member of a participating cluster whose center had a message but
+	// who didn't receive it is a divergence event.
+	for c := range part {
+		if !part[c] || (has != nil && !has[c]) {
+			continue
+		}
+		for _, layerMembers := range v.membersAtLayer[c] {
+			for _, u := range layerMembers {
+				if !memberOk[u] {
+					v.castFailures++
+				}
+			}
+		}
+	}
 }
 
 // Upcast delivers, for every participating cluster with at least one member
@@ -189,210 +215,30 @@ func (v *VNet) Downcast(part, has []bool, clusterMsg []radio.Msg, memberGot []ra
 // Results land in clusterGot/clusterOk indexed by cluster. The call always
 // consumes CastLBs() parent LB units.
 func (v *VNet) Upcast(part []bool, memberHas []bool, memberMsg []radio.Msg, clusterGot []radio.Msg, clusterOk []bool) {
-	v.up = castUp{v: v, memberHas: memberHas, memberMsg: memberMsg, clusterGot: clusterGot, clusterOk: clusterOk}
-	v.cast(part, &v.up)
-}
-
-// castDirection abstracts the two cast directions over one schedule. Its
-// methods are deliberately coarse — one call per cluster (collect) and one
-// per executed slot (deliver) rather than one per member — so the member
-// loops run devirtualized on direct field accesses; with per-member
-// interface dispatch the cast loop was measurably dominated by call
-// overhead.
-type castDirection interface {
-	// stages returns the stage indices in execution order.
-	stageSeq(maxStage int32) (from, to, step int32)
-	// senderLayer maps a stage to the layer that transmits in it.
-	senderLayer(stage int32) int32
-	// recvLayer maps a stage to the layer that listens in it.
-	recvLayer(stage int32) int32
-	// init prepares per-member state before the stages run.
-	init()
-	// collect appends, for every cluster in the slot bucket, the stage's
-	// transmissions (members at sLayer holding a message) to v.txScratch
-	// and its listeners (members at rLayer without one) to v.rxScratch.
-	// depths carries maxLayerOf per bucket entry so out-of-range clusters
-	// are skipped on one compare.
-	collect(bucket, depths []int32, sLayer, rLayer int32)
-	// deliver records the results of one executed slot: got/ok are indexed
-	// like v.rxScratch, and foreign-cluster messages are filtered by the
-	// transport header.
-	deliver(got []radio.Msg, ok []bool)
-	// finish runs after the stages to tally failures.
-	finish(part []bool)
-}
-
-type castDown struct {
-	v          *VNet
-	has        []bool
-	clusterMsg []radio.Msg
-	memberGot  []radio.Msg
-	memberOk   []bool
-}
-
-func (d *castDown) stageSeq(maxStage int32) (int32, int32, int32) { return 1, maxStage, 1 }
-func (d *castDown) senderLayer(stage int32) int32                 { return stage - 1 }
-func (d *castDown) recvLayer(stage int32) int32                   { return stage }
-
-func (d *castDown) init() {
-	for i := range d.memberGot {
-		d.memberGot[i], d.memberOk[i] = radio.Msg{}, false
+	copy(v.memberMsg, memberMsg)
+	copy(v.memberHas, memberHas)
+	for c := range clusterGot {
+		clusterGot[c], clusterOk[c] = radio.Msg{}, false
 	}
-	for c, center := range d.v.cl.Center {
-		if d.has != nil && !d.has[c] {
-			continue
-		}
-		d.memberGot[center] = d.clusterMsg[c]
-		d.memberOk[center] = true
-	}
-}
-
-func (d *castDown) collect(bucket, depths []int32, sLayer, rLayer int32) {
-	v := d.v
-	memberOk, memberGot := d.memberOk, d.memberGot
-	membersAtLayer := v.membersAtLayer
-	hdrBits := v.hdrBits
-	tx, rx := v.txScratch, v.rxScratch
-	for k, c := range bucket {
-		maxL := depths[k]
-		if sLayer > maxL && rLayer > maxL {
-			continue
-		}
-		ml := membersAtLayer[c]
-		if sLayer >= 0 && sLayer <= maxL {
-			for _, u := range ml[sLayer] {
-				if memberOk[u] {
-					tx = append(tx, radio.TX{ID: u, Msg: memberGot[u]})
-					m := &tx[len(tx)-1].Msg
-					m.Hdr = m.Hdr<<hdrBits | uint64(c+1)
-				}
-			}
-		}
-		if rLayer >= 0 && rLayer <= maxL {
-			for _, u := range ml[rLayer] {
-				if !memberOk[u] {
-					rx = append(rx, u)
-				}
-			}
-		}
-	}
-	v.txScratch, v.rxScratch = tx, rx
-}
-
-func (d *castDown) deliver(got []radio.Msg, ok []bool) {
-	v := d.v
-	for i, u := range v.rxScratch {
-		if !ok[i] {
-			continue
-		}
-		if m, mine := v.unwrap(got[i], v.cl.ClusterOf[u]); mine {
-			d.memberGot[u] = m
-			d.memberOk[u] = true
-		}
-	}
-}
-
-func (d *castDown) finish(part []bool) {
-	// A member of a participating cluster whose center had a message but
-	// who didn't receive it is a divergence event.
-	for c := range part {
-		if !part[c] || (d.has != nil && !d.has[c]) {
-			continue
-		}
-		for _, layerMembers := range d.v.membersAtLayer[c] {
-			for _, u := range layerMembers {
-				if !d.memberOk[u] {
-					d.v.castFailures++
-				}
-			}
-		}
-	}
-}
-
-type castUp struct {
-	v          *VNet
-	memberHas  []bool
-	memberMsg  []radio.Msg
-	clusterGot []radio.Msg
-	clusterOk  []bool
-}
-
-func (u *castUp) stageSeq(maxStage int32) (int32, int32, int32) { return maxStage, 1, -1 }
-func (u *castUp) senderLayer(stage int32) int32                 { return stage }
-func (u *castUp) recvLayer(stage int32) int32                   { return stage - 1 }
-
-func (u *castUp) init() {
-	v := u.v
-	copy(v.memberMsg, u.memberMsg)
-	copy(v.memberHas, u.memberHas)
-	for c := range u.clusterGot {
-		u.clusterGot[c], u.clusterOk[c] = radio.Msg{}, false
-	}
-}
-
-func (u *castUp) collect(bucket, depths []int32, sLayer, rLayer int32) {
-	v := u.v
-	memberHas, memberMsg := v.memberHas, v.memberMsg
-	membersAtLayer := v.membersAtLayer
-	hdrBits := v.hdrBits
-	tx, rx := v.txScratch, v.rxScratch
-	for k, c := range bucket {
-		maxL := depths[k]
-		if sLayer > maxL && rLayer > maxL {
-			continue
-		}
-		ml := membersAtLayer[c]
-		if sLayer >= 0 && sLayer <= maxL {
-			for _, m := range ml[sLayer] {
-				if memberHas[m] {
-					tx = append(tx, radio.TX{ID: m, Msg: memberMsg[m]})
-					w := &tx[len(tx)-1].Msg
-					w.Hdr = w.Hdr<<hdrBits | uint64(c+1)
-				}
-			}
-		}
-		if rLayer >= 0 && rLayer <= maxL {
-			for _, m := range ml[rLayer] {
-				if !memberHas[m] {
-					rx = append(rx, m)
-				}
-			}
-		}
-	}
-	v.txScratch, v.rxScratch = tx, rx
-}
-
-func (u *castUp) deliver(got []radio.Msg, ok []bool) {
-	v := u.v
-	for i, m := range v.rxScratch {
-		if !ok[i] {
-			continue
-		}
-		if msg, mine := v.unwrap(got[i], v.cl.ClusterOf[m]); mine {
-			v.memberMsg[m] = msg
-			v.memberHas[m] = true
-		}
-	}
-}
-
-func (u *castUp) finish(part []bool) {
-	v := u.v
+	v.cast(part, v.memberMsg, v.memberHas, true)
 	for c := range part {
 		if !part[c] {
 			continue
 		}
 		center := v.cl.Center[c]
 		if v.memberHas[center] {
-			u.clusterGot[c] = v.memberMsg[center]
-			u.clusterOk[c] = true
+			clusterGot[c] = v.memberMsg[center]
+			clusterOk[c] = true
 			continue
 		}
 		// If any member held a message and the center never got it, the
-		// Upcast diverged.
+		// Upcast diverged. A member holds one after the cast iff some
+		// member of its cluster held one before, so the cast's own copy
+		// answers that even when the caller passed it in as memberHas.
 	scan:
 		for _, layerMembers := range v.membersAtLayer[c] {
 			for _, m := range layerMembers {
-				if u.memberHas[m] {
+				if v.memberHas[m] {
 					v.castFailures++
 					break scan
 				}
@@ -401,28 +247,31 @@ func (u *castUp) finish(part []bool) {
 	}
 }
 
-// cast runs the shared stage/step schedule of Lemma 3.1 for either
-// direction. It always consumes exactly CastLBs() parent LB units.
-func (v *VNet) cast(part []bool, dir castDirection) {
+// cast runs the stage/step schedule of Lemma 3.1 shared by both directions:
+// a downcast's stage s (s ascending) has layer s-1 send to layer s, an
+// upcast's (s descending) has layer s send to layer s-1. In every step j of
+// a stage, the members of each participating cluster C with j ∈ S_C act:
+// those holding a message (holds/msgs) transmit it, those without listen,
+// and a listener that hears its own cluster's message records it and stops
+// listening. Messages of foreign clusters in the same step are discarded by
+// the transport header; the listener retries in its next subset step. The
+// call always consumes exactly CastLBs() parent LB units.
+func (v *VNet) cast(part []bool, msgs []radio.Msg, holds []bool, up bool) {
 	cfg := v.cl.Cfg
-	dir.init()
-	executed := int64(0)
 
 	// Active clusters: the participating list, bucketed by subset slot ONCE
 	// for the whole cast. The schedule (which slots exist and which clusters
 	// share them) is stage-invariant; only the sender/receiver layers change
-	// per stage, and the member loops below already guard on them, so a
-	// cluster whose layers are out of range for a stage simply contributes
-	// nothing to that stage's slot. Slots in which nothing happens are
-	// skipped without a parent call, exactly as before.
+	// per stage.
 	//
 	// Cluster c is relevant to stage s iff s ≤ maxLayerOf[c]+1 (in both
 	// directions min(senderLayer, recvLayer) = s-1), so relevance is a
 	// prefix property in the stage number: maxStage clamps the whole loop
 	// to the deepest cluster and stageCap[j] skips a slot once every
 	// cluster sharing it is out of range. Stages and slots skipped this way
-	// executed no parent call before either, so the trailing SkipLB —
-	// which charges CastLBs() minus the executed count — is unchanged.
+	// have no participant, so they execute no parent call and are covered
+	// by the trailing SkipLB, which charges CastLBs() minus the executed
+	// count.
 	v.active = v.active[:0]
 	for c := int32(0); c < int32(v.N()); c++ {
 		if part[c] {
@@ -442,7 +291,6 @@ func (v *VNet) cast(part []bool, dir castDirection) {
 				v.steps = append(v.steps, j)
 			}
 			v.slotBucket[j] = append(v.slotBucket[j], c)
-			v.slotDepth[j] = append(v.slotDepth[j], v.maxLayerOf[c])
 			if depth > v.stageCap[j] {
 				v.stageCap[j] = depth
 			}
@@ -452,42 +300,136 @@ func (v *VNet) cast(part []bool, dir castDirection) {
 	if maxStage > int32(cfg.TMax) {
 		maxStage = int32(cfg.TMax)
 	}
-	from, to, stepDir := dir.stageSeq(maxStage)
-	for stage := from; ; stage += stepDir {
-		if (stepDir > 0 && stage > to) || (stepDir < 0 && stage < to) {
-			break
-		}
-		sLayer, rLayer := dir.senderLayer(stage), dir.recvLayer(stage)
-		for _, j := range v.steps {
-			if stage > v.stageCap[j] {
-				continue
-			}
-			v.txScratch = v.txScratch[:0]
-			v.rxScratch = v.rxScratch[:0]
-			dir.collect(v.slotBucket[j], v.slotDepth[j], sLayer, rLayer)
-			if len(v.txScratch) == 0 && len(v.rxScratch) == 0 {
-				continue // schedule slot with nothing to do; skipped below
-			}
-			got := v.gotScratch[:len(v.rxScratch)]
-			ok := v.okScratch[:len(v.rxScratch)]
-			v.parent.LocalBroadcast(v.txScratch, v.rxScratch, got, ok)
-			executed++
-			// Delivery filters by transport header: foreign clusters'
-			// messages in the same slot are discarded (the receiver retries
-			// in its next subset slot).
-			dir.deliver(got, ok)
+	executed := int64(0)
+	for k := int32(1); k <= maxStage; k++ {
+		if up {
+			s := maxStage + 1 - k
+			executed += v.castStage(s, s, s-1, msgs, holds)
+		} else {
+			executed += v.castStage(k, k-1, k, msgs, holds)
 		}
 	}
 	for _, j := range v.steps {
 		v.slotUsed[j] = false
 		v.slotBucket[j] = v.slotBucket[j][:0]
-		v.slotDepth[j] = v.slotDepth[j][:0]
 		v.stageCap[j] = 0
 	}
 	if skip := v.CastLBs() - executed; skip > 0 {
 		v.parent.SkipLB(skip)
 	}
-	dir.finish(part)
+}
+
+// castStage runs one stage of cast — members at layer sLayer send, members
+// at layer rLayer listen — and returns how many parent Local-Broadcasts it
+// executed.
+//
+// It builds each active cluster's two lists once (see castSpan); a step's
+// senders and receivers are the concatenation, in bucket order, of the
+// lists of the clusters sharing it, merged in place past the stage lists.
+// On most parents every step with a sender or a receiver is one parent
+// Local-Broadcast. On a unit-cost parent a step without both delivers
+// nothing and draws no randomness, so only the steps with both are
+// resolved, through UnitNet.Deliver, and each member is charged once for
+// the stage: a sender |S_C| units, a receiver the steps it listened in
+// until it heard (|S_C| if it never did). The meters, the deliveries and
+// the failure draws are exactly those of one LocalBroadcast per step; the
+// clock is covered by cast's SkipLB, since nothing here executes.
+func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []bool) int64 {
+	send, wait := v.sendBuf[:0], v.waitBuf[:0]
+	for _, c := range v.active {
+		sp := &v.spans[c]
+		ml, maxL := v.membersAtLayer[c], v.maxLayerOf[c]
+		sp.s0 = int32(len(send))
+		if sLayer <= maxL {
+			for _, u := range ml[sLayer] {
+				if holds[u] {
+					send = append(send, radio.TX{ID: u, Msg: v.wrap(msgs[u], c)})
+				}
+			}
+		}
+		sp.s1 = int32(len(send))
+		sp.w0 = int32(len(wait))
+		if rLayer <= maxL {
+			for _, u := range ml[rLayer] {
+				if !holds[u] {
+					wait = append(wait, u)
+				}
+			}
+		}
+		sp.w1 = int32(len(wait))
+	}
+	unit := v.unit
+	nSend, nWait := len(send), len(wait)
+	waiting := nWait
+	executed := int64(0)
+	for _, j := range v.steps {
+		if unit != nil && (nSend == 0 || waiting == 0) {
+			break // no later step of this stage can deliver
+		}
+		if stage > v.stageCap[j] {
+			continue
+		}
+		bucket := v.slotBucket[j]
+		hasTx, hasRx := false, false
+		for _, c := range bucket {
+			sp := &v.spans[c]
+			hasTx = hasTx || sp.s1 > sp.s0
+			hasRx = hasRx || sp.w1 > sp.w0
+		}
+		if !hasTx && !hasRx || unit != nil && !(hasTx && hasRx) {
+			continue
+		}
+		for _, c := range bucket {
+			sp := v.spans[c]
+			send = append(send, send[sp.s0:sp.s1]...)
+			wait = append(wait, wait[sp.w0:sp.w1]...)
+		}
+		tx, rx := send[nSend:], wait[nWait:]
+		got, ok := v.gotScratch[:len(rx)], v.okScratch[:len(rx)]
+		if unit != nil {
+			unit.Deliver(tx, rx, got, ok)
+		} else {
+			v.parent.LocalBroadcast(tx, rx, got, ok)
+			executed++
+		}
+		send, wait = send[:nSend], wait[:nWait]
+		i := 0
+		for _, c := range bucket {
+			sp := &v.spans[c]
+			kept := sp.w0
+			for _, u := range wait[sp.w0:sp.w1] {
+				heard := ok[i]
+				m, mine := v.unwrap(got[i], c)
+				i++
+				if heard && mine {
+					msgs[u], holds[u] = m, true
+					waiting--
+					if unit != nil {
+						r, _ := slices.BinarySearch(v.subsets[c], j)
+						unit.Charge(u, int64(r)+1)
+					}
+					continue
+				}
+				wait[kept] = u
+				kept++
+			}
+			sp.w1 = kept
+		}
+	}
+	if unit != nil {
+		for _, c := range v.active {
+			sp := v.spans[c]
+			k := int64(len(v.subsets[c]))
+			for _, t := range send[sp.s0:sp.s1] {
+				unit.Charge(t.ID, k)
+			}
+			for _, u := range wait[sp.w0:sp.w1] {
+				unit.Charge(u, k)
+			}
+		}
+	}
+	v.sendBuf, v.waitBuf = send[:0], wait[:0]
+	return executed
 }
 
 // LocalBroadcast implements lbnet.Net on the cluster graph (Lemma 3.2):
@@ -513,37 +455,41 @@ func (v *VNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []radio
 	// lists so the cost stays proportional to participation. The payloads in
 	// v.memberMsg/v.memberHas are stable here: nothing mutates them between
 	// the phase-1 Downcast and this TX build.
-	v.txScratch = v.txScratch[:0]
+	tx := v.sendBuf[:0]
 	for i := range senders {
 		for _, layerMembers := range v.membersAtLayer[senders[i].ID] {
 			for _, u := range layerMembers {
 				if v.memberHas[u] {
-					v.txScratch = append(v.txScratch, radio.TX{ID: u, Msg: v.memberMsg[u]})
+					tx = append(tx, radio.TX{ID: u, Msg: v.memberMsg[u]})
 				}
 			}
 		}
 	}
 	partR := v.lbPartR
-	v.rxScratch = v.rxScratch[:0]
+	rx := v.waitBuf[:0]
 	for _, c := range receivers {
 		if partS[c] {
 			panic("vnet: cluster is both sender and receiver")
 		}
 		partR[c] = true
 		for _, layerMembers := range v.membersAtLayer[c] {
-			v.rxScratch = append(v.rxScratch, layerMembers...)
+			rx = append(rx, layerMembers...)
 		}
 	}
-	got2 := v.gotScratch[:len(v.rxScratch)]
-	ok2 := v.okScratch[:len(v.rxScratch)]
-	v.parent.LocalBroadcast(v.txScratch, v.rxScratch, got2, ok2)
-	for i, u := range v.rxScratch {
-		v.phase2Got[u], v.phase2Ok[u] = got2[i], ok2[i]
+	got2 := v.gotScratch[:len(rx)]
+	ok2 := v.okScratch[:len(rx)]
+	v.parent.LocalBroadcast(tx, rx, got2, ok2)
+	// Phase-1 payloads are dead once tx is built, so phase 2's results go
+	// straight into the same per-member arrays; only receiver-cluster
+	// members are written, and only they take part in phase 3.
+	for i, u := range rx {
+		v.memberMsg[u], v.memberHas[u] = got2[i], ok2[i]
 	}
+	v.sendBuf, v.waitBuf = tx[:0], rx[:0]
 
 	// Phase 3: Upcast one received message per receiving cluster.
 	clusterGot, clusterOk := v.lbGot, v.lbOk
-	v.Upcast(partR, v.phase2Ok, v.phase2Got, clusterGot, clusterOk)
+	v.Upcast(partR, v.memberHas, v.memberMsg, clusterGot, clusterOk)
 
 	// Phase 4: Downcast the result so every member learns it.
 	v.Downcast(partR, clusterOk, clusterGot, v.memberMsg, v.memberHas)
