@@ -1,6 +1,6 @@
 # Development targets for the radio-network BFS reproduction.
 
-.PHONY: build test bench bench-check experiments scale-suite chaos-check remote-check resume-check serve-check fmt vet
+.PHONY: build test experiments scale-suite chaos-check remote-check resume-check serve-check fmt vet
 
 build:
 	go build ./...
@@ -13,21 +13,6 @@ fmt:
 
 vet:
 	go vet ./...
-
-# bench re-records the tracked performance baseline: it runs the full
-# benchmark suite and rewrites BENCH_baseline.json, preserving the current
-# file's "before" section so historical speedups stay visible. Run on a
-# quiet machine and commit the result when performance changes on purpose.
-bench:
-	go run ./cmd/benchjson -benchtime 20x \
-		-before BENCH_baseline.json \
-		-out BENCH_baseline.json
-
-# bench-check is the CI smoke comparison: every baseline benchmark must
-# still exist, and benchmarks whose committed allocs/op is zero must still
-# allocate nothing. Wall-clock numbers are deliberately not compared.
-bench-check:
-	go run ./cmd/benchjson -check BENCH_baseline.json -benchtime 1x
 
 experiments:
 	go run ./cmd/experiments

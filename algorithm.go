@@ -80,8 +80,8 @@ type ParamSpec struct {
 // a radio network — searches, approximations, verification sweeps,
 // applications — behind one dispatchable surface. Drivers resolve entries by
 // name (Get, Algorithms) so a newly registered algorithm appears in the
-// sweep CLI, the experiment tables and the benchmark suite without touching
-// any of them.
+// CLI, in specs, in the experiment tables and in the benchmark suite without
+// touching any of them.
 type Algorithm interface {
 	// Name is the registry key ("recursive", "decay", "diam2", …).
 	Name() string
@@ -200,14 +200,4 @@ func Aliases() map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-// mustGet resolves a built-in entry for the deprecated Network wrappers;
-// built-ins are registered at init, so failure is a programming error.
-func mustGet(name string) Algorithm {
-	a, err := Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }

@@ -51,112 +51,6 @@ func TestRegistryCatalog(t *testing.T) {
 	}
 }
 
-// TestRegistryMatchesLegacyMethods proves every registered algorithm's
-// output matches the legacy Network method byte for byte on fixed seeds —
-// the wrappers delegate to the registry, so any drift in how a wrapper
-// translates its arguments into a Request shows up here. The case table must
-// cover the whole registry: registering a built-in without adding a row
-// fails the test.
-func TestRegistryMatchesLegacyMethods(t *testing.T) {
-	run := func(name string, g *Graph, seed uint64, req Request) *Result {
-		t.Helper()
-		alg, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := alg.Run(context.Background(), NewNetwork(g, seed), req)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return res
-	}
-	eqLabels := func(name string, got, want []int32) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d labels, want %d", name, len(got), len(want))
-		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%s: label[%d] = %d, legacy %d", name, v, got[v], want[v])
-			}
-		}
-	}
-
-	cases := map[string]func(t *testing.T){
-		"recursive": func(t *testing.T) {
-			g, _ := NewGraph("cycle", 96, 5)
-			res := run("recursive", g, 5, Request{})
-			legacy, err := NewNetwork(g, 5).BFS(0, 96)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eqLabels("recursive", res.Labels, legacy)
-		},
-		"decay": func(t *testing.T) {
-			g, _ := NewGraph("grid", 49, 9)
-			res := run("decay", g, 9, Request{})
-			eqLabels("decay", res.Labels, NewNetwork(g, 9).BFSBaseline(0, 49))
-		},
-		"verify": func(t *testing.T) {
-			g, _ := NewGraph("path", 40, 11)
-			labels := graph.BFS(g, 0)
-			labels[20] = 35 // corrupt so violations are nonzero
-			res := run("verify", g, 11, Request{Labels: labels, MaxDist: 40})
-			legacy := NewNetwork(g, 11).VerifyLabeling(labels, 40)
-			if int(res.Values["violations"]) != legacy || legacy == 0 {
-				t.Fatalf("verify: registry %v, legacy %d", res.Values["violations"], legacy)
-			}
-		},
-		"diam2": func(t *testing.T) {
-			g, _ := NewGraph("path", 60, 13)
-			res := run("diam2", g, 13, Request{})
-			legacy, err := NewNetwork(g, 13).Diameter2Approx()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Estimate != legacy {
-				t.Fatalf("diam2: registry %d, legacy %d", res.Estimate, legacy)
-			}
-		},
-		"diam32": func(t *testing.T) {
-			g, _ := NewGraph("path", 60, 13)
-			res := run("diam32", g, 13, Request{})
-			legacy, err := NewNetwork(g, 13).Diameter32Approx()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Estimate != legacy {
-				t.Fatalf("diam32: registry %d, legacy %d", res.Estimate, legacy)
-			}
-		},
-		"poll": func(t *testing.T) {
-			g, _ := NewGraph("grid", 36, 15)
-			labels := graph.BFS(g, 0)
-			res := run("poll", g, 15, Request{Labels: labels, Period: 4})
-			latency, all := NewNetwork(g, 15).Poll(labels, 4)
-			if int64(res.Values["latency"]) != latency || (res.Values["delivered"] == 1) != all {
-				t.Fatalf("poll: registry (%v, %v), legacy (%d, %v)", res.Values["latency"], res.Values["delivered"], latency, all)
-			}
-		},
-		"alarm": func(t *testing.T) {
-			g, _ := NewGraph("grid", 49, 21)
-			labels := graph.BFS(g, 0)
-			res := run("alarm", g, 21, Request{Labels: labels, Origin: 48, Period: 4})
-			latency, ok := NewNetwork(g, 21).Alarm(labels, 48, 4)
-			if int64(res.Values["latency"]) != latency || (res.Values["completed"] == 1) != ok {
-				t.Fatalf("alarm: registry (%v, %v), legacy (%d, %v)", res.Values["latency"], res.Values["completed"], latency, ok)
-			}
-		},
-	}
-	for _, a := range Algorithms() {
-		fn, ok := cases[a.Name()]
-		if !ok {
-			t.Fatalf("registered algorithm %q has no legacy round-trip case", a.Name())
-		}
-		t.Run(a.Name(), fn)
-	}
-}
-
 // cancelAfter cancels a context once the named phase has reported the given
 // number of round batches.
 type cancelAfter struct {
@@ -276,9 +170,9 @@ func TestObserverEvents(t *testing.T) {
 	}
 }
 
-// TestBaselineCostCarriesPhysicalReport pins the BFSBaseline meter fix: in
-// CostUnit mode the baseline's engine is no longer a silently discarded
-// throwaway — the registry result carries its physical-energy report.
+// TestBaselineCostCarriesPhysicalReport: in CostUnit mode the Decay
+// baseline still runs on a physical engine, and the registry result carries
+// that engine's physical-energy report.
 func TestBaselineCostCarriesPhysicalReport(t *testing.T) {
 	g, _ := NewGraph("grid", 49, 9)
 	alg, _ := Get("decay")
@@ -316,10 +210,14 @@ func TestResultCostIsPerRun(t *testing.T) {
 }
 
 // TestNewNetworkEValidation: the error-returning constructor rejects nil
-// graphs and invalid options, and NewNetwork panics on the same inputs.
+// and vertex-free graphs and invalid options, and NewNetwork panics on the
+// same inputs.
 func TestNewNetworkEValidation(t *testing.T) {
 	if _, err := NewNetworkE(nil, 1); err == nil {
 		t.Fatal("nil graph accepted")
+	}
+	if _, err := NewNetworkE(graph.NewBuilder(0).Graph(), 1); err == nil {
+		t.Fatal("vertex-free graph accepted")
 	}
 	g, _ := NewGraph("cycle", 32, 1)
 	if _, err := NewNetworkE(g, 1, WithDecayPasses(-1)); err == nil {
@@ -362,6 +260,38 @@ func TestRequestValidation(t *testing.T) {
 		}
 		if rep := nw.Report(); rep.LBTime != 0 {
 			t.Fatalf("%s moved meters on invalid request: %+v", c.algo, rep)
+		}
+	}
+}
+
+// TestDiam32PhysicalSmallGraphs: on the physical channel a Decay
+// convergecast can miss, and a Find Minimum over vertex IDs then settles on
+// a key that is no vertex. diam32 must treat that as "not found" and finish
+// with an estimate, never index past the graph.
+func TestDiam32PhysicalSmallGraphs(t *testing.T) {
+	alg, err := Get("diam32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"torus", "star", "tree", "grid", "hypercube"} {
+		for _, n := range []int{4, 5, 7, 9} {
+			for seed := uint64(1); seed <= 40; seed++ {
+				g, err := NewGraph(family, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s n=%d seed=%d: panic: %v", family, n, seed, r)
+						}
+					}()
+					nw := NewNetwork(g, seed, WithCostModel(CostPhysical))
+					if _, err := alg.Run(context.Background(), nw, Request{}); err != nil {
+						t.Fatalf("%s n=%d seed=%d: %v", family, n, seed, err)
+					}
+				}()
+			}
 		}
 	}
 }

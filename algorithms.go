@@ -4,10 +4,8 @@ package repro
 // (§4), the Decay baseline, gradient verification, both §5.1 diameter
 // approximations, and the §1 Poll/Alarm applications — as Algorithm values.
 // Each entry validates the Request fields it reads, derives its randomness
-// from the network seed with the same tags the original Network methods
-// used (so registry runs are byte-identical to the legacy API), threads the
-// caller's context and observer into the round loops, and reports the run's
-// own cost.
+// from the network seed with a fixed per-algorithm tag, threads the caller's
+// context and observer into the round loops, and reports the run's own cost.
 
 import (
 	"context"

@@ -6,7 +6,7 @@ package repro_test
 // `go test -bench` regenerates the quantitative shape of every claim.
 //
 // Workloads are declared as harness.Scenario values — the same declarative
-// form cmd/experiments and `radiobfs sweep` use — and every iteration
+// form cmd/experiments and `radiobfs run` use — and every iteration
 // executes one harness trial, with the iteration counter as the trial
 // index, so each iteration draws fresh derived randomness.
 
@@ -132,7 +132,7 @@ func BenchmarkE2LocalBroadcast(b *testing.B) {
 		sc := &harness.Scenario{
 			Name:      fmt.Sprintf("bench-E2-deg%d", deg),
 			Instances: []harness.Instance{{Family: "star", N: deg + 1}},
-			Run: func(tr harness.Trial) (harness.Metrics, error) {
+			RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 				eng := radio.NewEngine(g)
 				decay.LocalBroadcast(eng, p, senders, []int32{0}, rng.Derive(tr.Seed, 0xb2), got, ok)
 				return harness.Metrics{"ok": harness.BoolMetric(ok[0])}, nil
@@ -160,7 +160,7 @@ func BenchmarkE3Cluster(b *testing.B) {
 		sc := &harness.Scenario{
 			Name:      fmt.Sprintf("bench-E3-n%d", n),
 			Instances: []harness.Instance{{Family: "grid", N: n}},
-			Run: func(tr harness.Trial) (harness.Metrics, error) {
+			RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 				base := lbnet.NewUnitNet(g, 0, tr.Seed)
 				cl := cluster.Build(base, cfg, tr.Seed)
 				return harness.Metrics{"radius": float64(cl.Radius()), "TMax": float64(cfg.TMax)}, nil
@@ -186,7 +186,7 @@ func BenchmarkE4DistanceProxy(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-E4",
 		Instances: []harness.Instance{{Family: "path", N: g.N()}},
-		Run: func(tr harness.Trial) (harness.Metrics, error) {
+		RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 			ideal := cluster.BuildIdeal(g, 8, tr.Seed)
 			cg := cluster.ClusterGraphOf(g, ideal.ClusterOf, len(ideal.Center))
 			graph.BFS(cg, ideal.ClusterOf[0])
@@ -220,7 +220,7 @@ func BenchmarkE5Casts(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-E5-cast",
 		Instances: []harness.Instance{{Family: "grid", N: g.N()}},
-		Run: func(harness.Trial) (harness.Metrics, error) {
+		RunCtx: func(*harness.Context, harness.Trial) (harness.Metrics, error) {
 			vn.Downcast(part, has, msgs, memberGot, memberOk)
 			return harness.Metrics{"parentLBs": float64(vn.CastLBs())}, nil
 		},
@@ -252,7 +252,7 @@ func BenchmarkE5VirtualLB(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-E5-vlb",
 		Instances: []harness.Instance{{Family: "grid", N: g.N()}},
-		Run: func(harness.Trial) (harness.Metrics, error) {
+		RunCtx: func(*harness.Context, harness.Trial) (harness.Metrics, error) {
 			vn.LocalBroadcast(senders, receivers, got, ok)
 			return harness.Metrics{"parentLBs": float64(vn.VLBCost())}, nil
 		},
@@ -274,7 +274,7 @@ func BenchmarkE7Claims(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-E7",
 		Instances: []harness.Instance{{Family: "cycle", N: g.N(), MaxDist: 128}},
-		Run: func(tr harness.Trial) (harness.Metrics, error) {
+		RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 			base := lbnet.NewUnitNet(g, 0, tr.Seed)
 			st, err := core.BuildStack(base, core.Params{InvBeta: 8, Depth: 1, W: 24, Alpha: 4}, tr.Seed)
 			if err != nil {
@@ -306,7 +306,7 @@ func BenchmarkE10GoodPairs(b *testing.B) {
 		sc := &harness.Scenario{
 			Name:      "bench-E10-rr",
 			Instances: []harness.Instance{inst},
-			Run: func(harness.Trial) (harness.Metrics, error) {
+			RunCtx: func(*harness.Context, harness.Trial) (harness.Metrics, error) {
 				res := lowerbound.RoundRobinProbe(g)
 				if !res.Detected {
 					return nil, fmt.Errorf("missed edge")
@@ -324,7 +324,7 @@ func BenchmarkE10GoodPairs(b *testing.B) {
 		sc := &harness.Scenario{
 			Name:      "bench-E10-budget",
 			Instances: []harness.Instance{inst},
-			Run: func(tr harness.Trial) (harness.Metrics, error) {
+			RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 				lowerbound.BudgetedProbe(g, 8, tr.Seed)
 				return harness.Metrics{}, nil
 			},
@@ -349,7 +349,7 @@ func BenchmarkE11Disjointness(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-E11",
 		Instances: []harness.Instance{{Family: "setdisj", N: 128, MaxDist: 7}},
-		Run: func(tr harness.Trial) (harness.Metrics, error) {
+		RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 			d := lowerbound.BuildDisjointness(evens, odds, tr.MaxDist)
 			if graph.Diameter(d.G) != 2 {
 				return nil, fmt.Errorf("diameter property violated")
@@ -405,7 +405,7 @@ func BenchmarkE13ThreeHalves(b *testing.B) {
 		sc := &harness.Scenario{
 			Name:      "bench-E13-mirror",
 			Instances: []harness.Instance{{Family: "cycle", N: g.N()}},
-			Run: func(tr harness.Trial) (harness.Metrics, error) {
+			RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 				res := diameter.MirrorThreeHalves(g, tr.Seed)
 				if res.Estimate > 512 || res.Estimate < 341 {
 					return nil, fmt.Errorf("estimate %d out of band", res.Estimate)
@@ -506,7 +506,7 @@ func BenchmarkEngineStep(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-engine-step",
 		Instances: []harness.Instance{{Family: "grid", N: g.N()}},
-		Run: func(harness.Trial) (harness.Metrics, error) {
+		RunCtx: func(*harness.Context, harness.Trial) (harness.Metrics, error) {
 			eng.Step(tx, listeners, out)
 			return harness.Metrics{}, nil
 		},
@@ -603,8 +603,9 @@ func BenchmarkSeededGraphBuild(b *testing.B) {
 }
 
 // BenchmarkEngineStepRaw measures one bare physics step with allocation
-// tracking: the committed baseline pins allocs/op at zero, the paper-level
-// guarantee that simulation cost is activity-proportional, not GC-bound.
+// tracking. Its shape is a case of TestEngineStepZeroAllocs
+// (internal/radio), which pins it at zero allocations: the guarantee that
+// simulation cost is activity-proportional, not GC-bound.
 func BenchmarkEngineStepRaw(b *testing.B) {
 	g := graph.Grid(64, 64)
 	eng := radio.NewEngine(g)
@@ -620,7 +621,8 @@ func BenchmarkEngineStepRaw(b *testing.B) {
 }
 
 // BenchmarkVNetVirtualLBRaw measures one simulated Local-Broadcast on G*
-// over warmed VNet scratch; the baseline pins allocs/op at zero.
+// over warmed VNet scratch; TestVirtualLocalBroadcastZeroAllocs
+// (internal/vnet) pins the same shape at zero allocations.
 func BenchmarkVNetVirtualLBRaw(b *testing.B) {
 	g, _ := graph.Named("grid", 400, 1)
 	base := lbnet.NewUnitNet(g, 0, 1)
@@ -642,7 +644,8 @@ func BenchmarkVNetVirtualLBRaw(b *testing.B) {
 }
 
 // BenchmarkDecayLocalBroadcastRaw measures one physical-channel Decay
-// Local-Broadcast on warmed scratch; the baseline pins allocs/op at zero.
+// Local-Broadcast on warmed scratch; TestLocalBroadcastScratchZeroAllocs
+// (internal/decay) pins the same shape at zero allocations.
 func BenchmarkDecayLocalBroadcastRaw(b *testing.B) {
 	g := graph.Star(129)
 	eng := radio.NewEngine(g)
@@ -671,7 +674,7 @@ func BenchmarkVerifyGradient(b *testing.B) {
 	sc := &harness.Scenario{
 		Name:      "bench-verify-gradient",
 		Instances: []harness.Instance{{Family: "cycle", N: 512}},
-		Run: func(tr harness.Trial) (harness.Metrics, error) {
+		RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 			net := lbnet.NewUnitNet(g, 0, tr.Seed)
 			if viol := core.VerifyGradient(net, labels, tr.N).Violations; viol != 0 {
 				return nil, fmt.Errorf("%d violations", viol)

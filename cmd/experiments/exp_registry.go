@@ -60,6 +60,6 @@ func runE0(cfg config) {
 	}
 	tbl.Render(cfg.out)
 	fmt.Fprintln(cfg.out, "Rows come from repro.Algorithms(): a newly registered algorithm appears here,")
-	fmt.Fprintln(cfg.out, "in `radiobfs sweep -algo=<name>`, and in the benchmark suite automatically.")
+	fmt.Fprintln(cfg.out, "in `radiobfs -algo <name>`, in spec files, and in the benchmark suite automatically.")
 	fmt.Fprintln(cfg.out)
 }

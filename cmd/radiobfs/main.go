@@ -11,17 +11,12 @@
 // newly registered algorithm is runnable here without touching this file;
 // -algo help enumerates them with their parameter names.
 //
-// The sweep subcommand drives the parallel trial runner (internal/harness)
-// over a cross product of families, sizes, algorithms, and seeds, and
-// aggregates per-cell statistics:
-//
-//	radiobfs sweep -families cycle,grid -sizes 128,256 -trials 8 -workers 4
-//	radiobfs sweep -families geometric -sizes 256 -algos recursive,decay -json
-//
 // The run subcommand executes declarative scenario specs (internal/spec;
-// the checked-in library lives in scenarios/) and persists their artifacts
-// — per-trial JSONL, aggregated CSV, a Markdown table, and a manifest — to
-// a results directory:
+// the checked-in library lives in scenarios/) on the parallel trial runner
+// (internal/harness) and persists their artifacts — per-trial JSONL,
+// aggregated CSV, a Markdown table, and a manifest — to a results
+// directory. A families × sizes grid is a scenario's "grid" field, with one
+// scenario per algorithm:
 //
 //	radiobfs run scenarios/e1_recursive.json
 //	radiobfs run -out results -workers 8 -quick scenarios/smoke.json
@@ -46,9 +41,9 @@
 // `radiobfs help` lists every subcommand; the listing is generated from the
 // same registry main dispatches through.
 //
-// Sweep and run output — stdout and artifacts alike — is byte-identical for
-// every -workers value, in-process or distributed, faulted or not; wall time
-// and coordination logs are reported on stderr. The serve cache relies on
+// Run output — stdout and artifacts alike — is byte-identical for every
+// -workers value, in-process or distributed, faulted or not; wall time and
+// coordination logs are reported on stderr. The serve cache relies on
 // exactly that property: artifacts are pure functions of (spec, seed, build).
 package main
 

@@ -92,21 +92,6 @@ func TestExecSpecsInterruptedWritesNothing(t *testing.T) {
 	}
 }
 
-// TestExecSweepInterruptedWritesNothing: same contract for `radiobfs sweep` —
-// no partial aggregate on stdout, a non-nil interruption error.
-func TestExecSweepInterruptedWritesNothing(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var stdout, stderr bytes.Buffer
-	err := execSweep(ctx, []string{"-families", "cycle", "-sizes", "48", "-trials", "2"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("execSweep = %v, want interruption error", err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("interrupted sweep wrote a partial aggregate to stdout: %q", stdout.String())
-	}
-}
-
 // TestExecSpecsDistByteIdentity runs the same spec in-process, distributed,
 // and distributed-under-chaos, and requires every artifact file — trials
 // JSONL, CSV, Markdown, manifest — byte-identical across all three.

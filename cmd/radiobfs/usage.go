@@ -23,7 +23,6 @@ type command struct {
 func commands() []command {
 	return []command{
 		{"run", "execute declarative scenario specs and persist their artifacts", runSpecs},
-		{"sweep", "run a families×sizes×algorithms×seeds sweep with aggregated statistics", runSweep},
 		{"serve", "serve spec execution over HTTP: pooled scheduling, SSE progress, result cache", runServe},
 		{"submit", "submit a spec to a serve daemon, follow progress, fetch the artifacts", runSubmit},
 		{"work", "distributed-run worker: spawned by run -dist, or dialing a coordinator with -connect", runWork},

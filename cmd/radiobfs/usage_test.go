@@ -50,7 +50,7 @@ func TestUsageEnumeratesEveryCommand(t *testing.T) {
 			t.Errorf("usage text does not list %q:\n%s", c.name, text)
 		}
 	}
-	for _, required := range []string{"run", "sweep", "serve", "submit", "work"} {
+	for _, required := range []string{"run", "serve", "submit", "work"} {
 		if !seen[required] {
 			t.Errorf("registry lost the %q subcommand", required)
 		}

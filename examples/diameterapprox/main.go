@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,19 +23,8 @@ func main() {
 		}
 		diam := graph.Diameter(g)
 
-		nw2 := repro.NewNetwork(g, 11)
-		d2, err := nw2.Diameter2Approx()
-		if err != nil {
-			log.Fatal(err)
-		}
-		e2 := nw2.Report().MaxLBEnergy
-
-		nw32 := repro.NewNetwork(g, 11)
-		d32, err := nw32.Diameter32Approx()
-		if err != nil {
-			log.Fatal(err)
-		}
-		e32 := nw32.Report().MaxLBEnergy
+		d2, e2 := estimate("diam2", g)
+		d32, e32 := estimate("diam32", g)
 
 		fmt.Printf("%-12s %5d %6d %8d %10d %8d %10d\n", family, g.N(), diam, d2, e2, d32, e32)
 		if d2 < diam/2 || d2 > diam {
@@ -48,4 +38,18 @@ func main() {
 	fmt.Println("  2-approx  in [diam/2, diam]        (Theorem 5.3)")
 	fmt.Println("  3/2-approx in [2·diam/3, diam]      (Theorem 5.4)")
 	fmt.Println("and by Theorem 5.1, doing better than 2-ε on general graphs costs Ω(n).")
+}
+
+// estimate runs the named registered diameter approximation on a fresh
+// network over g and returns its estimate and max LB energy per device.
+func estimate(name string, g *repro.Graph) (int32, int64) {
+	alg, err := repro.Get(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := alg.Run(context.Background(), repro.NewNetwork(g, 11), repro.Request{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Estimate, res.Cost.MaxLBEnergy
 }

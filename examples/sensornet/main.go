@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,12 +26,9 @@ func main() {
 
 	// Phase 1: self-organization — BFS labeling from the ranger station.
 	nw := repro.NewNetwork(g, 7)
-	labels, err := nw.BFS(0, g.N())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if bad := nw.VerifyLabeling(labels, g.N()); bad != 0 {
-		log.Fatalf("labeling invalid at %d sensors", bad)
+	labels := run(nw, "recursive", repro.Request{MaxDist: g.N()}).Labels
+	if bad := run(nw, "verify", repro.Request{Labels: labels, MaxDist: g.N()}).Values["violations"]; bad != 0 {
+		log.Fatalf("labeling invalid at %.0f sensors", bad)
 	}
 	setup := nw.Report()
 	depth := int32(0)
@@ -64,12 +62,12 @@ func main() {
 			fire = v
 		}
 	}
-	latency, completed := nw.Alarm(labels, fire, 8)
-	if !completed {
+	alarm := run(nw, "alarm", repro.Request{Labels: labels, Origin: fire, Period: 8})
+	if alarm.Values["completed"] != 1 {
 		log.Fatal("alarm round trip failed")
 	}
 	fmt.Printf("\nfire at sensor %d (%d hops out): alarm up to the station and back out\n", fire, labels[fire])
-	fmt.Printf("to every sensor in %d slots at polling period 8.\n", latency)
+	fmt.Printf("to every sensor in %d slots at polling period 8.\n", int64(alarm.Values["latency"]))
 
 	// Phase 4: sanity — the labeling really is the hop distance.
 	ref := graph.BFS(g, 0)
@@ -79,4 +77,17 @@ func main() {
 		}
 	}
 	fmt.Println("labels match true hop distances for all sensors.")
+}
+
+// run resolves a registered algorithm by name and runs it on nw.
+func run(nw *repro.Network, name string, req repro.Request) *repro.Result {
+	alg, err := repro.Get(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := alg.Run(context.Background(), nw, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

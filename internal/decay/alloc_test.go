@@ -10,27 +10,31 @@ import (
 
 // TestLocalBroadcastScratchZeroAllocs asserts the Decay rounds allocate
 // nothing once a Scratch has been warmed — the property that keeps large
-// physical-cost sweeps activity-bound instead of GC-bound.
+// physical-cost sweeps activity-bound instead of GC-bound. The 128-sender
+// case is BenchmarkDecayLocalBroadcastRaw's shape.
 func TestLocalBroadcastScratchZeroAllocs(t *testing.T) {
-	g := graph.Star(65)
-	e := radio.NewEngine(g)
-	p := ParamsFor(g.N(), 4)
-	senders := make([]radio.TX, 0, 64)
-	for v := 1; v <= 64; v++ {
-		senders = append(senders, radio.TX{ID: int32(v), Msg: radio.Msg{A: uint64(v)}})
-	}
-	receivers := []int32{0}
-	got := make([]radio.Msg, 1)
-	ok := make([]bool, 1)
-	var s Scratch
-	s.LocalBroadcast(e, p, senders, receivers, rng.Derive(1, 0), got, ok) // warm
-	call := uint64(1)
-	allocs := testing.AllocsPerRun(50, func() {
-		call++
-		s.LocalBroadcast(e, p, senders, receivers, rng.Derive(1, call), got, ok)
-	})
-	if allocs != 0 {
-		t.Fatalf("Scratch.LocalBroadcast allocates %v per call in steady state, want 0", allocs)
+	for _, c := range []struct{ senders, passes int }{{64, 4}, {128, 8}} {
+		g := graph.Star(c.senders + 1)
+		e := radio.NewEngine(g)
+		p := ParamsFor(g.N(), c.passes)
+		senders := make([]radio.TX, 0, c.senders)
+		for v := 1; v <= c.senders; v++ {
+			senders = append(senders, radio.TX{ID: int32(v), Msg: radio.Msg{A: uint64(v)}})
+		}
+		receivers := []int32{0}
+		got := make([]radio.Msg, 1)
+		ok := make([]bool, 1)
+		var s Scratch
+		s.LocalBroadcast(e, p, senders, receivers, rng.Derive(1, 0), got, ok) // warm
+		call := uint64(1)
+		allocs := testing.AllocsPerRun(50, func() {
+			call++
+			s.LocalBroadcast(e, p, senders, receivers, rng.Derive(1, call), got, ok)
+		})
+		if allocs != 0 {
+			t.Fatalf("Scratch.LocalBroadcast with %d senders and %d passes allocates %v per call in steady state, want 0",
+				c.senders, c.passes, allocs)
+		}
 	}
 }
 

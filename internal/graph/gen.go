@@ -465,7 +465,7 @@ var families = map[string]family{
 		return Hypercube(d)
 	}, nil},
 	"lollipop":    {false, func(n int, _ *rng.Source) *Graph { return Lollipop(n/2, n-n/2) }, nil},
-	"caterpillar": {false, func(n int, _ *rng.Source) *Graph { return Caterpillar(n/4, 3) }, nil},
+	"caterpillar": {false, func(n int, _ *rng.Source) *Graph { return Caterpillar(max(n/4, 1), 3) }, nil},
 }
 
 // Named returns a standard test-family graph by name; used by the CLI and

@@ -394,7 +394,8 @@ func TestNamedFamiliesConnected(t *testing.T) {
 }
 
 // TestFamiliesSmallN builds every registered family at the smallest sizes a
-// spec accepts (n >= 1): each must build without panicking and yield sorted,
+// spec accepts (n >= 1): each must build without panicking, have at least
+// one vertex (a trial's source is vertex 0) and yield sorted,
 // duplicate-free, loop-free rows. Lollipop at n = 1 has no clique, only a
 // one-vertex tail, which must not reach back to a vertex -1.
 func TestFamiliesSmallN(t *testing.T) {
@@ -404,6 +405,9 @@ func TestFamiliesSmallN(t *testing.T) {
 				g, ok := Named(name, n, seed)
 				if !ok {
 					t.Fatalf("family %q not found", name)
+				}
+				if g.N() < 1 {
+					t.Fatalf("family %q n=%d seed=%d: empty graph", name, n, seed)
 				}
 				for v := int32(0); int(v) < g.N(); v++ {
 					prev := int32(-1)

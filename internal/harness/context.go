@@ -58,17 +58,13 @@ func newContextShared(shared map[graphKey]*graph.Graph) *Context {
 }
 
 // sharedGraphs pre-builds the deterministic-family graphs of every instance
-// in the scenarios that execute through worker contexts (built-ins and
-// RunCtx workloads), for use with per-worker contexts: each distinct
+// in the scenarios, for use with per-worker contexts: each distinct
 // (family, n) is constructed exactly once and shared read-only across all
 // workers, instead of once per worker. Unknown families are skipped — the
 // executing trial reports the error itself.
 func sharedGraphs(scenarios ...*Scenario) map[graphKey]*graph.Graph {
 	shared := make(map[graphKey]*graph.Graph)
 	for _, sc := range scenarios {
-		if sc.Run != nil && sc.RunCtx == nil {
-			continue // legacy custom workload: never touches a Context
-		}
 		for _, inst := range sc.Instances {
 			k := graphKey{inst.Family, inst.N}
 			if _, ok := shared[k]; ok || graph.FamilySeeded(inst.Family) {

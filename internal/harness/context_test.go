@@ -79,25 +79,3 @@ func TestContextGraphCaching(t *testing.T) {
 		t.Fatal("unknown family must error")
 	}
 }
-
-// TestRunCtxWinsOverRun pins the documented precedence of the two custom
-// workload hooks.
-func TestRunCtxWinsOverRun(t *testing.T) {
-	sc := &Scenario{
-		Name:      "precedence",
-		Instances: []Instance{{Family: "cycle", N: 8}},
-		Run: func(Trial) (Metrics, error) {
-			return Metrics{"which": 1}, nil
-		},
-		RunCtx: func(ctx *Context, _ Trial) (Metrics, error) {
-			if ctx == nil {
-				t.Fatal("nil context")
-			}
-			return Metrics{"which": 2}, nil
-		},
-	}
-	res := Execute(sc, TrialFor(sc, sc.Instances[0], 0, 1))
-	if res.Err != "" || res.Metrics["which"] != 2 {
-		t.Fatalf("RunCtx did not win: %+v", res)
-	}
-}

@@ -1,6 +1,7 @@
 // Package harness is the shared trial-runner subsystem behind the
-// experiment tables (cmd/experiments), the benchmarks, and the radiobfs
-// sweep CLI.
+// experiment tables (cmd/experiments), the benchmarks, and the spec
+// executor (internal/spec) that `radiobfs run`, `run -dist` and `serve`
+// drive.
 //
 // The paper's claims — Theorem 4.1's sub-polynomial energy, the §5 diameter
 // and lower-bound trade-offs — are statements about distributions over
@@ -13,7 +14,7 @@
 //     an algorithm — either a registered repro.Algorithm resolved by name
 //     (Recursive-BFS, the Decay baseline, the §5 diameter approximations,
 //     gradient verification, the §1 Poll/Alarm applications, plus anything
-//     external packages Register) or a custom TrialFunc;
+//     external packages Register) or a custom TrialCtxFunc;
 //   - a Runner expands scenarios into independent trials and executes them
 //     on a worker pool. Every trial builds its own graph and network from a
 //     seed derived with rng.Derive from (root, scenario, family, n,
@@ -26,7 +27,7 @@
 //     (mean/stddev/min/quantiles/max via the streaming accumulators in
 //     internal/stats) and writes text tables, CSV, or JSON.
 //
-// Custom TrialFuncs may capture experiment-local state through closures;
+// Custom TrialCtxFuncs may capture experiment-local state through closures;
 // when a scenario has more than one trial, such state must be written to
 // per-trial slots (indexed by Trial.Index) or be otherwise race-free,
 // because trials of one scenario run concurrently.
@@ -36,8 +37,8 @@
 // Every worker owns one Context — a pool of trial-invariant heavy state: a
 // radio engine (reset between trials), Decay scratch buffers, and a cache
 // of deterministic workload graphs. Built-in workloads draw from it
-// automatically; custom workloads opt in by setting Scenario.RunCtx instead
-// of Scenario.Run. The contract for RunCtx implementations:
+// automatically; a custom Scenario.RunCtx receives it as its first argument
+// and may ignore it. The contract for RunCtx implementations:
 //
 //   - anything obtained from the Context (engine, scratch, cached graphs)
 //     is valid only until the trial function returns — never retain it in
@@ -90,8 +91,8 @@ const (
 )
 
 // Instance is one workload graph: a named family at a given size, searched
-// to MaxDist hops (0 means n). For scenarios with a custom Run the fields
-// are labels carried into the Trial; built-in algorithms resolve Family via
+// to MaxDist hops (0 means n). For scenarios with a custom RunCtx the
+// fields are labels carried into the Trial; built-in algorithms resolve Family via
 // graph.Named.
 type Instance struct {
 	Family  string `json:"family"`
@@ -136,13 +137,10 @@ type Trial struct {
 	GraphSeed uint64 `json:"graphSeed"`
 }
 
-// TrialFunc is a custom workload: it receives a fully-identified Trial and
-// returns its metrics. It must derive all randomness from Trial.Seed.
-type TrialFunc func(t Trial) (Metrics, error)
-
-// TrialCtxFunc is the context-aware custom workload signature: it
-// additionally receives the executing worker's Context pool. See the
-// package documentation for the reuse contract.
+// TrialCtxFunc is a custom workload: it receives the executing worker's
+// Context pool and a fully-identified Trial, and returns the trial's
+// metrics. It must derive all randomness from Trial.Seed. See the package
+// documentation for the Context reuse contract.
 type TrialCtxFunc func(ctx *Context, t Trial) (Metrics, error)
 
 // Scenario declares a workload for the Runner. Zero values mean: one trial
@@ -159,7 +157,7 @@ type Scenario struct {
 	// instance (default 1).
 	Trials int
 	// Algo names the registered repro.Algorithm to run ("" = Recursive-BFS);
-	// ignored when Run is set.
+	// ignored when RunCtx is set.
 	Algo Algo
 	// Cost selects the cost model for registry workloads.
 	Cost repro.CostModel
@@ -182,10 +180,7 @@ type Scenario struct {
 	// round loops. Trials of one scenario run concurrently, so it must be
 	// safe for concurrent use.
 	Observer repro.Observer
-	// Run, when set, replaces the registry workload entirely.
-	Run TrialFunc
-	// RunCtx is the context-aware form of Run: it receives the worker's
-	// Context pool. When both are set, RunCtx wins.
+	// RunCtx, when set, replaces the registry workload entirely.
 	RunCtx TrialCtxFunc
 }
 
@@ -270,12 +265,9 @@ func ExecuteCtx(ctx *Context, sc *Scenario, t Trial) (res Result) {
 	}()
 	var m Metrics
 	var err error
-	switch {
-	case sc.RunCtx != nil:
+	if sc.RunCtx != nil {
 		m, err = sc.RunCtx(ctx, t)
-	case sc.Run != nil:
-		m, err = sc.Run(t)
-	default:
+	} else {
 		m, err = runBuiltin(ctx, sc, t)
 	}
 	res = Result{Trial: t, Metrics: m}

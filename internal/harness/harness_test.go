@@ -154,7 +154,7 @@ func TestCustomRunAndAggregate(t *testing.T) {
 		Name:      "custom",
 		Instances: []Instance{{Family: "any", N: 8}},
 		Trials:    6,
-		Run: func(tr Trial) (Metrics, error) {
+		RunCtx: func(_ *Context, tr Trial) (Metrics, error) {
 			m := Metrics{"idx": float64(tr.Index)}
 			if tr.Index%2 == 0 {
 				m["evenOnly"] = 1 // omitted on odd trials

@@ -162,18 +162,26 @@ func TestEngineResetKeepsOptions(t *testing.T) {
 }
 
 // TestEngineStepZeroAllocs is the steady-state allocation regression test:
-// once the touched list has grown, Step must never allocate.
+// once the touched list has grown, Step must never allocate. The 64×64 case
+// is BenchmarkEngineStepRaw's shape.
 func TestEngineStepZeroAllocs(t *testing.T) {
-	g := graph.Grid(32, 32)
-	e := NewEngine(g)
-	tx := []TX{{ID: 100, Msg: Msg{A: 1}}, {ID: 500, Msg: Msg{A: 2}}}
-	listeners := []int32{101, 132, 68, 501}
-	out := make([]RX, len(listeners))
-	e.Step(tx, listeners, out) // warm the touched scratch
-	allocs := testing.AllocsPerRun(200, func() {
-		e.Step(tx, listeners, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("Engine.Step allocates %v per call in steady state, want 0", allocs)
+	cases := []struct {
+		side      int
+		tx        []TX
+		listeners []int32
+	}{
+		{32, []TX{{ID: 100, Msg: Msg{A: 1}}, {ID: 500, Msg: Msg{A: 2}}}, []int32{101, 132, 68, 501}},
+		{64, []TX{{ID: 2000, Msg: Msg{A: 1}}}, []int32{2001, 2064, 1936}},
+	}
+	for _, c := range cases {
+		e := NewEngine(graph.Grid(c.side, c.side))
+		out := make([]RX, len(c.listeners))
+		e.Step(c.tx, c.listeners, out) // warm the touched scratch
+		allocs := testing.AllocsPerRun(200, func() {
+			e.Step(c.tx, c.listeners, out)
+		})
+		if allocs != 0 {
+			t.Fatalf("Engine.Step on Grid(%d, %d) allocates %v per call in steady state, want 0", c.side, c.side, allocs)
+		}
 	}
 }

@@ -20,11 +20,12 @@ var allocParents = []struct {
 	{"per-slot", func(u *lbnet.UnitNet) lbnet.Net { return opaque{u} }},
 }
 
-// buildAllocVNet assembles a small grid-backed virtual network for the
-// allocation regression tests, over the parent wrap makes of a UnitNet.
-func buildAllocVNet(t testing.TB, wrap func(*lbnet.UnitNet) lbnet.Net) (*VNet, *graph.Graph) {
+// buildAllocVNet assembles a small grid-backed virtual network of about n
+// vertices for the allocation regression tests, over the parent wrap makes
+// of a UnitNet.
+func buildAllocVNet(t testing.TB, wrap func(*lbnet.UnitNet) lbnet.Net, n int) (*VNet, *graph.Graph) {
 	t.Helper()
-	g, ok := graph.Named("grid", 144, 1)
+	g, ok := graph.Named("grid", n, 1)
 	if !ok {
 		t.Fatal("grid family missing")
 	}
@@ -43,7 +44,7 @@ func TestDowncastUpcastZeroAllocs(t *testing.T) {
 }
 
 func testCastZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net) {
-	vn, g := buildAllocVNet(t, wrap)
+	vn, g := buildAllocVNet(t, wrap, 144)
 	nc := vn.N()
 	part := make([]bool, nc)
 	has := make([]bool, nc)
@@ -75,17 +76,22 @@ func testCastZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net) {
 
 // TestVirtualLocalBroadcastZeroAllocs asserts the simulated Local-Broadcast
 // (Lemma 3.2: three casts plus one parent LB) allocates nothing in steady
-// state after the first call has sized the scratch, on both cast paths.
+// state after the first call has sized the scratch, on both cast paths. The
+// 400-vertex grid is BenchmarkVNetVirtualLBRaw's shape.
 func TestVirtualLocalBroadcastZeroAllocs(t *testing.T) {
 	for _, p := range allocParents {
-		t.Run(p.name, func(t *testing.T) { testVirtualLBZeroAllocs(t, p.wrap) })
+		t.Run(p.name, func(t *testing.T) {
+			for _, n := range []int{144, 400} {
+				testVirtualLBZeroAllocs(t, p.wrap, n)
+			}
+		})
 	}
 }
 
-func testVirtualLBZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net) {
-	vn, _ := buildAllocVNet(t, wrap)
+func testVirtualLBZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net, n int) {
+	vn, _ := buildAllocVNet(t, wrap, n)
 	if vn.N() < 2 {
-		t.Skip("degenerate clustering")
+		t.Fatalf("grid n=%d: degenerate clustering", n)
 	}
 	senders := []radio.TX{{ID: 0, Msg: radio.Msg{Kind: MsgCast, A: 7}}}
 	receivers := []int32{1}
@@ -95,6 +101,6 @@ func testVirtualLBZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net) 
 	if allocs := testing.AllocsPerRun(20, func() {
 		vn.LocalBroadcast(senders, receivers, got, ok)
 	}); allocs != 0 {
-		t.Fatalf("virtual LocalBroadcast allocates %v per call in steady state, want 0", allocs)
+		t.Fatalf("grid n=%d: virtual LocalBroadcast allocates %v per call in steady state, want 0", n, allocs)
 	}
 }

@@ -17,15 +17,17 @@
 // The public API is the algorithm registry: every workload is a registered
 // Algorithm resolved by name (Get, Algorithms) and run against a Network
 // with Run(ctx, nw, Request) — one composable surface shared by the CLI,
-// the experiment harness, and the benchmarks. The Network methods (BFS,
-// Diameter2Approx, …) are thin deprecated wrappers over the same entries.
+// the experiment harness, and the benchmarks:
+//
+//	alg, _ := repro.Get("recursive")
+//	res, err := alg.Run(ctx, repro.NewNetwork(g, seed), repro.Request{Source: 0})
+//
 // The packages under internal/ expose every layer (radio physics, Decay,
 // clustering, virtual cluster-graph networks) for finer-grained use by the
 // examples, the experiment harness (cmd/experiments) and the benchmarks.
 package repro
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -137,11 +139,15 @@ type Network struct {
 
 // NewNetworkE wraps g as a radio network. seed determines every random
 // choice; identical seeds give identical runs. It returns an error for a nil
-// graph or an invalid option — the registry path (internal/harness, the
-// CLIs) uses it; NewNetwork wraps it for callers that prefer panics.
+// or vertex-free graph or an invalid option — the registry path
+// (internal/harness, the CLIs) uses it; NewNetwork wraps it for callers that
+// prefer panics.
 func NewNetworkE(g *Graph, seed uint64, opts ...Option) (*Network, error) {
 	if g == nil {
 		return nil, fmt.Errorf("repro: nil graph")
+	}
+	if g.N() == 0 {
+		return nil, fmt.Errorf("repro: graph has no vertices")
 	}
 	nw := &Network{g: g, seed: seed}
 	for _, o := range opts {
@@ -162,7 +168,8 @@ func NewNetworkE(g *Graph, seed uint64, opts ...Option) (*Network, error) {
 }
 
 // NewNetwork is NewNetworkE for infallible configurations: it panics on a
-// nil graph or invalid option instead of returning the error.
+// nil or vertex-free graph or an invalid option instead of returning the
+// error.
 func NewNetwork(g *Graph, seed uint64, opts ...Option) *Network {
 	nw, err := NewNetworkE(g, seed, opts...)
 	if err != nil {
@@ -286,126 +293,4 @@ func (nw *Network) decayScratch() *decay.Scratch {
 		nw.decScr = new(decay.Scratch)
 	}
 	return nw.decScr
-}
-
-// runNamed dispatches one registered algorithm; the deprecated Network
-// wrappers below are one-line delegations through it.
-func runNamed(name string, nw *Network, req Request) (*Result, error) {
-	return mustGet(name).Run(context.Background(), nw, req)
-}
-
-// BFS computes BFS labels from source with the paper's Recursive-BFS,
-// searching to radius maxDist (pass g.N() when unknown). Labels are hop
-// distances; -1 marks vertices beyond maxDist.
-//
-// Deprecated: resolve the "recursive" entry from the registry instead
-// (Get("recursive-bfs")), which adds cancellation, progress observation and
-// per-run cost reporting. This wrapper delegates to it.
-func (nw *Network) BFS(source int32, maxDist int) ([]int32, error) {
-	res, err := runNamed("recursive", nw, Request{Source: source, MaxDist: maxDist})
-	if err != nil {
-		return nil, err
-	}
-	return res.Labels, nil
-}
-
-// BFSBaseline computes the same labels with the classic everyone-awake
-// Decay BFS — the Θ(D log² n)-energy comparator. It always runs on the
-// physical channel: in CostPhysical mode it shares the network's engine and
-// meters; in CostUnit mode it runs on the engine supplied via WithEngine (or
-// a private one), and the baseline's physical-energy report — which this
-// method's return value cannot carry — reaches the caller through the
-// registry entry's Result.Cost: Get("decay-bfs").Run(...).
-//
-// Deprecated: resolve the "decay" entry from the registry instead; this
-// wrapper delegates to it and discards everything but the labels.
-func (nw *Network) BFSBaseline(source int32, maxDist int) []int32 {
-	res, err := runNamed("decay", nw, Request{Source: source, MaxDist: maxDist})
-	if err != nil {
-		panic(err)
-	}
-	return res.Labels
-}
-
-// VerifyLabeling checks a candidate labeling with the cheap gradient sweep
-// (O(1) energy per vertex); it returns the number of violations.
-//
-// Deprecated: resolve the "verify" entry from the registry instead; this
-// wrapper delegates to it.
-func (nw *Network) VerifyLabeling(labels []int32, maxLabel int) int {
-	if maxLabel <= 0 {
-		// Historical behavior: the sweep over labels 1..maxLabel is empty,
-		// so nothing can be violated (the registry entry would instead read
-		// MaxDist 0 as "the whole graph").
-		return 0
-	}
-	res, err := runNamed("verify", nw, Request{Labels: labels, MaxDist: maxLabel})
-	if err != nil {
-		panic(err)
-	}
-	return int(res.Values["violations"])
-}
-
-// Diameter2Approx returns D′ with diam/2 <= D′ <= diam (Theorem 5.3).
-//
-// Deprecated: resolve the "diam2" entry from the registry instead; this
-// wrapper delegates to it.
-func (nw *Network) Diameter2Approx() (int32, error) {
-	res, err := runNamed("diam2", nw, Request{})
-	if err != nil {
-		return 0, err
-	}
-	return res.Estimate, nil
-}
-
-// Diameter32Approx returns D′ with ⌊2·diam/3⌋ <= D′ <= diam (Theorem 5.4),
-// at n^(1/2+o(1)) energy.
-//
-// Deprecated: resolve the "diam32" entry from the registry instead; this
-// wrapper delegates to it.
-func (nw *Network) Diameter32Approx() (int32, error) {
-	res, err := runNamed("diam32", nw, Request{})
-	if err != nil {
-		return 0, err
-	}
-	return res.Estimate, nil
-}
-
-// Poll runs the duty-cycled dissemination of §1 over an existing labeling:
-// one message from the label-0 vertex with polling period period. It
-// returns delivery latency in slots and whether everyone was reached.
-//
-// Deprecated: resolve the "poll" entry from the registry instead; this
-// wrapper delegates to it. Periods below 1 are clamped to 1 (as the
-// dissemination loop always did); note the slot budget is now computed from
-// the clamped period, where the legacy method used the raw value.
-func (nw *Network) Poll(labels []int32, period int) (latency int64, deliveredAll bool) {
-	if period < 1 {
-		period = 1
-	}
-	res, err := runNamed("poll", nw, Request{Labels: labels, Period: period})
-	if err != nil {
-		panic(err)
-	}
-	return int64(res.Values["latency"]), res.Values["delivered"] == 1
-}
-
-// Alarm runs the full §1 scenario over an existing labeling: a message
-// raised at origin climbs the BFS gradient to the label-0 vertex and is then
-// disseminated to everyone, all on the polling schedule. It returns the
-// total latency in slots and whether the round trip completed.
-//
-// Deprecated: resolve the "alarm" entry from the registry instead; this
-// wrapper delegates to it. Periods below 1 are clamped to 1 (as the
-// dissemination loop always did); note the slot budget is now computed from
-// the clamped period, where the legacy method used the raw value.
-func (nw *Network) Alarm(labels []int32, origin int32, period int) (latency int64, completed bool) {
-	if period < 1 {
-		period = 1
-	}
-	res, err := runNamed("alarm", nw, Request{Labels: labels, Origin: origin, Period: period})
-	if err != nil {
-		panic(err)
-	}
-	return int64(res.Values["latency"]), res.Values["completed"] == 1
 }

@@ -1,11 +1,27 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 )
+
+// runAlgo resolves a registry entry by name and runs it on nw, failing the
+// test on any error.
+func runAlgo(t *testing.T, nw *Network, name string, req Request) *Result {
+	t.Helper()
+	alg, err := Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := alg.Run(context.Background(), nw, req)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
+}
 
 func TestNewGraphFamilies(t *testing.T) {
 	g, err := NewGraph("grid", 64, 1)
@@ -20,10 +36,7 @@ func TestNewGraphFamilies(t *testing.T) {
 func TestNetworkBFSUnitModel(t *testing.T) {
 	g, _ := NewGraph("cycle", 96, 5)
 	nw := NewNetwork(g, 5)
-	labels, err := nw.BFS(0, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
+	labels := runAlgo(t, nw, "recursive", Request{MaxDist: 96}).Labels
 	ref := graph.BFS(g, 0)
 	for v := range ref {
 		if labels[v] != ref[v] {
@@ -42,10 +55,7 @@ func TestNetworkBFSUnitModel(t *testing.T) {
 func TestNetworkBFSPhysicalModel(t *testing.T) {
 	g, _ := NewGraph("cycle", 48, 7)
 	nw := NewNetwork(g, 7, WithCostModel(CostPhysical))
-	labels, err := nw.BFS(0, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
+	labels := runAlgo(t, nw, "recursive", Request{MaxDist: 48}).Labels
 	ref := graph.BFS(g, 0)
 	bad := 0
 	for v := range ref {
@@ -68,7 +78,7 @@ func TestNetworkBFSPhysicalModel(t *testing.T) {
 func TestNetworkBaselineAgrees(t *testing.T) {
 	g, _ := NewGraph("grid", 49, 9)
 	nw := NewNetwork(g, 9)
-	labels := nw.BFSBaseline(0, 49)
+	labels := runAlgo(t, nw, "decay", Request{MaxDist: 49}).Labels
 	ref := graph.BFS(g, 0)
 	for v := range ref {
 		if labels[v] != ref[v] {
@@ -80,15 +90,15 @@ func TestNetworkBaselineAgrees(t *testing.T) {
 func TestNetworkVerifyLabeling(t *testing.T) {
 	g, _ := NewGraph("path", 40, 11)
 	nw := NewNetwork(g, 11)
-	labels, err := nw.BFS(0, 40)
-	if err != nil {
-		t.Fatal(err)
+	labels := runAlgo(t, nw, "recursive", Request{MaxDist: 40}).Labels
+	violations := func() float64 {
+		return runAlgo(t, nw, "verify", Request{Labels: labels, MaxDist: 40}).Values["violations"]
 	}
-	if v := nw.VerifyLabeling(labels, 40); v != 0 {
-		t.Fatalf("true labels rejected: %d violations", v)
+	if v := violations(); v != 0 {
+		t.Fatalf("true labels rejected: %v violations", v)
 	}
 	labels[20] = 35
-	if v := nw.VerifyLabeling(labels, 40); v == 0 {
+	if v := violations(); v == 0 {
 		t.Fatal("corrupted labels accepted")
 	}
 }
@@ -96,19 +106,11 @@ func TestNetworkVerifyLabeling(t *testing.T) {
 func TestNetworkDiameterApproximations(t *testing.T) {
 	g, _ := NewGraph("path", 60, 13)
 	nw := NewNetwork(g, 13)
-	d2, err := nw.Diameter2Approx()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 < 59/2 || d2 > 59 {
+	if d2 := runAlgo(t, nw, "diam2", Request{}).Estimate; d2 < 59/2 || d2 > 59 {
 		t.Fatalf("2-approx %d outside [29, 59]", d2)
 	}
 	nw.Reset()
-	d32, err := nw.Diameter32Approx()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d32 < 59*2/3 || d32 > 59 {
+	if d32 := runAlgo(t, nw, "diam32", Request{}).Estimate; d32 < 59*2/3 || d32 > 59 {
 		t.Fatalf("3/2-approx %d outside [39, 59]", d32)
 	}
 }
@@ -116,25 +118,20 @@ func TestNetworkDiameterApproximations(t *testing.T) {
 func TestNetworkPoll(t *testing.T) {
 	g, _ := NewGraph("grid", 36, 15)
 	nw := NewNetwork(g, 15)
-	labels, err := nw.BFS(0, 36)
-	if err != nil {
-		t.Fatal(err)
-	}
-	latency, all := nw.Poll(labels, 4)
-	if !all {
+	labels := runAlgo(t, nw, "recursive", Request{MaxDist: 36}).Labels
+	res := runAlgo(t, nw, "poll", Request{Labels: labels, Period: 4})
+	if res.Values["delivered"] != 1 {
 		t.Fatal("polled broadcast incomplete")
 	}
-	if latency <= 0 {
-		t.Fatalf("latency = %d", latency)
+	if latency := res.Values["latency"]; latency <= 0 {
+		t.Fatalf("latency = %v", latency)
 	}
 }
 
 func TestNetworkReset(t *testing.T) {
 	g, _ := NewGraph("cycle", 32, 17)
 	nw := NewNetwork(g, 17)
-	if _, err := nw.BFS(0, 32); err != nil {
-		t.Fatal(err)
-	}
+	runAlgo(t, nw, "recursive", Request{MaxDist: 32})
 	if nw.Report().LBTime == 0 {
 		t.Fatal("meters empty after a run")
 	}
@@ -147,10 +144,7 @@ func TestNetworkReset(t *testing.T) {
 func TestWithParamsOverride(t *testing.T) {
 	g, _ := NewGraph("cycle", 64, 19)
 	nw := NewNetwork(g, 19, WithParams(coreParamsForTest()))
-	labels, err := nw.BFS(0, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	labels := runAlgo(t, nw, "recursive", Request{MaxDist: 32}).Labels
 	ref := graph.BFS(g, 0)
 	for v := range ref {
 		want := ref[v]
@@ -170,21 +164,18 @@ func coreParamsForTest() core.Params {
 func TestNetworkAlarm(t *testing.T) {
 	g, _ := NewGraph("grid", 49, 21)
 	nw := NewNetwork(g, 21)
-	labels, err := nw.BFS(0, 49)
-	if err != nil {
-		t.Fatal(err)
-	}
-	latency, completed := nw.Alarm(labels, 48, 4)
-	if !completed {
+	labels := runAlgo(t, nw, "recursive", Request{MaxDist: 49}).Labels
+	res := runAlgo(t, nw, "alarm", Request{Labels: labels, Origin: 48, Period: 4})
+	if res.Values["completed"] != 1 {
 		t.Fatal("alarm round trip failed")
 	}
-	if latency <= 0 {
-		t.Fatalf("latency = %d", latency)
+	if latency := res.Values["latency"]; latency <= 0 {
+		t.Fatalf("latency = %v", latency)
 	}
 	// An unlabeled origin cannot raise an alarm.
 	labels2 := append([]int32(nil), labels...)
 	labels2[48] = -1
-	if _, ok := nw.Alarm(labels2, 48, 4); ok {
+	if runAlgo(t, nw, "alarm", Request{Labels: labels2, Origin: 48, Period: 4}).Values["completed"] == 1 {
 		t.Fatal("alarm from unlabeled origin should fail")
 	}
 }
@@ -203,43 +194,32 @@ func TestLog2Ceil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(g, 1)
-	labels, err := nw.BFS(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	labels := runAlgo(t, NewNetwork(g, 1), "recursive", Request{MaxDist: 1}).Labels
 	if labels[0] != 0 {
 		t.Fatalf("single-vertex label = %d, want 0", labels[0])
 	}
 }
 
 // TestEndToEndDeterminism: the entire public pipeline — graph generation,
-// BFS, verification, diameter estimate, alarm — is a pure function of the
-// root seed.
+// BFS, diameter estimate, alarm — is a pure function of the root seed.
 func TestEndToEndDeterminism(t *testing.T) {
-	run := func() (int64, int32, int64) {
+	run := func() (int64, int32, float64) {
 		g, err := NewGraph("geometric", 120, 77)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nw := NewNetwork(g, 77)
-		labels, err := nw.BFS(0, g.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := nw.Diameter2Approx()
-		if err != nil {
-			t.Fatal(err)
-		}
-		latency, ok := nw.Alarm(labels, int32(g.N()-1), 4)
-		if !ok {
+		labels := runAlgo(t, nw, "recursive", Request{}).Labels
+		d2 := runAlgo(t, nw, "diam2", Request{}).Estimate
+		alarm := runAlgo(t, nw, "alarm", Request{Labels: labels, Origin: int32(g.N() - 1), Period: 4})
+		if alarm.Values["completed"] != 1 {
 			t.Fatal("alarm failed")
 		}
-		return nw.Report().MaxLBEnergy, d2, latency
+		return nw.Report().MaxLBEnergy, d2, alarm.Values["latency"]
 	}
 	e1, d1, l1 := run()
 	e2, d2, l2 := run()
 	if e1 != e2 || d1 != d2 || l1 != l2 {
-		t.Fatalf("pipeline not deterministic: (%d,%d,%d) vs (%d,%d,%d)", e1, d1, l1, e2, d2, l2)
+		t.Fatalf("pipeline not deterministic: (%d,%d,%v) vs (%d,%d,%v)", e1, d1, l1, e2, d2, l2)
 	}
 }
