@@ -29,12 +29,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/profiling"
 	"repro/internal/spec"
 	"repro/scenarios"
 )
@@ -74,6 +75,46 @@ func (cfg config) loadSpec(name string, custom map[string]spec.CustomFunc) (*spe
 	return nil, nil
 }
 
+// startProfiles begins CPU profiling (when cpuPath is non-empty) and returns
+// a stop function that ends it and writes a heap profile taken after a GC
+// (when memPath is non-empty). Either path may be empty; the stop function
+// is always safe to call exactly once. Profiling never touches the
+// simulation's randomness or output: stdout bytes are identical with and
+// without it.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			runtime.GC() // materialize final live-heap statistics
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "run reduced instance sizes")
 	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E1,E7)")
@@ -83,7 +124,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()
 
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)

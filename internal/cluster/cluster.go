@@ -3,6 +3,7 @@ package cluster
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -170,23 +171,24 @@ func Build(net lbnet.Net, cfg Config, seed uint64) *Clustering {
 // exact comparison against the centralized mirror. A start time below 1
 // counts as 1; a vertex starting after TMax never becomes a center.
 //
-// The unclustered (receiver) and clustered (sender) lists are kept in
-// vertex-ID order and change only when a vertex starts or joins: vertices
-// are bucketed by start time once, and the newly clustered are merged into
-// the sender list in place. Every Net therefore receives the same arguments
-// as from a per-iteration rebuild. On a *lbnet.UnitNet, iterations before
-// the first start time have no sender, so they deliver nothing and draw no
-// randomness: such a stretch is charged in one Charge per vertex and one
-// SkipLB instead of one LocalBroadcast per iteration.
+// Vertices are bucketed by start time once. On a *lbnet.UnitNet the
+// iterations run through growUnit; any other Net gets one LocalBroadcast
+// per iteration from an unclustered (receiver) and a clustered (sender)
+// list, both kept in vertex-ID order and changed only when a vertex starts
+// or joins: the newly clustered are merged into the sender list in place,
+// so the Net receives the same arguments as from a per-iteration rebuild.
 func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Clustering {
 	n := net.N()
 	tmax := int32(cfg.TMax)
-	clusterOf := make([]int32, n) // center vertex ID during growth
-	layer := make([]int32, n)
-	seedOf := make([]uint64, n) // cluster seed as known to each member
-	for v := range clusterOf {
-		clusterOf[v] = -1
-		layer[v] = -1
+	gr := &growth{
+		clusterOf: make([]int32, n), // center vertex ID during growth
+		layer:     make([]int32, n),
+		seedOf:    make([]uint64, n), // cluster seed as known to each member
+		seed:      seed,
+	}
+	for v := range gr.clusterOf {
+		gr.clusterOf[v] = -1
+		gr.layer[v] = -1
 	}
 	// byStart[first[i]:first[i+1]] lists the vertices starting at time i,
 	// ascending (a counting sort by start time).
@@ -199,17 +201,69 @@ func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Cl
 	for i := int32(1); i <= tmax; i++ {
 		first[i+1] += first[i]
 	}
-	byStart := make([]int32, first[tmax+1])
+	gr.byStart = make([]int32, first[tmax+1])
 	fill := append([]int32(nil), first...)
 	for v, s := range starts {
 		if s <= tmax {
 			i := max(s, 1)
-			byStart[fill[i]] = int32(v)
+			gr.byStart[fill[i]] = int32(v)
 			fill[i]++
 		}
 	}
+	gr.first = first
 
-	unit, _ := net.(*lbnet.UnitNet)
+	if unit, ok := net.(*lbnet.UnitNet); ok {
+		gr.growUnit(unit, tmax)
+	} else {
+		gr.grow(net, tmax)
+	}
+	return densify(cfg, gr.clusterOf, gr.layer, gr.seedOf, starts)
+}
+
+// growth is the state of one MPX growth run: each vertex's center (-1 while
+// unclustered), layer and cluster seed, and the vertices bucketed by start
+// time.
+type growth struct {
+	clusterOf, layer []int32
+	seedOf           []uint64
+	seed             uint64
+	first, byStart   []int32
+}
+
+// center makes v the center of its own cluster unless it is clustered
+// already, and reports whether it did.
+func (gr *growth) center(v int32) bool {
+	if gr.clusterOf[v] != -1 {
+		return false
+	}
+	gr.clusterOf[v] = v
+	gr.layer[v] = 0
+	gr.seedOf[v] = rng.Derive(gr.seed, uint64(v), 0xc157e2)
+	return true
+}
+
+// join applies a heard join message to v.
+func (gr *growth) join(v int32, m radio.Msg) {
+	gr.clusterOf[v] = int32(m.A)
+	gr.layer[v] = int32(m.B) + 1
+	gr.seedOf[v] = m.C
+}
+
+// announce is the join message a clustered vertex sends: its final
+// (center, layer, cluster seed), since a clustered vertex never changes
+// cluster.
+func (gr *growth) announce(v int32) radio.TX {
+	return radio.TX{ID: v, Msg: radio.Msg{
+		Kind: MsgJoin,
+		A:    uint64(gr.clusterOf[v]),
+		B:    uint64(gr.layer[v]),
+		C:    gr.seedOf[v],
+	}}
+}
+
+// grow runs the TMax growth iterations with one LocalBroadcast each.
+func (gr *growth) grow(net lbnet.Net, tmax int32) {
+	n := net.N()
 	unclustered := make([]int32, n)
 	for v := range unclustered {
 		unclustered[v] = int32(v)
@@ -221,19 +275,16 @@ func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Cl
 
 	for i := int32(1); i <= tmax; i++ {
 		// New centers: unclustered vertices whose start time has arrived.
-		for _, v := range byStart[first[i]:first[i+1]] {
-			if clusterOf[v] == -1 {
-				clusterOf[v] = v
-				layer[v] = 0
-				seedOf[v] = rng.Derive(seed, uint64(v), 0xc157e2)
+		for _, v := range gr.byStart[gr.first[i]:gr.first[i+1]] {
+			if gr.center(v) {
 				fresh++
 			}
 		}
 		if fresh > 0 {
-			senders = mergeSenders(senders, unclustered, fresh, clusterOf, layer, seedOf)
+			senders = gr.mergeSenders(senders, unclustered, fresh)
 			kept := unclustered[:0]
 			for _, v := range unclustered {
-				if clusterOf[v] == -1 {
+				if gr.clusterOf[v] == -1 {
 					kept = append(kept, v)
 				}
 			}
@@ -244,58 +295,109 @@ func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Cl
 			net.SkipLB(int64(tmax) - int64(i) + 1)
 			break
 		}
-		if len(senders) == 0 && unit != nil {
-			// Nobody is clustered, so every vertex listens to silence
-			// until the next start time.
-			next := i + 1
-			for next <= tmax && first[next] == first[next+1] {
-				next++
-			}
-			k := int64(next - i)
-			for _, v := range unclustered {
-				unit.Charge(v, k)
-			}
-			unit.SkipLB(k)
-			i = next - 1
-			continue
-		}
 		net.LocalBroadcast(senders, unclustered, got[:len(unclustered)], ok[:len(unclustered)])
 		for j, v := range unclustered {
 			if ok[j] && got[j].Kind == MsgJoin {
-				clusterOf[v] = int32(got[j].A)
-				layer[v] = int32(got[j].B) + 1
-				seedOf[v] = got[j].C
+				gr.join(v, got[j])
 				fresh++
 			}
 		}
 	}
-	return densify(cfg, clusterOf, layer, seedOf, starts)
+}
+
+// growUnit runs the TMax growth iterations on a unit-cost net, where a
+// listener with no sending neighbour hears nothing and draws no failure
+// coin. Every vertex sends or listens in each iteration until all are
+// clustered, so every vertex is charged E, the number of iterations in
+// which someone was unclustered, and the clock advances TMax in one
+// SkipLB. Only the boundary — unclustered vertices with a clustered
+// neighbour — can hear, and only from the clustered vertices next to it,
+// so each iteration resolves the boundary, in ID order, against those
+// senders through UnitNet.Deliver: the joins and failure draws of one
+// LocalBroadcast from every clustered vertex to every unclustered one.
+//
+// Both lists change only when a vertex is clustered: its unclustered
+// neighbours join the boundary, it joins the senders if it has one, and a
+// sender leaves once its count of unclustered neighbours (open) reaches 0.
+// Deliver resolves a whole iteration before any of its joins is applied;
+// the joins are then applied one at a time, so a vertex's count starts
+// from the neighbours still unclustered when it joins and drops as each
+// of them joins later.
+func (gr *growth) growUnit(u *lbnet.UnitNet, tmax int32) {
+	g := u.Graph()
+	n := g.N()
+	open := make([]int32, n)
+	seen := make([]bool, n) // on the boundary or queued for it
+	got := make([]radio.Msg, n)
+	ok := make([]bool, n)
+	var boundary, fresh []int32
+	var senders []radio.TX
+	unclustered := n
+	clustered := func(v int32) {
+		unclustered--
+		k := int32(0)
+		for _, w := range g.Neighbors(v) {
+			if gr.clusterOf[w] == -1 {
+				k++
+				if !seen[w] {
+					seen[w] = true
+					fresh = append(fresh, w)
+				}
+			} else {
+				open[w]--
+			}
+		}
+		if open[v] = k; k > 0 {
+			senders = append(senders, gr.announce(v))
+		}
+	}
+	e := int64(0)
+	for i := int32(1); i <= tmax; i++ {
+		for _, v := range gr.byStart[gr.first[i]:gr.first[i+1]] {
+			if gr.center(v) {
+				clustered(v)
+			}
+		}
+		if unclustered == 0 {
+			break // the remaining iterations are silent
+		}
+		e++
+		boundary = slices.DeleteFunc(append(boundary, fresh...), func(v int32) bool { return gr.clusterOf[v] != -1 })
+		slices.Sort(boundary)
+		senders = slices.DeleteFunc(senders, func(t radio.TX) bool { return open[t.ID] == 0 })
+		fresh = fresh[:0]
+		u.Deliver(senders, boundary, got[:len(boundary)], ok[:len(boundary)])
+		for j, v := range boundary {
+			if ok[j] && got[j].Kind == MsgJoin {
+				gr.join(v, got[j])
+				clustered(v)
+			}
+		}
+	}
+	for v := int32(0); v < int32(n); v++ {
+		u.Charge(v, e)
+	}
+	u.SkipLB(int64(tmax))
 }
 
 // mergeSenders moves the k clustered vertices of unclustered into senders,
 // keeping senders ascending by ID: a backward merge into the k free entries
 // past its end (senders has capacity n), so nothing is copied twice and no
-// buffer is allocated. Each new entry carries the vertex's final (center,
-// layer, cluster seed): a clustered vertex never changes cluster.
-func mergeSenders(senders []radio.TX, unclustered []int32, k int, clusterOf, layer []int32, seedOf []uint64) []radio.TX {
+// buffer is allocated.
+func (gr *growth) mergeSenders(senders []radio.TX, unclustered []int32, k int) []radio.TX {
 	o := len(senders) - 1
 	senders = senders[:len(senders)+k]
 	w := len(senders) - 1
 	for r := len(unclustered) - 1; w > o; r-- {
 		v := unclustered[r]
-		if clusterOf[v] == -1 {
+		if gr.clusterOf[v] == -1 {
 			continue
 		}
 		for o >= 0 && senders[o].ID > v {
 			senders[w] = senders[o]
 			w, o = w-1, o-1
 		}
-		senders[w] = radio.TX{ID: v, Msg: radio.Msg{
-			Kind: MsgJoin,
-			A:    uint64(clusterOf[v]),
-			B:    uint64(layer[v]),
-			C:    seedOf[v],
-		}}
+		senders[w] = gr.announce(v)
 		w--
 	}
 	return senders

@@ -152,36 +152,123 @@ func TestClusterEnergyAndTime(t *testing.T) {
 // *lbnet.UnitNet takes its general path over the same network.
 type opaque struct{ *lbnet.UnitNet }
 
-// TestBuildUnitMatchesPerIteration pins the UnitNet fast-forward of growth
-// against the path that runs every iteration as a LocalBroadcast: same
-// clustering, same per-vertex energy, same clock, with and without failure
-// draws.
+// sameGrowth runs BuildWithStarts on two identically seeded UnitNets, once
+// on the net itself (growUnit) and once behind opaque (one LocalBroadcast
+// per iteration), and fails unless the clusterings, per-vertex energy and
+// clocks agree.
+func sameGrowth(t *testing.T, name string, g *graph.Graph, cfg Config, starts []int32, fp float64) {
+	t.Helper()
+	fast := lbnet.NewUnitNet(g, fp, 5)
+	slow := lbnet.NewUnitNet(g, fp, 5)
+	a := BuildWithStarts(fast, cfg, starts, 5)
+	b := BuildWithStarts(opaque{slow}, cfg, starts, 5)
+	for v := range a.ClusterOf {
+		if a.ClusterOf[v] != b.ClusterOf[v] || a.Layer[v] != b.Layer[v] {
+			t.Fatalf("%s fp=%v: vertex %d: cluster %d/%d layer %d/%d",
+				name, fp, v, a.ClusterOf[v], b.ClusterOf[v], a.Layer[v], b.Layer[v])
+		}
+		if fast.LBEnergy(int32(v)) != slow.LBEnergy(int32(v)) {
+			t.Fatalf("%s fp=%v: vertex %d paid %d, per-iteration path %d",
+				name, fp, v, fast.LBEnergy(int32(v)), slow.LBEnergy(int32(v)))
+		}
+	}
+	if !slices.Equal(a.Center, b.Center) || !slices.Equal(a.Seed, b.Seed) {
+		t.Fatalf("%s fp=%v: centers or seeds differ", name, fp)
+	}
+	if fast.LBTime() != slow.LBTime() {
+		t.Fatalf("%s fp=%v: LBTime %d, per-iteration path %d", name, fp, fast.LBTime(), slow.LBTime())
+	}
+}
+
+// TestBuildUnitMatchesPerIteration pins the unit-cost growth (only the
+// boundary resolved, everyone charged once) against the path that runs
+// every iteration as a LocalBroadcast: same clustering, same per-vertex
+// energy, same clock, with and without failure draws.
 func TestBuildUnitMatchesPerIteration(t *testing.T) {
 	r := rng.New(7)
 	for name, g := range testGraphs(r) {
 		for _, fp := range []float64{0, 0.1} {
 			cfg := DefaultConfig(g.N(), 4)
-			fast := lbnet.NewUnitNet(g, fp, 5)
-			slow := lbnet.NewUnitNet(g, fp, 5)
-			a := Build(fast, cfg, 5)
-			b := Build(opaque{slow}, cfg, 5)
-			for v := range a.ClusterOf {
-				if a.ClusterOf[v] != b.ClusterOf[v] || a.Layer[v] != b.Layer[v] {
-					t.Fatalf("%s fp=%v: vertex %d: cluster %d/%d layer %d/%d",
-						name, fp, v, a.ClusterOf[v], b.ClusterOf[v], a.Layer[v], b.Layer[v])
-				}
-				if fast.LBEnergy(int32(v)) != slow.LBEnergy(int32(v)) {
-					t.Fatalf("%s fp=%v: vertex %d paid %d, per-iteration path %d",
-						name, fp, v, fast.LBEnergy(int32(v)), slow.LBEnergy(int32(v)))
-				}
-			}
-			if !slices.Equal(a.Center, b.Center) || !slices.Equal(a.Seed, b.Seed) {
-				t.Fatalf("%s fp=%v: centers or seeds differ", name, fp)
-			}
-			if fast.LBTime() != slow.LBTime() {
-				t.Fatalf("%s fp=%v: LBTime %d, per-iteration path %d", name, fp, fast.LBTime(), slow.LBTime())
-			}
+			sameGrowth(t, name, g, cfg, StartTimes(g.N(), cfg, rng.Derive(5, 0x57a27)), fp)
 		}
+	}
+}
+
+// TestBuildWithStartsUnitEdgeCases covers start times the drawn ones rarely
+// give: a vertex starting after TMax (it joins a neighbour's cluster, or,
+// isolated, stays unclustered to the end, so every iteration runs), starts
+// below 1, and every start at TMax (everyone listens to silence until all
+// become centers in the last iteration, which then has no listener).
+func TestBuildWithStartsUnitEdgeCases(t *testing.T) {
+	b := graph.NewBuilder(41)
+	for v := int32(0); v+1 < 40; v++ {
+		b.AddEdge(v, v+1)
+	}
+	pathPlusIsolated := b.Graph() // vertex 40 has no neighbour
+	grid := graph.Grid(8, 8)
+	cfg := DefaultConfig(64, 4)
+	tmax := int32(cfg.TMax)
+	drawn := func(g *graph.Graph) []int32 { return StartTimes(g.N(), cfg, 11) }
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		starts func() []int32
+	}{
+		{"late-start", grid, func() []int32 {
+			s := drawn(grid)
+			s[27] = tmax + 3
+			return s
+		}},
+		{"isolated-late", pathPlusIsolated, func() []int32 {
+			s := drawn(pathPlusIsolated)
+			s[40] = tmax + 1
+			return s
+		}},
+		{"isolated-all-late", pathPlusIsolated, func() []int32 {
+			s := make([]int32, pathPlusIsolated.N())
+			for v := range s {
+				s[v] = tmax + 1
+			}
+			s[3] = tmax - 6
+			return s
+		}},
+		{"below-one", grid, func() []int32 {
+			s := drawn(grid)
+			s[0], s[63] = 0, -4
+			return s
+		}},
+		{"all-at-tmax", grid, func() []int32 {
+			s := make([]int32, grid.N())
+			for v := range s {
+				s[v] = tmax
+			}
+			return s
+		}},
+	} {
+		for _, fp := range []float64{0, 0.1} {
+			sameGrowth(t, tc.name, tc.g, cfg, tc.starts(), fp)
+		}
+	}
+	// Spot-check the energy the unit path charges on the two extremes.
+	late := lbnet.NewUnitNet(pathPlusIsolated, 0, 1)
+	s := drawn(pathPlusIsolated)
+	s[40] = tmax + 1
+	if cl := BuildWithStarts(late, cfg, s, 1); cl.Layer[40] != -1 {
+		t.Fatalf("isolated late vertex got layer %d", cl.Layer[40])
+	}
+	if e := late.LBEnergy(0); e != int64(tmax) {
+		t.Fatalf("with a vertex unclustered to the end, vertex 0 paid %d, want TMax = %d", e, tmax)
+	}
+	all := lbnet.NewUnitNet(grid, 0, 1)
+	s = make([]int32, grid.N())
+	for v := range s {
+		s[v] = tmax
+	}
+	BuildWithStarts(all, cfg, s, 1)
+	// Everyone listens to silence until TMax, when all become centers and
+	// nobody is left to listen.
+	if e, tm := lbnet.MaxLBEnergy(all), all.LBTime(); e != int64(tmax)-1 || tm != int64(tmax) {
+		t.Fatalf("every start at TMax: max energy %d, LBTime %d; want %d and %d", e, tm, tmax-1, tmax)
 	}
 }
 

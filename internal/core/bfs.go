@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -272,7 +273,15 @@ func (s *Stack) recBFS(r int, S, A []bool, d int) []int32 {
 // trivialBFS settles all distances up to d with d Local-Broadcasts (§4.3's
 // base case): unlabeled active vertices listen in every call, so each spends
 // Θ(d) energy — which is why the recursion only invokes it on small radii.
+// On a unit-cost net the rounds run through wavefrontUnit; any other net
+// gets one LocalBroadcast per round.
 func (s *Stack) trivialBFS(r int, net lbnet.Net, S, A []bool, d int) []int32 {
+	if s.Inst != nil {
+		s.Inst.TrivialCalls[r]++
+	}
+	if unit, ok := net.(*lbnet.UnitNet); ok {
+		return s.wavefrontUnit(unit, S, A, d)
+	}
 	n := net.N()
 	dist := make([]int32, n)
 	var senders []radio.TX
@@ -314,9 +323,83 @@ func (s *Stack) trivialBFS(r int, net lbnet.Net, S, A []bool, d int) []int32 {
 			}
 		}
 	}
-	if s.Inst != nil {
-		s.Inst.TrivialCalls[r]++
+	return dist
+}
+
+// wavefrontUnit is trivialBFS on a unit-cost net, where a listener with no
+// sending neighbour hears nothing and draws no failure coin. Round k's
+// senders are the vertices labeled k-1 (the frontier), so only the
+// frontier's unreached active neighbours can hear: each round resolves just
+// them, in ID order, through UnitNet.Deliver — the deliveries and failure
+// draws of one LocalBroadcast over every unreached vertex. Rounds run while
+// someone is unreached and the run is not canceled; when the run ends, a
+// vertex labeled L is charged L (it listened until it heard) plus 1 if
+// round L+1 ran (it sent), an unlabeled one every round that ran, and the
+// clock advances in one SkipLB.
+func (s *Stack) wavefrontUnit(u *lbnet.UnitNet, S, A []bool, d int) []int32 {
+	g := u.Graph()
+	n := g.N()
+	dist := make([]int32, n)
+	var front []radio.TX
+	unreached := 0
+	for v := int32(0); v < int32(n); v++ {
+		dist[v] = Unreached
+		switch {
+		case !A[v]:
+		case S[v]:
+			dist[v] = 0
+			front = append(front, radio.TX{ID: v, Msg: radio.Msg{Kind: MsgWave}})
+		default:
+			unreached++
+		}
 	}
+	var rx []int32
+	got := make([]radio.Msg, n)
+	ok := make([]bool, n)
+	ran, elapsed := int32(0), int64(0)
+	for k := int32(1); int(k) <= d; k++ {
+		if s.Hooks.Err() != nil {
+			break // canceled: partial labels, meters settled below
+		}
+		s.Hooks.Rounds(PhaseTrivial, 1)
+		if unreached == 0 {
+			// Nobody is listening: the remaining calls are silent for all.
+			elapsed = int64(d)
+			break
+		}
+		ran, elapsed = k, int64(k)
+		rx = rx[:0]
+		for _, t := range front {
+			for _, w := range g.Neighbors(t.ID) {
+				if A[w] && dist[w] == Unreached {
+					rx = append(rx, w)
+				}
+			}
+		}
+		slices.Sort(rx)
+		rx = slices.Compact(rx)
+		u.Deliver(front, rx, got[:len(rx)], ok[:len(rx)])
+		front = front[:0]
+		for j, w := range rx {
+			if ok[j] && got[j].Kind == MsgWave {
+				dist[w] = k
+				unreached--
+				front = append(front, radio.TX{ID: w, Msg: radio.Msg{Kind: MsgWave, A: uint64(k)}})
+			}
+		}
+	}
+	for v := int32(0); v < int32(n); v++ {
+		switch l := dist[v]; {
+		case !A[v]:
+		case l == Unreached:
+			u.Charge(v, int64(ran))
+		case l < ran:
+			u.Charge(v, int64(l)+1)
+		default:
+			u.Charge(v, int64(l))
+		}
+	}
+	u.SkipLB(elapsed)
 	return dist
 }
 

@@ -76,11 +76,7 @@ func ThreeHalvesApprox(st *core.Stack, lead Leader, maxD int, seed uint64) Resul
 		inS[v] = rng.New(rng.Derive(seed, uint64(v), 0x5a111)).Bernoulli(p)
 	}
 	// Enumerate S by repeated Find Minimum over IDs, then BFS from each
-	// member; every vertex tracks its distance to the nearest member. The
-	// three searches below return vertex IDs, and on a lossy channel a
-	// missed convergecast can settle a search on a key no vertex holds (the
-	// ID search then ends at n). A returned ID outside [0, n) counts as not
-	// found.
+	// member; every vertex tracks its distance to the nearest member.
 	done := make([]bool, n)
 	minToS := make([]int32, n)
 	for v := range minToS {
@@ -93,7 +89,7 @@ func ThreeHalvesApprox(st *core.Stack, lead Leader, maxD int, seed uint64) Resul
 			}
 			return KeyInf
 		}, nil)
-		if !found || id >= int64(n) {
+		if !found {
 			break
 		}
 		s := int32(id)
@@ -115,7 +111,7 @@ func ThreeHalvesApprox(st *core.Stack, lead Leader, maxD int, seed uint64) Resul
 	}, func(v int32) radio.Msg {
 		return radio.Msg{A: uint64(v)}
 	})
-	if !found || m.A >= uint64(n) {
+	if !found {
 		res.Estimate = int32(best)
 		return res
 	}
@@ -139,7 +135,7 @@ func ThreeHalvesApprox(st *core.Stack, lead Leader, maxD int, seed uint64) Resul
 		}, func(v int32) radio.Msg {
 			return radio.Msg{A: uint64(v)}
 		})
-		if !found || m.A >= uint64(n) {
+		if !found {
 			break
 		}
 		r := int32(m.A)

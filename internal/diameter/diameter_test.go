@@ -241,3 +241,53 @@ func TestMirrorAgreesWithRadio(t *testing.T) {
 		}
 	}
 }
+
+// TestFindMinLossyReportsOnlyHeldKeys runs FindMin on a lossy unit-cost
+// channel, where a convergecast can miss. A search whose payload never
+// reaches the root must report not found, so every found result carries the
+// caller's payload and its holder's key is the returned minimum; an ID
+// search (no payload) must settle only on a key some vertex holds.
+func TestFindMinLossyReportsOnlyHeldKeys(t *testing.T) {
+	g := graph.Grid(6, 6)
+	labels := graph.BFS(g, 0)
+	tr := NewTree(labels)
+	n := int64(g.N())
+	const kind = 0x7e
+	// Both searches favour keys far from the root (vertex 0), so a found
+	// result has crossed lossy hops.
+	dk := func(v int32) int64 { return int64(tr.Height-labels[v])*n + int64(v) }
+	foundPayload, foundID := 0, 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		net := lbnet.NewUnitNet(g, 0.3, seed)
+		key, m, found := FindMin(net, tr, (int64(tr.Height)+2)*n, dk, func(v int32) radio.Msg {
+			return radio.Msg{Kind: kind, A: uint64(v)}
+		})
+		if found {
+			foundPayload++
+			if m.Kind != kind || m.A >= uint64(n) || dk(int32(m.A)) != key {
+				t.Fatalf("seed %d: payload search found key %d with message %+v", seed, key, m)
+			}
+		}
+		pick := rng.New(rng.Derive(seed, 0x1d))
+		inS := make([]bool, n)
+		for v := 1; v < len(inS); v++ {
+			inS[v] = pick.Bernoulli(0.3)
+		}
+		id, _, found := FindMin(net, tr, n, func(v int32) int64 {
+			if inS[v] {
+				return int64(v)
+			}
+			return KeyInf
+		}, nil)
+		if found {
+			foundID++
+			if id < 0 || id >= n || !inS[id] {
+				t.Fatalf("seed %d: ID search found %d, which no vertex holds", seed, id)
+			}
+		}
+	}
+	if foundPayload == 0 || foundID == 0 {
+		t.Fatalf("found %d payload and %d ID searches of 300: the channel never delivers", foundPayload, foundID)
+	}
+	t.Logf("found %d payload and %d ID searches of 300", foundPayload, foundID)
+}

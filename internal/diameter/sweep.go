@@ -142,7 +142,9 @@ const KeyInf = int64(1) << 50
 // Local-Broadcast time. It returns the minimum key and the payload of the
 // unique holder (callers make keys unique by embedding vertex IDs; ties
 // deliver an arbitrary holder's payload). found is false when every key is
-// KeyInf (or exceeds maxKey).
+// KeyInf (or exceeds maxKey), and also when no holder's payload reached the
+// root: on a lossy channel a missed convergecast can settle the search on a
+// key nobody holds, or lose the holder's payload on its way up.
 func FindMin(net lbnet.Net, tr Tree, maxKey int64, key func(int32) int64, payload func(int32) radio.Msg) (minKey int64, holder radio.Msg, found bool) {
 	n := net.N()
 	has := make([]bool, n)
@@ -179,8 +181,12 @@ func FindMin(net lbnet.Net, tr Tree, maxKey int64, key func(int32) int64, payloa
 			msg[v] = flagMsg
 		}
 	}
-	_, m := convergecast(net, tr, has, msg)
+	// The broadcast runs either way, so the schedule stays data-independent.
+	exists, m := convergecast(net, tr, has, msg)
 	broadcast(net, tr, m, has, msg)
+	if !exists {
+		return 0, radio.Msg{}, false
+	}
 	return lo, m, true
 }
 

@@ -15,11 +15,13 @@
 //
 // Calls carry sparse participant lists, so the cost of a Local-Broadcast is
 // proportional to the number of participants — sleeping vertices are free,
-// in the simulator exactly as in the model. On a UnitNet a sender-only or
-// receiver-only slot changes nothing but meters, so schedules that run many
-// slots (vnet casts, cluster growth) resolve only the slots with both
-// through UnitNet.Deliver and settle the meters with UnitNet.Charge and
-// SkipLB, byte-identical to one LocalBroadcast per slot.
+// in the simulator exactly as in the model. On a UnitNet a listener with no
+// sending neighbour hears nothing and draws no randomness, so it changes
+// nothing but its meter: schedules that run many slots (vnet cast stages,
+// the depth-0 wavefront BFS, cluster growth) hand UnitNet.Deliver only the
+// listeners that can hear and the senders next to them, and settle
+// everyone's meters with UnitNet.Charge and the clock with SkipLB,
+// byte-identical to one LocalBroadcast per slot.
 //
 // Control flow above this interface is data-independent: the sequence and
 // duration of collective calls depends only on globally known parameters,

@@ -77,11 +77,13 @@ func (m *meters) charge(senders []radio.TX, receivers []int32) {
 // deterministic resolution of the Lemma 2.4 guarantee. UnitNet is fast, and
 // it is the cost model in which the paper states its headline bounds.
 //
-// A slot on a UnitNet changes nothing but meters unless it has both a
-// sender and a receiver. So a caller running a fixed schedule of slots (a
-// vnet cast, a stretch of cluster growth) may resolve only those slots
-// with Deliver and settle everyone's energy with Charge and the clock with
-// SkipLB; LocalBroadcast is Deliver plus one unit per participant.
+// A listener with no sending neighbour hears nothing and draws no failure
+// coin, so on a UnitNet it changes nothing but its own meter. A caller
+// running a fixed schedule of slots (a vnet cast stage, the wavefront BFS,
+// cluster growth) may therefore pass Deliver only the listeners that can
+// hear and the senders next to them, and settle everyone's energy with
+// Charge and the clock with SkipLB; LocalBroadcast is Deliver plus one unit
+// per participant.
 type UnitNet struct {
 	meters
 	g        *graph.Graph
@@ -145,8 +147,11 @@ func (u *UnitNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []ra
 // each receiver hears its minimum-ID sending neighbor, a legal
 // (adversarial) resolution of the Lemma 2.4 guarantee that keeps runs
 // deterministic, and loses it with probability failProb — but charges no
-// meters and leaves the clock alone. A slot with no sender or no receiver
-// delivers nothing and draws no randomness.
+// meters and leaves the clock alone. With failProb > 0, coins are drawn in
+// receiver order, one per receiver with a sending neighbour, so dropping
+// receivers without one leaves every other receiver's outcome unchanged; a
+// slot with no sender or no receiver delivers nothing and draws no
+// randomness.
 func (u *UnitNet) Deliver(senders []radio.TX, receivers []int32, got []radio.Msg, ok []bool) {
 	if len(got) != len(receivers) || len(ok) != len(receivers) {
 		panic("lbnet: result slices must match receivers length")

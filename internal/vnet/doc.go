@@ -23,11 +23,13 @@
 // Cost: a cast builds its slot schedule once, clamped to the deepest
 // relevant stage, and each stage builds every participating cluster's
 // sender block and waiting-receiver list once. On a parent that is a
-// *lbnet.UnitNet only the steps holding both a sender and a waiting
-// receiver are resolved (lbnet.UnitNet.Deliver) and every member is charged
-// once per stage (lbnet.UnitNet.Charge); any other parent — a PhysNet, or a
-// lower VNet — gets one LocalBroadcast per step with a participant. Both
-// paths leave identical outputs, meters and clocks.
+// *lbnet.UnitNet a listener with no sending neighbour is charged, not
+// resolved: each stage first drops the receivers with no stage sender next
+// to them and the senders with no waiting receiver next to them, then
+// resolves only the steps holding both (lbnet.UnitNet.Deliver), and every
+// member is charged once per stage (lbnet.UnitNet.Charge). Any other parent
+// — a PhysNet, or a lower VNet — gets one LocalBroadcast per step with a
+// participant. Both paths leave identical outputs, meters and clocks.
 //
 // Allocation contract: per-call buffers live in VNet scratch — one sender
 // buffer and one receiver buffer hold a stage's lists and, merged in place

@@ -97,8 +97,9 @@ func TestUnitCastMatchesPerSlot(t *testing.T) {
 	}
 }
 
-// castRound drives one Downcast, one Upcast and one virtual LocalBroadcast
-// with random arguments through both sides of w and compares them.
+// castRound drives one Downcast, two Upcasts (dense and sparse holders) and
+// one virtual LocalBroadcast with random arguments through both sides of w
+// and compares them.
 func castRound(t *testing.T, w twin, g *graph.Graph, pick *rng.Source, name string) {
 	t.Helper()
 	n, nc := g.N(), w.fast.N()
@@ -119,20 +120,24 @@ func castRound(t *testing.T, w twin, g *graph.Graph, pick *rng.Source, name stri
 	}
 	w.sameMeters(t, name+"/downcast")
 
-	memberHas := make([]bool, n)
-	memberMsg := make([]radio.Msg, n)
-	for u := range memberHas {
-		memberHas[u] = pick.Bernoulli(0.2)
-		memberMsg[u] = radio.Msg{Kind: MsgCast, A: uint64(u)}
+	// A dense and a sparse Upcast: with few holders most listeners have no
+	// sender next to them, which is what the unit-cost stage prunes.
+	for _, density := range []float64{0.2, 0.02} {
+		memberHas := make([]bool, n)
+		memberMsg := make([]radio.Msg, n)
+		for u := range memberHas {
+			memberHas[u] = pick.Bernoulli(density)
+			memberMsg[u] = radio.Msg{Kind: MsgCast, A: uint64(u)}
+		}
+		cgF, cgS := make([]radio.Msg, nc), make([]radio.Msg, nc)
+		cokF, cokS := make([]bool, nc), make([]bool, nc)
+		w.fast.Upcast(part, memberHas, memberMsg, cgF, cokF)
+		w.slow.Upcast(part, memberHas, memberMsg, cgS, cokS)
+		if !slices.Equal(cgF, cgS) || !slices.Equal(cokF, cokS) {
+			t.Fatalf("%s: Upcast (holders %v) outputs differ", name, density)
+		}
+		w.sameMeters(t, fmt.Sprintf("%s/upcast(%v)", name, density))
 	}
-	cgF, cgS := make([]radio.Msg, nc), make([]radio.Msg, nc)
-	cokF, cokS := make([]bool, nc), make([]bool, nc)
-	w.fast.Upcast(part, memberHas, memberMsg, cgF, cokF)
-	w.slow.Upcast(part, memberHas, memberMsg, cgS, cokS)
-	if !slices.Equal(cgF, cgS) || !slices.Equal(cokF, cokS) {
-		t.Fatalf("%s: Upcast outputs differ", name)
-	}
-	w.sameMeters(t, name+"/upcast")
 
 	var senders []radio.TX
 	var receivers []int32

@@ -51,6 +51,7 @@ type VNet struct {
 	waitBuf     []int32    // a cast stage's waiting receivers, then one step's receivers; phase 2's receivers
 	gotScratch  []radio.Msg
 	okScratch   []bool
+	near        []uint8 // unit-cost cast stage: 1 = waiting receiver, 2 = one with a stage sender next to it
 	active      []int32
 	lbMsg       []radio.Msg // LocalBroadcast: per-cluster sender payloads
 	lbHas       []bool
@@ -88,6 +89,7 @@ func New(parent lbnet.Net, cl *cluster.Clustering) *VNet {
 		spans:       make([]castSpan, nc),
 		gotScratch:  make([]radio.Msg, pn),
 		okScratch:   make([]bool, pn),
+		near:        make([]uint8, pn),
 		lbMsg:       make([]radio.Msg, nc),
 		lbHas:       make([]bool, nc),
 		lbGot:       make([]radio.Msg, nc),
@@ -327,13 +329,17 @@ func (v *VNet) cast(part []bool, msgs []radio.Msg, holds []bool, up bool) {
 // senders and receivers are the concatenation, in bucket order, of the
 // lists of the clusters sharing it, merged in place past the stage lists.
 // On most parents every step with a sender or a receiver is one parent
-// Local-Broadcast. On a unit-cost parent a step without both delivers
-// nothing and draws no randomness, so only the steps with both are
-// resolved, through UnitNet.Deliver, and each member is charged once for
-// the stage: a sender |S_C| units, a receiver the steps it listened in
-// until it heard (|S_C| if it never did). The meters, the deliveries and
-// the failure draws are exactly those of one LocalBroadcast per step; the
-// clock is covered by cast's SkipLB, since nothing here executes.
+// Local-Broadcast. On a unit-cost parent a listener with no sending
+// neighbour hears nothing and draws no randomness, so it is charged, not
+// resolved: prune first drops every waiting receiver with no stage sender
+// next to it and every sender with no waiting receiver next to it, then
+// only the steps holding both are resolved, through UnitNet.Deliver, and
+// the stage stops once every remaining receiver has heard. Each member is
+// charged once for the stage: a sender |S_C| units, a receiver the steps
+// it listened in until it heard (|S_C| if it never did). The meters, the
+// deliveries and the failure draws are exactly those of one LocalBroadcast
+// per step; the clock is covered by cast's SkipLB, since nothing here
+// executes.
 func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []bool) int64 {
 	send, wait := v.sendBuf[:0], v.waitBuf[:0]
 	for _, c := range v.active {
@@ -359,6 +365,9 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 		sp.w1 = int32(len(wait))
 	}
 	unit := v.unit
+	if unit != nil {
+		send, wait = v.prune(send, wait)
+	}
 	nSend, nWait := len(send), len(wait)
 	waiting := nWait
 	executed := int64(0)
@@ -430,6 +439,57 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 	}
 	v.sendBuf, v.waitBuf = send[:0], wait[:0]
 	return executed
+}
+
+// prune drops, on a unit-cost parent, the stage's members that can take no
+// part in a delivery, and charges each of them |S_C| now: a waiting
+// receiver with no stage sender among its neighbours (in every step it
+// hears silence and draws no failure coin), and a sender with no waiting
+// receiver among its neighbours (it changes no receiver's minimum-ID
+// sending neighbour). The lists stay grouped by cluster in active order,
+// compacted in place, and the spans are moved with them.
+func (v *VNet) prune(send []radio.TX, wait []int32) ([]radio.TX, []int32) {
+	g, near, unit := v.unit.Graph(), v.near, v.unit
+	for _, u := range wait {
+		near[u] = 1
+	}
+	ns, nw := int32(0), int32(0)
+	for _, c := range v.active {
+		sp := &v.spans[c]
+		k := int64(len(v.subsets[c]))
+		s0 := ns
+		for _, t := range send[sp.s0:sp.s1] {
+			useful := false
+			for _, x := range g.Neighbors(t.ID) {
+				if near[x] != 0 {
+					near[x], useful = 2, true
+				}
+			}
+			if useful {
+				send[ns] = t
+				ns++
+			} else {
+				unit.Charge(t.ID, k)
+			}
+		}
+		sp.s0, sp.s1 = s0, ns
+	}
+	for _, c := range v.active {
+		sp := &v.spans[c]
+		k := int64(len(v.subsets[c]))
+		w0 := nw
+		for _, u := range wait[sp.w0:sp.w1] {
+			if near[u] == 2 {
+				wait[nw] = u
+				nw++
+			} else {
+				unit.Charge(u, k)
+			}
+			near[u] = 0
+		}
+		sp.w0, sp.w1 = w0, nw
+	}
+	return send[:ns], wait[:nw]
 }
 
 // LocalBroadcast implements lbnet.Net on the cluster graph (Lemma 3.2):
