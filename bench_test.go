@@ -209,11 +209,10 @@ func BenchmarkE5Casts(b *testing.B) {
 	cl := cluster.Build(base, cluster.DefaultConfig(g.N(), 4), 1)
 	vn := vnet.New(base, cl)
 	nc := vn.N()
-	part := make([]bool, nc)
-	has := make([]bool, nc)
+	part := make([]int32, nc)
 	msgs := make([]radio.Msg, nc)
 	for c := range part {
-		part[c], has[c] = true, true
+		part[c] = int32(c)
 	}
 	memberGot := make([]radio.Msg, g.N())
 	memberOk := make([]bool, g.N())
@@ -221,7 +220,7 @@ func BenchmarkE5Casts(b *testing.B) {
 		Name:      "bench-E5-cast",
 		Instances: []harness.Instance{{Family: "grid", N: g.N()}},
 		RunCtx: func(*harness.Context, harness.Trial) (harness.Metrics, error) {
-			vn.Downcast(part, has, msgs, memberGot, memberOk)
+			vn.Downcast(part, nil, msgs, memberGot, memberOk)
 			return harness.Metrics{"parentLBs": float64(vn.CastLBs())}, nil
 		},
 	}
@@ -469,6 +468,28 @@ func BenchmarkAblationDepth(b *testing.B) {
 			b.ReportMetric(last.Metrics["maxLB"], "LBenergy/vtx")
 		})
 	}
+}
+
+// BenchmarkStackDepth2 runs Recursive-BFS at depth 2, where the level-2
+// search runs on a VNet over a VNet, so every level-1 Local-Broadcast is
+// three level-0 casts plus one base Local-Broadcast: the regime whose cost
+// tracks how little work each cast and stage does for vertices that sleep.
+func BenchmarkStackDepth2(b *testing.B) {
+	ctx := harness.NewContext()
+	p := core.Params{InvBeta: 4, Depth: 2, W: 8, Alpha: 4}
+	sc := &harness.Scenario{
+		Name:      "bench-stack-depth2",
+		Instances: []harness.Instance{{Family: "path", N: 512, MaxDist: 32}},
+		Algo:      harness.AlgoRecursive,
+		Params:    &p,
+	}
+	inst := sc.Instances[0]
+	var last harness.Result
+	for i := 0; i < b.N; i++ {
+		last = execTrial(b, ctx, sc, inst, i)
+		requireExact(b, last)
+	}
+	b.ReportMetric(last.Metrics["maxLB"], "LBenergy/vtx")
 }
 
 // BenchmarkAblationBeta sweeps 1/β at one clustering level: small β means

@@ -302,13 +302,11 @@ func runE5(cfg config) {
 
 				// One full Downcast: per-vertex participation vs O(log n).
 				pre := snapshot(base)
-				part := make([]bool, nc)
-				has := make([]bool, nc)
-				msgs := make([]radio.Msg, nc)
+				part := make([]int32, nc)
 				for c := range part {
-					part[c], has[c] = true, true
+					part[c] = int32(c)
 				}
-				vn.Downcast(part, has, msgs, make([]radio.Msg, g.N()), make([]bool, g.N()))
+				vn.Downcast(part, nil, make([]radio.Msg, nc), make([]radio.Msg, g.N()), make([]bool, g.N()))
 				spent := make([]float64, g.N())
 				for v := int32(0); int(v) < g.N(); v++ {
 					spent[v] = float64(base.LBEnergy(v) - pre[v])

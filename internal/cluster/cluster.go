@@ -169,7 +169,9 @@ func Build(net lbnet.Net, cfg Config, seed uint64) *Clustering {
 
 // BuildWithStarts is Build with externally supplied start times, enabling
 // exact comparison against the centralized mirror. A start time below 1
-// counts as 1; a vertex starting after TMax never becomes a center.
+// counts as 1; a vertex starting after TMax never becomes a center during
+// growth, and if no cluster reaches it either, it ends as a cluster of its
+// own (a center that never announced), so the result is always a partition.
 //
 // Vertices are bucketed by start time once. On a *lbnet.UnitNet the
 // iterations run through growUnit; any other Net gets one LocalBroadcast
@@ -216,6 +218,9 @@ func BuildWithStarts(net lbnet.Net, cfg Config, starts []int32, seed uint64) *Cl
 		gr.growUnit(unit, tmax)
 	} else {
 		gr.grow(net, tmax)
+	}
+	for v := range gr.clusterOf {
+		gr.center(int32(v)) // a no-op unless v is still unclustered
 	}
 	return densify(cfg, gr.clusterOf, gr.layer, gr.seedOf, starts)
 }
@@ -479,6 +484,15 @@ func BuildRounded(g *graph.Graph, cfg Config, starts []int32, seed uint64) *Clus
 			clusterOf[j.v] = clusterOf[j.from]
 			layer[j.v] = layer[j.from] + 1
 			seedOf[j.v] = seedOf[j.from]
+		}
+	}
+	// A late starter no cluster reached is a cluster of its own, as in
+	// BuildWithStarts.
+	for v := int32(0); v < int32(n); v++ {
+		if clusterOf[v] == -1 {
+			clusterOf[v] = v
+			layer[v] = 0
+			seedOf[v] = rng.Derive(seed, uint64(v), 0xc157e2)
 		}
 	}
 	return densify(cfg, clusterOf, layer, seedOf, starts)

@@ -178,6 +178,17 @@ func sameGrowth(t *testing.T, name string, g *graph.Graph, cfg Config, starts []
 	if fast.LBTime() != slow.LBTime() {
 		t.Fatalf("%s fp=%v: LBTime %d, per-iteration path %d", name, fp, fast.LBTime(), slow.LBTime())
 	}
+	for path, cl := range map[string]*Clustering{"unit": a, "per-iteration": b} {
+		if bad := IsPartition(g, cl); bad != 0 {
+			t.Fatalf("%s fp=%v: %s path left %d partition violations", name, fp, path, bad)
+		}
+	}
+	if fp == 0 {
+		m := BuildRounded(g, cfg, starts, 5)
+		if !slices.Equal(a.ClusterOf, m.ClusterOf) || !slices.Equal(a.Layer, m.Layer) || !slices.Equal(a.Center, m.Center) {
+			t.Fatalf("%s: the centralized mirror clusters differently", name)
+		}
+	}
 }
 
 // TestBuildUnitMatchesPerIteration pins the unit-cost growth (only the
@@ -196,9 +207,11 @@ func TestBuildUnitMatchesPerIteration(t *testing.T) {
 
 // TestBuildWithStartsUnitEdgeCases covers start times the drawn ones rarely
 // give: a vertex starting after TMax (it joins a neighbour's cluster, or,
-// isolated, stays unclustered to the end, so every iteration runs), starts
-// below 1, and every start at TMax (everyone listens to silence until all
-// become centers in the last iteration, which then has no listener).
+// isolated, stays unclustered to the end, so every iteration runs, and then
+// ends as a cluster of its own), starts below 1, and every start at TMax
+// (everyone listens to silence until all become centers in the last
+// iteration, which then has no listener). Every row must give a partition
+// on both paths and in the centralized mirror.
 func TestBuildWithStartsUnitEdgeCases(t *testing.T) {
 	b := graph.NewBuilder(41)
 	for v := int32(0); v+1 < 40; v++ {
@@ -253,8 +266,9 @@ func TestBuildWithStartsUnitEdgeCases(t *testing.T) {
 	late := lbnet.NewUnitNet(pathPlusIsolated, 0, 1)
 	s := drawn(pathPlusIsolated)
 	s[40] = tmax + 1
-	if cl := BuildWithStarts(late, cfg, s, 1); cl.Layer[40] != -1 {
-		t.Fatalf("isolated late vertex got layer %d", cl.Layer[40])
+	if cl := BuildWithStarts(late, cfg, s, 1); cl.Layer[40] != 0 || cl.Center[cl.ClusterOf[40]] != 40 {
+		t.Fatalf("isolated late vertex is in cluster %d (center %d) at layer %d, want a singleton",
+			cl.ClusterOf[40], cl.Center[cl.ClusterOf[40]], cl.Layer[40])
 	}
 	if e := late.LBEnergy(0); e != int64(tmax) {
 		t.Fatalf("with a vertex unclustered to the end, vertex 0 paid %d, want TMax = %d", e, tmax)

@@ -56,6 +56,68 @@ type Stack struct {
 	Hooks progress.Hooks
 
 	seed uint64
+	// levels[r] is level r's reusable scratch; wave is the level-0
+	// unit-cost scratch, shared by the depth-0 wavefront and the stage
+	// path, which never run at once.
+	levels []levelScratch
+	wave   waveScratch
+}
+
+// levelScratch is one recursion level's reusable buffers: the cast
+// buffers of flag aggregation and dissemination — member entries indexed
+// by level-r vertex, of which only participating clusters' members are
+// ever written, and entries indexed by cluster — and the per-slot stage's
+// lists and deliveries.
+type levelScratch struct {
+	all        []int32 // every cluster, ascending
+	memberHas  []bool
+	memberMsg  []radio.Msg
+	clusterGot []radio.Msg
+	clusterMsg []radio.Msg
+	f1, f2     []bool
+	senders    []radio.TX
+	receivers  []int32
+	got        []radio.Msg
+	ok         []bool
+}
+
+// waveScratch is the level-0 unit-cost schedules' reusable buffers: a
+// stage's listeners, the frontier, one Local-Broadcast's receivers and
+// their deliveries.
+type waveScratch struct {
+	lis   []int32
+	front []radio.TX
+	rx    []int32
+	got   []radio.Msg
+	ok    []bool
+}
+
+// deliveries returns delivery buffers for n receivers.
+func (w *waveScratch) deliveries(n int) ([]radio.Msg, []bool) {
+	if len(w.got) < n {
+		w.got, w.ok = make([]radio.Msg, 2*n), make([]bool, 2*n)
+	}
+	return w.got[:n], w.ok[:n]
+}
+
+// levelBufs returns level r's scratch, its cast buffers sized on first
+// use.
+func (s *Stack) levelBufs(r int) *levelScratch {
+	if s.levels == nil {
+		s.levels = make([]levelScratch, len(s.VNets))
+	}
+	b := &s.levels[r]
+	if b.all == nil {
+		pn, nc := s.Level(r).N(), s.VNets[r].N()
+		b.all = make([]int32, nc)
+		for c := range b.all {
+			b.all[c] = int32(c)
+		}
+		b.memberHas, b.memberMsg = make([]bool, pn), make([]radio.Msg, pn)
+		b.clusterGot, b.clusterMsg = make([]radio.Msg, nc), make([]radio.Msg, nc)
+		b.f1, b.f2 = make([]bool, nc), make([]bool, nc)
+	}
+	return b
 }
 
 // BuildStack clusters the base network Depth times, paying the construction
@@ -144,15 +206,12 @@ func (s *Stack) recBFS(r int, S, A []bool, d int) []int32 {
 
 	// --- Step 1: initialize distance estimates via a recursive call on the
 	// whole active cluster graph, searched to radius D* = Z[0].
-	partAll := make([]bool, nc)
-	for c := range partAll {
-		partAll[c] = true
-	}
-	inS, inA := s.aggregateFlags(r, partAll,
+	all := s.levelBufs(r).all
+	inS, inA := s.aggregateFlags(r, all,
 		func(v int32) bool { return S[v] && active[v] },
 		func(v int32) bool { return active[v] })
 	distStar := s.recBFS(r+1, inS, inA, z.DStar)
-	s.disseminateDist(r, partAll, distStar)
+	s.disseminateDist(r, all, distStar)
 	for c := 0; c < nc; c++ {
 		if distStar[c] < 0 {
 			L[c], U[c] = infBound, infBound
@@ -169,11 +228,11 @@ func (s *Stack) recBFS(r int, S, A []bool, d int) []int32 {
 		}
 	}
 
+	unit, _ := net.(*lbnet.UnitNet)
 	var (
-		senders   []radio.TX
-		receivers []int32
-		got       = make([]radio.Msg, n)
-		ok        = make([]bool, n)
+		cand, up []int32 // Υ's candidates, and the clusters of Υ, ascending
+		ups      = make([]bool, nc)
+		srcs     = make([]bool, nc)
 	)
 	stages := ceilDiv(int64(d), invB)
 	for i := int64(0); i < stages; i++ {
@@ -187,37 +246,10 @@ func (s *Stack) recBFS(r int, S, A []bool, d int) []int32 {
 			s.Inst.observeStage(r, i, s, active, dist, L, U, z, clusterOf, invB)
 		}
 		// Step 5: advance the wavefront by β⁻¹ Local-Broadcasts.
-		for k := int64(1); k <= invB; k++ {
-			target := i*invB + k - 1
-			senders, receivers = senders[:0], receivers[:0]
-			for v := int32(0); v < int32(n); v++ {
-				if !active[v] {
-					continue
-				}
-				if int64(dist[v]) == target && target+1 <= int64(d) && dist[v] >= 0 {
-					if !inX(v) {
-						// The invariant promises this cannot happen; count it
-						// and honor the protocol (non-X_i vertices sleep).
-						if s.Inst != nil {
-							s.Inst.SenderViolations++
-						}
-						continue
-					}
-					senders = append(senders, radio.TX{ID: v, Msg: radio.Msg{Kind: MsgWave, A: uint64(target)}})
-				} else if dist[v] == Unreached && inX(v) {
-					receivers = append(receivers, v)
-				}
-			}
-			if len(senders) == 0 && len(receivers) == 0 {
-				net.SkipLB(1)
-				continue
-			}
-			net.LocalBroadcast(senders, receivers, got[:len(receivers)], ok[:len(receivers)])
-			for j, v := range receivers {
-				if ok[j] && got[j].Kind == MsgWave {
-					dist[v] = int32(target + 1)
-				}
-			}
+		if unit != nil {
+			s.waveStageUnit(unit, i, d, active, dist, inX)
+		} else {
+			s.waveStageSlots(r, i, d, active, dist, inX)
 		}
 		// Step 6: deactivate settled vertices.
 		for v := 0; v < n; v++ {
@@ -227,22 +259,26 @@ func (s *Stack) recBFS(r int, S, A []bool, d int) []int32 {
 		}
 		// Step 7: Special Update on Υ = {C ∈ A* : L_i(C) <= (Z[i+1]+1)·β⁻¹}.
 		zNext := int64(z.At(int(i + 1)))
-		cand := make([]bool, nc)
-		for c := 0; c < nc; c++ {
-			cand[c] = L[c] < infBound && L[c] <= (zNext+1)*invB
+		cand = cand[:0]
+		for c := int32(0); c < int32(nc); c++ {
+			if L[c] < infBound && L[c] <= (zNext+1)*invB {
+				cand = append(cand, c)
+			}
 		}
 		front := (i + 1) * invB
 		inW, inAct := s.aggregateFlags(r, cand,
 			func(v int32) bool { return int64(dist[v]) == front && dist[v] >= 0 },
 			func(v int32) bool { return active[v] })
-		ups := make([]bool, nc)
-		srcs := make([]bool, nc)
-		for c := 0; c < nc; c++ {
-			ups[c] = cand[c] && inAct[c]
+		up = up[:0]
+		for _, c := range cand {
+			ups[c] = inAct[c]
 			srcs[c] = ups[c] && inW[c]
+			if ups[c] {
+				up = append(up, c)
+			}
 		}
 		distStar := s.recBFS(r+1, srcs, ups, int(zNext))
-		s.disseminateDist(r, ups, distStar)
+		s.disseminateDist(r, up, distStar)
 		for c := 0; c < nc; c++ {
 			switch {
 			case ups[c]:
@@ -265,9 +301,131 @@ func (s *Stack) recBFS(r int, S, A []bool, d int) []int32 {
 				U[c] -= invB
 			}
 		}
+		for _, c := range cand {
+			ups[c], srcs[c] = false, false
+		}
 		s.Hooks.Rounds(PhaseRecursive, invB)
 	}
 	return dist
+}
+
+// waveStageSlots is step 5 of stage i on a level that is not a unit-cost
+// net: β⁻¹ Local-Broadcasts, the k-th from the active vertices of X_i at
+// distance i·β⁻¹+k-1 to every unreached active vertex of X_i.
+func (s *Stack) waveStageSlots(r int, i int64, d int, active []bool, dist []int32, inX func(int32) bool) {
+	net := s.Level(r)
+	b := s.levelBufs(r)
+	invB := int64(s.P.InvBeta)
+	senders, receivers := b.senders[:0], b.receivers[:0]
+	for target := i * invB; target < (i+1)*invB; target++ {
+		senders, receivers = senders[:0], receivers[:0]
+		for v := int32(0); v < int32(len(dist)); v++ {
+			if !active[v] {
+				continue
+			}
+			if int64(dist[v]) == target && target+1 <= int64(d) && dist[v] >= 0 {
+				if !inX(v) {
+					// The invariant promises this cannot happen; count it
+					// and honor the protocol (non-X_i vertices sleep).
+					if s.Inst != nil {
+						s.Inst.SenderViolations++
+					}
+					continue
+				}
+				senders = append(senders, radio.TX{ID: v, Msg: radio.Msg{Kind: MsgWave, A: uint64(target)}})
+			} else if dist[v] == Unreached && inX(v) {
+				receivers = append(receivers, v)
+			}
+		}
+		if len(senders) == 0 && len(receivers) == 0 {
+			net.SkipLB(1)
+			continue
+		}
+		if b.got == nil {
+			b.got, b.ok = make([]radio.Msg, len(dist)), make([]bool, len(dist))
+		}
+		got, ok := b.got[:len(receivers)], b.ok[:len(receivers)]
+		net.LocalBroadcast(senders, receivers, got, ok)
+		for j, v := range receivers {
+			if ok[j] && got[j].Kind == MsgWave {
+				dist[v] = int32(target + 1)
+			}
+		}
+	}
+	b.senders, b.receivers = senders[:0], receivers[:0]
+}
+
+// waveStageUnit is step 5 of stage i on a unit-cost level, where a
+// listener with no sending neighbour hears nothing and draws no failure
+// coin. The stage's β⁻¹ Local-Broadcasts have fixed listeners, X_i's
+// unreached active vertices, each listening until it hears. Their senders
+// are the frontier: first the active vertices at distance i·β⁻¹ (one
+// outside X_i is a SenderViolation and sleeps), then, in each later
+// Local-Broadcast, the vertices the one before it labeled. Only the
+// frontier's listening neighbours can hear, so each Local-Broadcast
+// resolves just them, in ID order, through UnitNet.Deliver: the deliveries
+// and failure draws of one LocalBroadcast over every listener. A sender
+// pays 1 when it sends; when the stage ends a listener that heard in
+// Local-Broadcast k pays k, one that never heard β⁻¹, and the clock
+// advances β⁻¹ in one SkipLB.
+func (s *Stack) waveStageUnit(u *lbnet.UnitNet, i int64, d int, active []bool, dist []int32, inX func(int32) bool) {
+	invB := int64(s.P.InvBeta)
+	g := u.Graph()
+	w := &s.wave
+	first := i * invB
+	listens := func(v int32) bool { return active[v] && dist[v] == Unreached && inX(v) }
+	lis, front := w.lis[:0], w.front[:0]
+	for v := int32(0); v < int32(len(dist)); v++ {
+		switch {
+		case !active[v]:
+		case int64(dist[v]) == first && dist[v] >= 0 && first+1 <= int64(d):
+			if !inX(v) {
+				if s.Inst != nil {
+					s.Inst.SenderViolations++
+				}
+				continue
+			}
+			front = append(front, radio.TX{ID: v, Msg: radio.Msg{Kind: MsgWave, A: uint64(first)}})
+		case listens(v):
+			lis = append(lis, v)
+		}
+	}
+	rx := w.rx[:0]
+	for target := first; target < first+invB && len(front) > 0; target++ {
+		rx = rx[:0]
+		for _, t := range front {
+			for _, x := range g.Neighbors(t.ID) {
+				if listens(x) {
+					rx = append(rx, x)
+				}
+			}
+		}
+		slices.Sort(rx)
+		rx = slices.Compact(rx)
+		got, ok := w.deliveries(len(rx))
+		u.Deliver(front, rx, got, ok)
+		for _, t := range front {
+			u.Charge(t.ID, 1)
+		}
+		front = front[:0]
+		for j, x := range rx {
+			if ok[j] && got[j].Kind == MsgWave {
+				dist[x] = int32(target + 1)
+				if target+2 <= int64(d) {
+					front = append(front, radio.TX{ID: x, Msg: radio.Msg{Kind: MsgWave, A: uint64(target + 1)}})
+				}
+			}
+		}
+	}
+	for _, v := range lis {
+		if dist[v] == Unreached {
+			u.Charge(v, invB)
+		} else {
+			u.Charge(v, int64(dist[v])-first)
+		}
+	}
+	u.SkipLB(invB)
+	w.lis, w.front, w.rx = lis[:0], front[:0], rx[:0]
 }
 
 // trivialBFS settles all distances up to d with d Local-Broadcasts (§4.3's
@@ -340,7 +498,7 @@ func (s *Stack) wavefrontUnit(u *lbnet.UnitNet, S, A []bool, d int) []int32 {
 	g := u.Graph()
 	n := g.N()
 	dist := make([]int32, n)
-	var front []radio.TX
+	front := s.wave.front[:0]
 	unreached := 0
 	for v := int32(0); v < int32(n); v++ {
 		dist[v] = Unreached
@@ -353,9 +511,7 @@ func (s *Stack) wavefrontUnit(u *lbnet.UnitNet, S, A []bool, d int) []int32 {
 			unreached++
 		}
 	}
-	var rx []int32
-	got := make([]radio.Msg, n)
-	ok := make([]bool, n)
+	rx := s.wave.rx[:0]
 	ran, elapsed := int32(0), int64(0)
 	for k := int32(1); int(k) <= d; k++ {
 		if s.Hooks.Err() != nil {
@@ -378,7 +534,8 @@ func (s *Stack) wavefrontUnit(u *lbnet.UnitNet, S, A []bool, d int) []int32 {
 		}
 		slices.Sort(rx)
 		rx = slices.Compact(rx)
-		u.Deliver(front, rx, got[:len(rx)], ok[:len(rx)])
+		got, ok := s.wave.deliveries(len(rx))
+		u.Deliver(front, rx, got, ok)
 		front = front[:0]
 		for j, w := range rx {
 			if ok[j] && got[j].Kind == MsgWave {
@@ -400,75 +557,61 @@ func (s *Stack) wavefrontUnit(u *lbnet.UnitNet, S, A []bool, d int) []int32 {
 		}
 	}
 	u.SkipLB(elapsed)
+	s.wave.front, s.wave.rx = front[:0], rx[:0]
 	return dist
 }
 
-// aggregateFlags computes, for every participating cluster of level r, the
-// OR over members of two per-vertex predicates — via two Upcasts — and
-// downcasts the combined result so members share it (one Downcast). This is
-// how W*_{i+1} and A* reach the vertices that need them (Invariant 4.1's
-// "each vertex u knows").
-func (s *Stack) aggregateFlags(r int, part []bool, bit1, bit2 func(int32) bool) (f1, f2 []bool) {
+// aggregateFlags computes, for every participating cluster of level r
+// (part, ascending), the OR over members of two per-vertex predicates — via
+// two Upcasts — and downcasts the combined result so members share it (one
+// Downcast). This is how W*_{i+1} and A* reach the vertices that need them
+// (Invariant 4.1's "each vertex u knows"). The flags are valid for the
+// participating clusters only, and only until the next call at level r;
+// only participating clusters' members are touched.
+func (s *Stack) aggregateFlags(r int, part []int32, bit1, bit2 func(int32) bool) (f1, f2 []bool) {
 	vn := s.VNets[r]
-	pn := s.Level(r).N()
-	clusterOf := vn.Clustering().ClusterOf
-	nc := vn.N()
-	memberHas := make([]bool, pn)
-	memberMsg := make([]radio.Msg, pn)
-	clusterGot := make([]radio.Msg, nc)
-	f1 = make([]bool, nc)
-	f2 = make([]bool, nc)
-	for pass := 0; pass < 2; pass++ {
+	b := s.levelBufs(r)
+	f1, f2 = b.f1, b.f2
+	for pass, out := range [2][]bool{f1, f2} {
 		bit := bit1
-		out := f1
 		if pass == 1 {
 			bit = bit2
-			out = f2
 		}
-		for v := int32(0); v < int32(pn); v++ {
-			memberHas[v] = part[clusterOf[v]] && bit(v)
-			memberMsg[v] = radio.Msg{Kind: MsgFlag, A: 1}
+		for _, c := range part {
+			for _, layer := range vn.Layers(c) {
+				for _, v := range layer {
+					b.memberHas[v] = bit(v)
+					b.memberMsg[v] = radio.Msg{Kind: MsgFlag, A: 1}
+				}
+			}
 		}
-		vn.Upcast(part, memberHas, memberMsg, clusterGot, out)
+		vn.Upcast(part, b.memberHas, b.memberMsg, b.clusterGot, out)
 	}
 	// Downcast the combined flags to the members.
-	msgs := make([]radio.Msg, nc)
-	has := make([]bool, nc)
-	for c := 0; c < nc; c++ {
-		if part[c] {
-			has[c] = true
-			var bits uint64
-			if f1[c] {
-				bits |= 1
-			}
-			if f2[c] {
-				bits |= 2
-			}
-			msgs[c] = radio.Msg{Kind: MsgFlag, A: bits}
+	for _, c := range part {
+		var bits uint64
+		if f1[c] {
+			bits |= 1
 		}
+		if f2[c] {
+			bits |= 2
+		}
+		b.clusterMsg[c] = radio.Msg{Kind: MsgFlag, A: bits}
 	}
-	vn.Downcast(part, has, msgs, memberMsg, memberHas)
+	vn.Downcast(part, nil, b.clusterMsg, b.memberMsg, b.memberHas)
 	return f1, f2
 }
 
-// disseminateDist downcasts each participating cluster's Special Update
-// result so all members can apply the same L/U update (the replicated state
-// of Invariant 4.1). Divergence is counted by the vnet cast-failure meter.
-func (s *Stack) disseminateDist(r int, part []bool, distStar []int32) {
-	vn := s.VNets[r]
-	pn := s.Level(r).N()
-	nc := vn.N()
-	msgs := make([]radio.Msg, nc)
-	has := make([]bool, nc)
-	for c := 0; c < nc; c++ {
-		if part[c] {
-			has[c] = true
-			msgs[c] = radio.Msg{Kind: MsgDist, A: uint64(int64(distStar[c]) + 1)}
-		}
+// disseminateDist downcasts each participating cluster's (part, ascending)
+// Special Update result so all members can apply the same L/U update (the
+// replicated state of Invariant 4.1). Divergence is counted by the vnet
+// cast-failure meter.
+func (s *Stack) disseminateDist(r int, part []int32, distStar []int32) {
+	b := s.levelBufs(r)
+	for _, c := range part {
+		b.clusterMsg[c] = radio.Msg{Kind: MsgDist, A: uint64(int64(distStar[c]) + 1)}
 	}
-	memberGot := make([]radio.Msg, pn)
-	memberOk := make([]bool, pn)
-	vn.Downcast(part, has, msgs, memberGot, memberOk)
+	s.VNets[r].Downcast(part, nil, b.clusterMsg, b.memberMsg, b.memberHas)
 }
 
 // VerifyAgainstReference compares labels against a sequential BFS and

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 )
 
 // opaque hides a UnitNet's concrete type, so cluster growth runs every
-// iteration, the level-1 casts run one parent LocalBroadcast per step and
-// the depth-0 wavefront one LocalBroadcast per round.
+// iteration, the level-1 casts run one parent LocalBroadcast per step, the
+// level-0 stages one LocalBroadcast per slot and the depth-0 wavefront one
+// LocalBroadcast per round.
 type opaque struct{ *lbnet.UnitNet }
 
 // sameBase fails unless two identically seeded UnitNets have charged every
@@ -32,15 +34,18 @@ func sameBase(t *testing.T, what string, fast, slow *lbnet.UnitNet) {
 }
 
 // TestUnitStackMatchesPerSlot runs Recursive-BFS twice on identically seeded
-// UnitNets — once on the net itself, where the level-1 casts and the growth
-// take the unit-cost paths, once behind opaque — and requires the same
-// labels, per-vertex energy, clock and cast failures. At depth 2 the upper
-// level's parent is a VNet, so it takes the per-slot path in both runs and
-// each of its steps is a level-1 virtual Local-Broadcast. The depth-0 rows
-// use the E1 wavefront parameters, so the whole search is trivialBFS on the
-// base net; a radius past the eccentricity also covers the rounds skipped
-// once everyone is labeled. A nonzero failProb pins the order of the
-// failure draws as well.
+// UnitNets — once on the net itself, where the level-0 stages, the level-1
+// casts and the growth take the unit-cost paths, once behind opaque — and
+// requires the same labels, per-vertex and per-cluster energy, clocks,
+// cast failures and instrumentation (sender violations, X_i membership counts, Special
+// Update counts). At depth 2 the upper level's parent is a VNet, so it
+// takes the per-slot path in both runs and each of its steps is a level-1
+// virtual Local-Broadcast. The stage rows run β⁻¹ 16 and 64, and radii that
+// are not a multiple of β⁻¹, so the last stage runs past d. The depth-0
+// rows use the E1 wavefront parameters, so the whole search is trivialBFS
+// on the base net; a radius past the eccentricity also covers the rounds
+// skipped once everyone is labeled. A nonzero failProb pins the order of
+// the failure draws as well.
 func TestUnitStackMatchesPerSlot(t *testing.T) {
 	r := rng.New(43)
 	wavefront := Params{InvBeta: 1, Depth: 0, W: 1, Alpha: 4}
@@ -54,6 +59,9 @@ func TestUnitStackMatchesPerSlot(t *testing.T) {
 		{"grid/depth1", graph.Grid(10, 10), Params{InvBeta: 2, Depth: 1, W: 24, Alpha: 4}, 18},
 		{"gnp/depth1", graph.ConnectedGNP(120, 0.03, r), Params{InvBeta: 1, Depth: 1, W: 24, Alpha: 4}, 20},
 		{"cycle/depth2", graph.Cycle(96), Params{InvBeta: 2, Depth: 2, W: 12, Alpha: 4}, 8},
+		{"cycle/stage16", graph.Cycle(300), Params{InvBeta: 16, Depth: 1, W: 24, Alpha: 4}, 150},
+		{"path/stage64", graph.Path(300), Params{InvBeta: 64, Depth: 1, W: 24, Alpha: 4}, 200},
+		{"grid/ragged", graph.Grid(12, 12), Params{InvBeta: 8, Depth: 1, W: 24, Alpha: 4}, 21},
 		{"cycle/depth0", graph.Cycle(120), wavefront, 70},
 		{"gnp/depth0", graph.ConnectedGNP(150, 0.03, r), wavefront, 12},
 		{"gnp/depth0/short", graph.ConnectedGNP(150, 0.03, r), wavefront, 3},
@@ -69,12 +77,30 @@ func TestUnitStackMatchesPerSlot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			fs.Inst, ss.Inst = NewInstrumentation(), NewInstrumentation()
 			df := fs.BFS([]int32{0}, tc.d)
 			ds := ss.BFS([]int32{0}, tc.d)
 			if !slices.Equal(df, ds) {
 				t.Fatalf("%s fp=%v: labels differ", tc.name, fp)
 			}
+			if a, b := fs.Inst.SenderViolations, ss.Inst.SenderViolations; a != b {
+				t.Fatalf("%s fp=%v: %d sender violations, per-slot path %d", tc.name, fp, a, b)
+			}
+			if !reflect.DeepEqual(fs.Inst, ss.Inst) {
+				t.Fatalf("%s fp=%v: X_i or Special Update counts differ from the per-slot path", tc.name, fp)
+			}
 			sameBase(t, fmt.Sprintf("%s fp=%v", tc.name, fp), fast, slow)
+			for r, vf := range fs.VNets {
+				vs := ss.VNets[r]
+				for c := int32(0); c < int32(vf.N()); c++ {
+					if a, b := vf.LBEnergy(c), vs.LBEnergy(c); a != b {
+						t.Fatalf("%s fp=%v: level-%d cluster %d paid %d, per-slot path %d", tc.name, fp, r+1, c, a, b)
+					}
+				}
+				if a, b := vf.LBTime(), vs.LBTime(); a != b {
+					t.Fatalf("%s fp=%v: level-%d LBTime %d, per-slot path %d", tc.name, fp, r+1, a, b)
+				}
+			}
 			if a, b := fs.CastFailures(), ss.CastFailures(); a != b {
 				t.Fatalf("%s fp=%v: %d cast failures, per-slot path %d", tc.name, fp, a, b)
 			}

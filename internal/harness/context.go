@@ -7,10 +7,12 @@ import (
 	"repro/internal/radio"
 )
 
-// graphKey identifies one cached deterministic workload graph.
+// graphKey identifies one cached workload graph: seed is the graph seed
+// of a pinned seeded-family graph, and 0 for a deterministic family.
 type graphKey struct {
 	family string
 	n      int
+	seed   uint64
 }
 
 // Context is the per-worker trial state pool: a reusable radio engine, the
@@ -34,10 +36,12 @@ type Context struct {
 	// Reset between trials, so steady-state seeded sweeps stop paying a
 	// cold build per trial.
 	builder *graph.Builder
-	// shared is a read-only cache of deterministic-family graphs built
-	// before worker fan-out, so one instance serves every worker; graphs
-	// are immutable, so lock-free concurrent reads are safe. graphs is the
-	// per-context overflow for families the Runner could not anticipate.
+	// shared is a read-only cache of the graphs built before worker
+	// fan-out — deterministic-family graphs and the seeded-family graphs of
+	// PinGraphs scenarios — so one instance serves every worker and every
+	// trial; graphs are immutable, so lock-free concurrent reads are safe.
+	// graphs is the per-context overflow for deterministic families the
+	// Runner could not anticipate.
 	shared map[graphKey]*graph.Graph
 	graphs map[graphKey]*graph.Graph
 }
@@ -57,20 +61,29 @@ func newContextShared(shared map[graphKey]*graph.Graph) *Context {
 	return c
 }
 
-// sharedGraphs pre-builds the deterministic-family graphs of every instance
-// in the scenarios, for use with per-worker contexts: each distinct
-// (family, n) is constructed exactly once and shared read-only across all
-// workers, instead of once per worker. Unknown families are skipped — the
-// executing trial reports the error itself.
-func sharedGraphs(scenarios ...*Scenario) map[graphKey]*graph.Graph {
+// sharedGraphs pre-builds the graphs the scenarios' trials will ask for
+// under root seed root, for use with per-worker contexts: each distinct
+// deterministic-family (family, n) is constructed exactly once, and so is
+// each seeded-family (family, n, graph seed) of a PinGraphs scenario, whose
+// trials all share one graph seed. Both are shared read-only across all
+// workers instead of being built once per worker, or once per trial.
+// Unknown families are skipped — the executing trial reports the error
+// itself.
+func sharedGraphs(root uint64, scenarios ...*Scenario) map[graphKey]*graph.Graph {
 	shared := make(map[graphKey]*graph.Graph)
 	for _, sc := range scenarios {
 		for _, inst := range sc.Instances {
-			k := graphKey{inst.Family, inst.N}
-			if _, ok := shared[k]; ok || graph.FamilySeeded(inst.Family) {
+			k := graphKey{family: inst.Family, n: inst.N}
+			if graph.FamilySeeded(inst.Family) {
+				if !sc.PinGraphs {
+					continue
+				}
+				k.seed = TrialFor(sc, inst, 0, root).GraphSeed
+			}
+			if _, ok := shared[k]; ok {
 				continue
 			}
-			if g, err := repro.NewGraph(inst.Family, inst.N, 0); err == nil {
+			if g, err := repro.NewGraph(k.family, k.n, k.seed); err == nil {
 				shared[k] = g
 			}
 		}
@@ -82,10 +95,14 @@ func sharedGraphs(scenarios ...*Scenario) map[graphKey]*graph.Graph {
 // deterministic families — those for which graph.FamilySeeded is false — are
 // served from the shared pre-built cache when possible, else built once per
 // context and reused across its trials; both are safe because Graph values
-// are immutable. Seeded families are always built fresh, since every trial
-// draws a different topology.
+// are immutable. A seeded family's graph is served from the shared cache
+// when a PinGraphs scenario pre-built it for this seed, and is otherwise
+// built fresh, since every such trial draws a different topology.
 func (c *Context) Graph(family string, n int, seed uint64) (*graph.Graph, error) {
 	if graph.FamilySeeded(family) {
+		if g, ok := c.shared[graphKey{family, n, seed}]; ok {
+			return g, nil
+		}
 		if c.builder == nil {
 			c.builder = graph.FromDegreeHint(n, 8)
 		}
@@ -94,7 +111,7 @@ func (c *Context) Graph(family string, n int, seed uint64) (*graph.Graph, error)
 		g, _ := graph.NamedInto(c.builder, family, n, seed)
 		return g, nil
 	}
-	k := graphKey{family, n}
+	k := graphKey{family: family, n: n}
 	if g, ok := c.shared[k]; ok {
 		return g, nil
 	}

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -78,4 +80,67 @@ func TestContextGraphCaching(t *testing.T) {
 	if _, err := ctx.Graph("no-such-family", 8, 1); err == nil {
 		t.Fatal("unknown family must error")
 	}
+}
+
+// TestPinnedGraphsBuiltOnce checks that trials of PinGraphs scenarios —
+// across scenarios and workers — get the one pre-built seeded-family graph
+// for their shared graph seed, equal edge for edge to the one NamedInto
+// builds, while trials of a scenario without PinGraphs still build theirs
+// fresh.
+func TestPinnedGraphsBuiltOnce(t *testing.T) {
+	const root = 17
+	inst := Instance{Family: "geometric", N: 96}
+	var mu sync.Mutex
+	got := map[string][]*graph.Graph{}
+	record := func(ctx *Context, tr Trial) (Metrics, error) {
+		g, err := ctx.Graph(tr.Family, tr.N, tr.GraphSeed)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		got[tr.Scenario] = append(got[tr.Scenario], g)
+		mu.Unlock()
+		return Metrics{}, nil
+	}
+	scenario := func(name string, pin bool) *Scenario {
+		return &Scenario{Name: name, Instances: []Instance{inst}, Trials: 3, PinGraphs: pin, RunCtx: record}
+	}
+	a, b, fresh := scenario("pinned-a", true), scenario("pinned-b", true), scenario("fresh", false)
+	(&Runner{Workers: 2, Root: root}).Run(a, b, fresh)
+
+	for _, sc := range []string{"pinned-a", "pinned-b", "fresh"} {
+		if len(got[sc]) != 3 {
+			t.Fatalf("%s: %d trials asked for a graph, want 3", sc, len(got[sc]))
+		}
+	}
+	pinned := got["pinned-a"][0]
+	for _, g := range append(got["pinned-a"], got["pinned-b"]...) {
+		if g != pinned {
+			t.Fatal("trials of pinned scenarios got different graph instances")
+		}
+	}
+	want, _ := graph.NamedInto(graph.FromDegreeHint(inst.N, 8), inst.Family, inst.N, TrialFor(a, inst, 0, root).GraphSeed)
+	if !sameEdges(pinned, want) {
+		t.Fatal("pinned graph differs from NamedInto's for its graph seed")
+	}
+	seen := map[*graph.Graph]bool{pinned: true}
+	for _, g := range got["fresh"] {
+		if seen[g] {
+			t.Fatal("a trial without PinGraphs was served a cached seeded graph")
+		}
+		seen[g] = true
+	}
+}
+
+// sameEdges reports whether two graphs have the same vertices and edges.
+func sameEdges(g, h *graph.Graph) bool {
+	if g.N() != h.N() {
+		return false
+	}
+	for v := int32(0); v < int32(g.N()); v++ {
+		if !slices.Equal(g.Neighbors(v), h.Neighbors(v)) {
+			return false
+		}
+	}
+	return true
 }

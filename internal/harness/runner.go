@@ -51,10 +51,11 @@ func (r *Runner) Run(scenarios ...*Scenario) []Result {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, len(jobs))
-	// Deterministic-family graphs are built once up front and shared
-	// read-only by every worker, so neither the construction work nor the
-	// resident memory scales with the worker count.
-	shared := sharedGraphs(scenarios...)
+	// Deterministic-family graphs, and the seeded-family graphs of
+	// PinGraphs scenarios, are built once up front and shared read-only by
+	// every worker and trial, so neither the construction work nor the
+	// resident memory scales with the worker or trial count.
+	shared := sharedGraphs(r.Root, scenarios...)
 	if workers <= 1 {
 		ctx := newContextShared(shared)
 		for _, j := range jobs {

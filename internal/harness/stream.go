@@ -61,7 +61,7 @@ type Stream struct {
 func (r *Runner) Stream(scenarios ...*Scenario) *Stream {
 	return &Stream{
 		refs: r.ExpandAll(scenarios...),
-		ctx:  newContextShared(sharedGraphs(scenarios...)),
+		ctx:  newContextShared(sharedGraphs(r.Root, scenarios...)),
 	}
 }
 

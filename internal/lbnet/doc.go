@@ -17,11 +17,13 @@
 // proportional to the number of participants — sleeping vertices are free,
 // in the simulator exactly as in the model. On a UnitNet a listener with no
 // sending neighbour hears nothing and draws no randomness, so it changes
-// nothing but its meter: schedules that run many slots (vnet cast stages,
-// the depth-0 wavefront BFS, cluster growth) hand UnitNet.Deliver only the
-// listeners that can hear and the senders next to them, and settle
-// everyone's meters with UnitNet.Charge and the clock with SkipLB,
-// byte-identical to one LocalBroadcast per slot.
+// nothing but its meter: schedules that run many slots (the stages of
+// Recursive-BFS, the depth-0 wavefront BFS, cluster growth) hand
+// UnitNet.Deliver only the listeners that can hear and the senders next to
+// them, vnet cast stages resolve each such listener from its own adjacency
+// and draw its coin with UnitNet.Lost, and all of them settle everyone's
+// meters with UnitNet.Charge and the clock with SkipLB, byte-identical to
+// one LocalBroadcast per slot.
 //
 // Control flow above this interface is data-independent: the sequence and
 // duration of collective calls depends only on globally known parameters,

@@ -79,11 +79,13 @@ func (m *meters) charge(senders []radio.TX, receivers []int32) {
 //
 // A listener with no sending neighbour hears nothing and draws no failure
 // coin, so on a UnitNet it changes nothing but its own meter. A caller
-// running a fixed schedule of slots (a vnet cast stage, the wavefront BFS,
-// cluster growth) may therefore pass Deliver only the listeners that can
-// hear and the senders next to them, and settle everyone's energy with
-// Charge and the clock with SkipLB; LocalBroadcast is Deliver plus one unit
-// per participant.
+// running a fixed schedule of slots (a Recursive-BFS stage, the wavefront
+// BFS, cluster growth) may therefore pass Deliver only the listeners that
+// can hear and the senders next to them — or, like a vnet cast stage,
+// find each such listener's minimum-ID sending neighbour itself and draw
+// its coin with Lost — and settle everyone's energy with Charge and the
+// clock with SkipLB; LocalBroadcast is Deliver plus one unit per
+// participant.
 type UnitNet struct {
 	meters
 	g        *graph.Graph
@@ -146,12 +148,11 @@ func (u *UnitNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []ra
 // Deliver resolves one Local-Broadcast exactly as LocalBroadcast does —
 // each receiver hears its minimum-ID sending neighbor, a legal
 // (adversarial) resolution of the Lemma 2.4 guarantee that keeps runs
-// deterministic, and loses it with probability failProb — but charges no
-// meters and leaves the clock alone. With failProb > 0, coins are drawn in
-// receiver order, one per receiver with a sending neighbour, so dropping
-// receivers without one leaves every other receiver's outcome unchanged; a
-// slot with no sender or no receiver delivers nothing and draws no
-// randomness.
+// deterministic, and loses it when its coin (Lost) says so — but charges
+// no meters and leaves the clock alone. Coins are drawn in receiver order,
+// one per receiver with a sending neighbour, so dropping receivers without
+// one leaves every other receiver's outcome unchanged; a slot with no
+// sender or no receiver delivers nothing and draws no randomness.
 func (u *UnitNet) Deliver(senders []radio.TX, receivers []int32, got []radio.Msg, ok []bool) {
 	if len(got) != len(receivers) || len(ok) != len(receivers) {
 		panic("lbnet: result slices must match receivers length")
@@ -178,7 +179,7 @@ func (u *UnitNet) Deliver(senders []radio.TX, receivers []int32, got []radio.Msg
 		}
 	}
 	for i, v := range receivers {
-		if from[v] != -1 && (u.failProb <= 0 || !u.rnd.Bernoulli(u.failProb)) {
+		if from[v] != -1 && !u.Lost() {
 			got[i], ok[i] = senders[from[v]].Msg, true
 		} else {
 			got[i], ok[i] = radio.Msg{}, false
@@ -189,6 +190,15 @@ func (u *UnitNet) Deliver(senders []radio.TX, receivers []int32, got []radio.Msg
 	}
 	u.touched = touched[:0]
 }
+
+// Lost draws the failure coin of one receiver that has a sending
+// neighbour and reports whether its delivery is lost: true with
+// probability failProb, and never, drawing nothing, when failProb is 0.
+// This is Deliver's rule, so a caller that resolves receivers itself — it
+// finds each one's minimum-ID sending neighbour from the receiver's side —
+// keeps Deliver's outcomes by drawing one coin per receiver with a sending
+// neighbour, in the order Deliver would have listed them.
+func (u *UnitNet) Lost() bool { return u.failProb > 0 && u.rnd.Bernoulli(u.failProb) }
 
 // Charge adds k LB units to vertex v's energy without advancing the clock:
 // the energy of k slots of a schedule in which v was awake, when those

@@ -46,11 +46,11 @@ func TestDowncastUpcastZeroAllocs(t *testing.T) {
 func testCastZeroAllocs(t *testing.T, wrap func(*lbnet.UnitNet) lbnet.Net) {
 	vn, g := buildAllocVNet(t, wrap, 144)
 	nc := vn.N()
-	part := make([]bool, nc)
+	part := make([]int32, nc)
 	has := make([]bool, nc)
 	msgs := make([]radio.Msg, nc)
 	for c := 0; c < nc; c++ {
-		part[c], has[c] = true, true
+		part[c], has[c] = int32(c), true
 		msgs[c] = radio.Msg{Kind: MsgCast, A: uint64(c)}
 	}
 	memberGot := make([]radio.Msg, g.N())

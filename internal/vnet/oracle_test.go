@@ -113,8 +113,8 @@ func castRound(t *testing.T, w twin, g *graph.Graph, pick *rng.Source, name stri
 	}
 	gotF, gotS := make([]radio.Msg, n), make([]radio.Msg, n)
 	okF, okS := make([]bool, n), make([]bool, n)
-	w.fast.Downcast(part, has, msgs, gotF, okF)
-	w.slow.Downcast(part, has, msgs, gotS, okS)
+	w.fast.Downcast(clusters(part), has, msgs, gotF, okF)
+	w.slow.Downcast(clusters(part), has, msgs, gotS, okS)
 	if !slices.Equal(gotF, gotS) || !slices.Equal(okF, okS) {
 		t.Fatalf("%s: Downcast outputs differ", name)
 	}
@@ -131,8 +131,8 @@ func castRound(t *testing.T, w twin, g *graph.Graph, pick *rng.Source, name stri
 		}
 		cgF, cgS := make([]radio.Msg, nc), make([]radio.Msg, nc)
 		cokF, cokS := make([]bool, nc), make([]bool, nc)
-		w.fast.Upcast(part, memberHas, memberMsg, cgF, cokF)
-		w.slow.Upcast(part, memberHas, memberMsg, cgS, cokS)
+		w.fast.Upcast(clusters(part), memberHas, memberMsg, cgF, cokF)
+		w.slow.Upcast(clusters(part), memberHas, memberMsg, cgS, cokS)
 		if !slices.Equal(cgF, cgS) || !slices.Equal(cokF, cokS) {
 			t.Fatalf("%s: Upcast (holders %v) outputs differ", name, density)
 		}

@@ -32,7 +32,7 @@ func TestPropertyDowncastPartialParticipation(t *testing.T) {
 		}
 		memberGot := make([]radio.Msg, 80)
 		memberOk := make([]bool, 80)
-		vn.Downcast(part, has, msgs, memberGot, memberOk)
+		vn.Downcast(clusters(part), has, msgs, memberGot, memberOk)
 		for u := 0; u < 80; u++ {
 			c := cl.ClusterOf[u]
 			if part[c] {
@@ -77,7 +77,7 @@ func TestPropertyUpcastSelectsAMember(t *testing.T) {
 		}
 		clusterGot := make([]radio.Msg, nc)
 		clusterOk := make([]bool, nc)
-		vn.Upcast(part, memberHas, memberMsg, clusterGot, clusterOk)
+		vn.Upcast(clusters(part), memberHas, memberMsg, clusterGot, clusterOk)
 		for c := 0; c < nc; c++ {
 			if clusterOk[c] != hasAny[c] {
 				return false

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/cluster"
@@ -16,8 +17,8 @@ const MsgCast = 0x20
 type VNet struct {
 	parent lbnet.Net
 	// unit is the parent when it is a *lbnet.UnitNet, else nil. Casts on a
-	// unit-cost parent resolve only the steps that can deliver and charge
-	// the others (see castStage).
+	// unit-cost parent resolve each listener from its own adjacency and
+	// charge the silent steps (see castStageUnit).
 	unit *lbnet.UnitNet
 	cl   *cluster.Clustering
 	g    *graph.Graph // cluster graph (reference topology)
@@ -37,34 +38,46 @@ type VNet struct {
 	castFailures int64
 
 	// Scratch (parent-sized and cluster-sized). All of it is owned by the
-	// VNet and reused across calls, so the steady-state cast and
-	// LocalBroadcast paths allocate nothing.
-	memberMsg   []radio.Msg
-	memberHas   []bool
-	partScratch []bool
-	slotBucket  [][]int32
-	slotUsed    []bool
-	steps       []int32
-	stageCap    []int32
-	spans       []castSpan // [cluster] -> its lists in sendBuf/waitBuf
-	sendBuf     []radio.TX // a cast stage's sender blocks, then one step's senders; phase 2's senders
-	waitBuf     []int32    // a cast stage's waiting receivers, then one step's receivers; phase 2's receivers
-	gotScratch  []radio.Msg
-	okScratch   []bool
-	near        []uint8 // unit-cost cast stage: 1 = waiting receiver, 2 = one with a stage sender next to it
-	active      []int32
-	lbMsg       []radio.Msg // LocalBroadcast: per-cluster sender payloads
-	lbHas       []bool
-	lbGot       []radio.Msg // LocalBroadcast: per-cluster upcast results
-	lbOk        []bool
-	lbPartR     []bool
+	// VNet and reused across calls, and only participating clusters'
+	// entries are written, so the steady-state cast and LocalBroadcast
+	// paths allocate nothing and do no work for clusters that sleep.
+	memberMsg  []radio.Msg // Upcast's working copy of the members' entries
+	memberHas  []bool
+	active     []int32     // the current cast's participating clusters, ascending
+	slotBits   []uint64    // the slots of a step schedule being built, one bit each
+	slotBucket [][]int32   // [slot] -> the schedule's clusters using it, ascending
+	steps      []int32     // the schedule's slots, ascending
+	stageCap   []int32     // per-slot casts: [slot] -> deepest stage a cluster using it reaches
+	spans      []castSpan  // [cluster] -> its lists in the current stage's buffers
+	sendBuf    []radio.TX  // per-slot stage's sender blocks, then one step's senders; phase 2's senders
+	waitBuf    []int32     // per-slot stage's waiting receivers, then one step's receivers; phase 2's receivers
+	gotScratch []radio.Msg // one step's or phase 2's deliveries
+	okScratch  []bool
+	senderOf   []int32     // unit-cost stage: [parent vertex] -> 1 + cluster of a stage sender, else 0
+	senders    []int32     // unit-cost stage: its senders, to clear senderOf
+	lis        []listener  // unit-cost stage: its kept receivers, grouped by cluster
+	nbrs       []int32     // unit-cost stage: each listener's stage-sender neighbours, ascending
+	live       []int32     // unit-cost stage: clusters with a kept receiver, ascending
+	pending    stepHeap    // unit-cost stage: the next step of each cluster still listening
+	lbMsg      []radio.Msg // LocalBroadcast: per-cluster sender payloads
+	lbSend     []bool      // LocalBroadcast: the clusters sending in this call
+	lbGot      []radio.Msg // LocalBroadcast: per-cluster upcast results
+	lbOk       []bool
+	partS      []int32 // LocalBroadcast: sending clusters, ascending
+	partR      []int32 // LocalBroadcast: receiving clusters, ascending
 }
 
-// castSpan locates one cluster's lists for the current cast stage: its
-// sender block (transport header already pushed) is sendBuf[s0:s1], and the
-// members still waiting to hear are waitBuf[w0:w1], a list that shrinks as
-// they hear.
-type castSpan struct{ s0, s1, w0, w1 int32 }
+// castSpan locates one cluster's lists for the current cast stage. On the
+// per-slot path its sender block (transport header already pushed) is
+// sendBuf[s0:s1], and the members still waiting to hear are waitBuf[w0:w1].
+// On a unit-cost parent its kept receivers are lis[w0:w1] and its next step
+// is S_C[step]. Waiting lists shrink as their members hear.
+type castSpan struct{ s0, s1, w0, w1, step int32 }
+
+// listener is a kept receiver of a unit-cost cast stage: a member that
+// has not heard yet and has stage senders among its neighbours,
+// nbrs[n0:n1].
+type listener struct{ id, n0, n1 int32 }
 
 // New builds the virtual network for clustering cl of the parent net.
 func New(parent lbnet.Net, cl *cluster.Clustering) *VNet {
@@ -80,21 +93,21 @@ func New(parent lbnet.Net, cl *cluster.Clustering) *VNet {
 		subsets:    make([][]int32, nc),
 		energy:     make([]int64, nc),
 
-		memberMsg:   make([]radio.Msg, pn),
-		memberHas:   make([]bool, pn),
-		partScratch: make([]bool, nc),
-		slotBucket:  make([][]int32, cl.Cfg.SubsetLen),
-		slotUsed:    make([]bool, cl.Cfg.SubsetLen),
-		stageCap:    make([]int32, cl.Cfg.SubsetLen),
-		spans:       make([]castSpan, nc),
-		gotScratch:  make([]radio.Msg, pn),
-		okScratch:   make([]bool, pn),
-		near:        make([]uint8, pn),
-		lbMsg:       make([]radio.Msg, nc),
-		lbHas:       make([]bool, nc),
-		lbGot:       make([]radio.Msg, nc),
-		lbOk:        make([]bool, nc),
-		lbPartR:     make([]bool, nc),
+		memberMsg:  make([]radio.Msg, pn),
+		memberHas:  make([]bool, pn),
+		slotBits:   make([]uint64, (cl.Cfg.SubsetLen+63)/64),
+		slotBucket: make([][]int32, cl.Cfg.SubsetLen),
+		stageCap:   make([]int32, cl.Cfg.SubsetLen),
+		spans:      make([]castSpan, nc),
+		gotScratch: make([]radio.Msg, pn),
+		okScratch:  make([]bool, pn),
+		lbMsg:      make([]radio.Msg, nc),
+		lbSend:     make([]bool, nc),
+		lbGot:      make([]radio.Msg, nc),
+		lbOk:       make([]bool, nc),
+	}
+	if unit != nil {
+		v.senderOf = make([]int32, pn)
 	}
 	v.membersAtLayer = make([][][]int32, nc)
 	for c := 0; c < nc; c++ {
@@ -178,28 +191,47 @@ func (v *VNet) unwrap(m radio.Msg, want int32) (radio.Msg, bool) {
 	return m, c == int64(want)
 }
 
-// Downcast delivers clusterMsg[c] from the center of every participating
-// cluster c (part[c] && has[c]) to all of c's members. Results land in
-// memberGot/memberOk, indexed by parent vertex; entries of members of
-// non-participating clusters are zeroed. Members of participating clusters
-// without a message (has[c] false) still listen on schedule. The call always
-// consumes CastLBs() parent LB units.
-func (v *VNet) Downcast(part, has []bool, clusterMsg []radio.Msg, memberGot []radio.Msg, memberOk []bool) {
-	for i := range memberGot {
-		memberGot[i], memberOk[i] = radio.Msg{}, false
-	}
-	for c, center := range v.cl.Center {
-		if has != nil && !has[c] {
-			continue
+// Layers returns cluster c's members grouped by layer, layer 0 being the
+// center, each group in vertex order. The slices are shared: callers must
+// not modify them.
+func (v *VNet) Layers(c int32) [][]int32 { return v.membersAtLayer[c] }
+
+// checkPart panics unless part lists clusters in ascending order without
+// duplicates: a cast's schedule, and so its failure draws, follow that order.
+func checkPart(part []int32) {
+	for i := 1; i < len(part); i++ {
+		if part[i] <= part[i-1] {
+			panic("vnet: participating clusters must be ascending and distinct")
 		}
-		memberGot[center] = clusterMsg[c]
-		memberOk[center] = true
+	}
+}
+
+// Downcast delivers clusterMsg[c] from the center of every participating
+// cluster c with has[c] (has nil means every one) to all of c's members.
+// part lists the participating clusters in ascending order, without
+// duplicates. Results land in memberGot/memberOk, indexed by parent vertex;
+// only the entries of participating clusters' members are written, those of
+// every other vertex are left as they were. Members of participating
+// clusters without a message (has[c] false) still listen on schedule. The
+// call always consumes CastLBs() parent LB units.
+func (v *VNet) Downcast(part []int32, has []bool, clusterMsg []radio.Msg, memberGot []radio.Msg, memberOk []bool) {
+	checkPart(part)
+	for _, c := range part {
+		for _, layerMembers := range v.membersAtLayer[c] {
+			for _, u := range layerMembers {
+				memberGot[u], memberOk[u] = radio.Msg{}, false
+			}
+		}
+		if has == nil || has[c] {
+			center := v.cl.Center[c]
+			memberGot[center], memberOk[center] = clusterMsg[c], true
+		}
 	}
 	v.cast(part, memberGot, memberOk, false)
 	// A member of a participating cluster whose center had a message but
 	// who didn't receive it is a divergence event.
-	for c := range part {
-		if !part[c] || (has != nil && !has[c]) {
+	for _, c := range part {
+		if has != nil && !has[c] {
 			continue
 		}
 		for _, layerMembers := range v.membersAtLayer[c] {
@@ -214,29 +246,37 @@ func (v *VNet) Downcast(part, has []bool, clusterMsg []radio.Msg, memberGot []ra
 
 // Upcast delivers, for every participating cluster with at least one member
 // holding a message (memberHas), one such message to the cluster center.
-// Results land in clusterGot/clusterOk indexed by cluster. The call always
-// consumes CastLBs() parent LB units.
-func (v *VNet) Upcast(part []bool, memberHas []bool, memberMsg []radio.Msg, clusterGot []radio.Msg, clusterOk []bool) {
-	copy(v.memberMsg, memberMsg)
-	copy(v.memberHas, memberHas)
-	for c := range clusterGot {
-		clusterGot[c], clusterOk[c] = radio.Msg{}, false
-	}
-	v.cast(part, v.memberMsg, v.memberHas, true)
-	for c := range part {
-		if !part[c] {
-			continue
+// part lists the participating clusters in ascending order, without
+// duplicates. Results land in clusterGot/clusterOk indexed by cluster; only
+// the participating clusters' entries are written. The call always consumes
+// CastLBs() parent LB units.
+func (v *VNet) Upcast(part []int32, memberHas []bool, memberMsg []radio.Msg, clusterGot []radio.Msg, clusterOk []bool) {
+	checkPart(part)
+	for _, c := range part {
+		for _, layerMembers := range v.membersAtLayer[c] {
+			for _, u := range layerMembers {
+				v.memberMsg[u], v.memberHas[u] = memberMsg[u], memberHas[u]
+			}
 		}
+	}
+	v.upcast(part, clusterGot, clusterOk)
+}
+
+// upcast is Upcast over the members' entries already in v.memberMsg and
+// v.memberHas, which the cast then overwrites.
+func (v *VNet) upcast(part []int32, clusterGot []radio.Msg, clusterOk []bool) {
+	v.cast(part, v.memberMsg, v.memberHas, true)
+	for _, c := range part {
 		center := v.cl.Center[c]
 		if v.memberHas[center] {
-			clusterGot[c] = v.memberMsg[center]
-			clusterOk[c] = true
+			clusterGot[c], clusterOk[c] = v.memberMsg[center], true
 			continue
 		}
+		clusterGot[c], clusterOk[c] = radio.Msg{}, false
 		// If any member held a message and the center never got it, the
 		// Upcast diverged. A member holds one after the cast iff some
 		// member of its cluster held one before, so the cast's own copy
-		// answers that even when the caller passed it in as memberHas.
+		// answers that.
 	scan:
 		for _, layerMembers := range v.membersAtLayer[c] {
 			for _, m := range layerMembers {
@@ -258,88 +298,86 @@ func (v *VNet) Upcast(part []bool, memberHas []bool, memberMsg []radio.Msg, clus
 // listening. Messages of foreign clusters in the same step are discarded by
 // the transport header; the listener retries in its next subset step. The
 // call always consumes exactly CastLBs() parent LB units.
-func (v *VNet) cast(part []bool, msgs []radio.Msg, holds []bool, up bool) {
-	cfg := v.cl.Cfg
-
-	// Active clusters: the participating list, bucketed by subset slot ONCE
-	// for the whole cast. The schedule (which slots exist and which clusters
-	// share them) is stage-invariant; only the sender/receiver layers change
-	// per stage.
-	//
-	// Cluster c is relevant to stage s iff s ≤ maxLayerOf[c]+1 (in both
-	// directions min(senderLayer, recvLayer) = s-1), so relevance is a
-	// prefix property in the stage number: maxStage clamps the whole loop
-	// to the deepest cluster and stageCap[j] skips a slot once every
-	// cluster sharing it is out of range. Stages and slots skipped this way
-	// have no participant, so they execute no parent call and are covered
-	// by the trailing SkipLB, which charges CastLBs() minus the executed
-	// count.
-	v.active = v.active[:0]
-	for c := int32(0); c < int32(v.N()); c++ {
-		if part[c] {
-			v.active = append(v.active, c)
-		}
-	}
-	v.steps = v.steps[:0]
+//
+// Cluster c is relevant to stage s iff s ≤ maxLayerOf[c]+1 (in both
+// directions min(senderLayer, recvLayer) = s-1), so relevance is a prefix
+// property in the stage number: maxStage clamps the whole loop to the
+// deepest participating cluster. Stages, and on the per-slot path slots,
+// skipped this way have no participant, so they execute no parent call
+// and are covered by the trailing SkipLB, which charges CastLBs() minus
+// the executed count.
+func (v *VNet) cast(part []int32, msgs []radio.Msg, holds []bool, up bool) {
+	v.active = part
 	maxStage := int32(0)
-	for _, c := range v.active {
-		depth := v.maxLayerOf[c] + 1
-		if depth > maxStage {
-			maxStage = depth
-		}
-		for _, j := range v.subsets[c] {
-			if !v.slotUsed[j] {
-				v.slotUsed[j] = true
-				v.steps = append(v.steps, j)
-			}
-			v.slotBucket[j] = append(v.slotBucket[j], c)
-			if depth > v.stageCap[j] {
-				v.stageCap[j] = depth
-			}
-		}
+	for _, c := range part {
+		maxStage = max(maxStage, v.maxLayerOf[c]+1)
 	}
-	slices.Sort(v.steps)
-	if maxStage > int32(cfg.TMax) {
-		maxStage = int32(cfg.TMax)
+	maxStage = min(maxStage, int32(v.cl.Cfg.TMax))
+	// stage returns the k-th stage to run and its sending and receiving
+	// layers.
+	stage := func(k int32) (s, sLayer, rLayer int32) {
+		if up {
+			s = maxStage + 1 - k
+			return s, s, s - 1
+		}
+		return k, k - 1, k
 	}
 	executed := int64(0)
-	for k := int32(1); k <= maxStage; k++ {
-		if up {
-			s := maxStage + 1 - k
-			executed += v.castStage(s, s, s-1, msgs, holds)
-		} else {
-			executed += v.castStage(k, k-1, k, msgs, holds)
+	if v.unit != nil {
+		for k := int32(1); k <= maxStage; k++ {
+			_, sLayer, rLayer := stage(k)
+			v.castStageUnit(sLayer, rLayer, msgs, holds)
+		}
+	} else {
+		// The per-slot schedule (which slots exist, which clusters share
+		// them, and the deepest stage each slot reaches) is stage-invariant,
+		// so it is built once for the whole cast.
+		for _, c := range part {
+			depth := v.maxLayerOf[c] + 1
+			for _, j := range v.subsets[c] {
+				v.slotBits[j>>6] |= 1 << (j & 63)
+				v.slotBucket[j] = append(v.slotBucket[j], c)
+				v.stageCap[j] = max(v.stageCap[j], depth)
+			}
+		}
+		steps := v.takeSteps()
+		for k := int32(1); k <= maxStage; k++ {
+			s, sLayer, rLayer := stage(k)
+			executed += v.castStage(s, sLayer, rLayer, msgs, holds)
+		}
+		for _, j := range steps {
+			v.slotBucket[j] = v.slotBucket[j][:0]
+			v.stageCap[j] = 0
 		}
 	}
-	for _, j := range v.steps {
-		v.slotUsed[j] = false
-		v.slotBucket[j] = v.slotBucket[j][:0]
-		v.stageCap[j] = 0
-	}
+	v.active = nil
 	if skip := v.CastLBs() - executed; skip > 0 {
 		v.parent.SkipLB(skip)
 	}
 }
 
-// castStage runs one stage of cast — members at layer sLayer send, members
-// at layer rLayer listen — and returns how many parent Local-Broadcasts it
-// executed.
+// takeSteps lists the slots marked in slotBits in ascending order into
+// v.steps, clearing the marks.
+func (v *VNet) takeSteps() []int32 {
+	steps := v.steps[:0]
+	for w, word := range v.slotBits {
+		for ; word != 0; word &= word - 1 {
+			steps = append(steps, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+		v.slotBits[w] = 0
+	}
+	v.steps = steps
+	return steps
+}
+
+// castStage runs one stage of cast on a parent that is not a unit-cost net
+// — members at layer sLayer send, members at layer rLayer listen — and
+// returns how many parent Local-Broadcasts it executed: one per step with a
+// sender or a receiver.
 //
 // It builds each active cluster's two lists once (see castSpan); a step's
 // senders and receivers are the concatenation, in bucket order, of the
 // lists of the clusters sharing it, merged in place past the stage lists.
-// On most parents every step with a sender or a receiver is one parent
-// Local-Broadcast. On a unit-cost parent a listener with no sending
-// neighbour hears nothing and draws no randomness, so it is charged, not
-// resolved: prune first drops every waiting receiver with no stage sender
-// next to it and every sender with no waiting receiver next to it, then
-// only the steps holding both are resolved, through UnitNet.Deliver, and
-// the stage stops once every remaining receiver has heard. Each member is
-// charged once for the stage: a sender |S_C| units, a receiver the steps
-// it listened in until it heard (|S_C| if it never did). The meters, the
-// deliveries and the failure draws are exactly those of one LocalBroadcast
-// per step; the clock is covered by cast's SkipLB, since nothing here
-// executes.
 func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []bool) int64 {
 	send, wait := v.sendBuf[:0], v.waitBuf[:0]
 	for _, c := range v.active {
@@ -364,17 +402,9 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 		}
 		sp.w1 = int32(len(wait))
 	}
-	unit := v.unit
-	if unit != nil {
-		send, wait = v.prune(send, wait)
-	}
 	nSend, nWait := len(send), len(wait)
-	waiting := nWait
 	executed := int64(0)
 	for _, j := range v.steps {
-		if unit != nil && (nSend == 0 || waiting == 0) {
-			break // no later step of this stage can deliver
-		}
 		if stage > v.stageCap[j] {
 			continue
 		}
@@ -385,7 +415,7 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 			hasTx = hasTx || sp.s1 > sp.s0
 			hasRx = hasRx || sp.w1 > sp.w0
 		}
-		if !hasTx && !hasRx || unit != nil && !(hasTx && hasRx) {
+		if !hasTx && !hasRx {
 			continue
 		}
 		for _, c := range bucket {
@@ -395,12 +425,8 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 		}
 		tx, rx := send[nSend:], wait[nWait:]
 		got, ok := v.gotScratch[:len(rx)], v.okScratch[:len(rx)]
-		if unit != nil {
-			unit.Deliver(tx, rx, got, ok)
-		} else {
-			v.parent.LocalBroadcast(tx, rx, got, ok)
-			executed++
-		}
+		v.parent.LocalBroadcast(tx, rx, got, ok)
+		executed++
 		send, wait = send[:nSend], wait[:nWait]
 		i := 0
 		for _, c := range bucket {
@@ -412,11 +438,6 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 				i++
 				if heard && mine {
 					msgs[u], holds[u] = m, true
-					waiting--
-					if unit != nil {
-						r, _ := slices.BinarySearch(v.subsets[c], j)
-						unit.Charge(u, int64(r)+1)
-					}
 					continue
 				}
 				wait[kept] = u
@@ -425,90 +446,216 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 			sp.w1 = kept
 		}
 	}
-	if unit != nil {
-		for _, c := range v.active {
-			sp := v.spans[c]
-			k := int64(len(v.subsets[c]))
-			for _, t := range send[sp.s0:sp.s1] {
-				unit.Charge(t.ID, k)
-			}
-			for _, u := range wait[sp.w0:sp.w1] {
-				unit.Charge(u, k)
-			}
-		}
-	}
 	v.sendBuf, v.waitBuf = send[:0], wait[:0]
 	return executed
 }
 
-// prune drops, on a unit-cost parent, the stage's members that can take no
-// part in a delivery, and charges each of them |S_C| now: a waiting
-// receiver with no stage sender among its neighbours (in every step it
-// hears silence and draws no failure coin), and a sender with no waiting
-// receiver among its neighbours (it changes no receiver's minimum-ID
-// sending neighbour). The lists stay grouped by cluster in active order,
-// compacted in place, and the spans are moved with them.
-func (v *VNet) prune(send []radio.TX, wait []int32) ([]radio.TX, []int32) {
-	g, near, unit := v.unit.Graph(), v.near, v.unit
-	for _, u := range wait {
-		near[u] = 1
-	}
-	ns, nw := int32(0), int32(0)
+// castStageUnit runs one stage of cast on a unit-cost parent, where a
+// listener with no sending neighbour hears nothing and draws no failure
+// coin, so nothing in the stage executes and every member is charged once
+// (the clock is covered by cast's SkipLB):
+//
+//   - each stage sender is marked with its cluster and pays |S_C|, its
+//     cluster's steps;
+//   - each waiting receiver collects the stage senders among its neighbours
+//     from its own sorted adjacency; one with none hears silence in every
+//     step and pays |S_C|;
+//   - the kept receivers are resolved step by step: the clusters still
+//     listening wait in a heap on their next step, so steps come in
+//     ascending slot order and, within one, clusters in ascending order,
+//     the order one LocalBroadcast per step lists their receivers in. In
+//     step j a receiver's first neighbour that is a stage sender of a
+//     cluster using j is the minimum-ID sender UnitNet.Deliver would pick
+//     for it, so the receiver draws its failure coin (UnitNet.Lost)
+//     exactly when and in the order Deliver would, and hears its own
+//     cluster's message iff that sender is in its cluster. It pays the
+//     steps it listened in until it heard, or |S_C| if it never did.
+//
+// Outputs, meters and failure draws are exactly those of one parent
+// LocalBroadcast per step, at a cost proportional to the stage's members,
+// their adjacency and the steps in which someone still listens.
+func (v *VNet) castStageUnit(sLayer, rLayer int32, msgs []radio.Msg, holds []bool) {
+	u, g, from := v.unit, v.unit.Graph(), v.senderOf
+	snd := v.senders[:0]
 	for _, c := range v.active {
-		sp := &v.spans[c]
+		if sLayer > v.maxLayerOf[c] {
+			continue
+		}
 		k := int64(len(v.subsets[c]))
-		s0 := ns
-		for _, t := range send[sp.s0:sp.s1] {
-			useful := false
-			for _, x := range g.Neighbors(t.ID) {
-				if near[x] != 0 {
-					near[x], useful = 2, true
+		for _, x := range v.membersAtLayer[c][sLayer] {
+			if holds[x] {
+				from[x] = c + 1
+				u.Charge(x, k)
+				snd = append(snd, x)
+			}
+		}
+	}
+	lis, nbrs, live, h := v.lis[:0], v.nbrs[:0], v.live[:0], v.pending[:0]
+	for _, c := range v.active {
+		if rLayer > v.maxLayerOf[c] {
+			continue
+		}
+		k := int64(len(v.subsets[c]))
+		sp := &v.spans[c]
+		sp.w0 = int32(len(lis))
+		for _, r := range v.membersAtLayer[c][rLayer] {
+			if holds[r] {
+				continue
+			}
+			n0 := int32(len(nbrs))
+			for _, x := range g.Neighbors(r) {
+				if from[x] != 0 {
+					nbrs = append(nbrs, x)
 				}
 			}
-			if useful {
-				send[ns] = t
-				ns++
+			if n1 := int32(len(nbrs)); n1 > n0 {
+				lis = append(lis, listener{r, n0, n1})
 			} else {
-				unit.Charge(t.ID, k)
+				u.Charge(r, k)
 			}
 		}
-		sp.s0, sp.s1 = s0, ns
+		if sp.w1 = int32(len(lis)); sp.w1 > sp.w0 {
+			live = append(live, c)
+			if sp.step = 0; k > 0 {
+				h = h.push(c, v.subsets[c][0])
+			}
+		}
 	}
-	for _, c := range v.active {
+	for len(h) > 0 {
+		var c, j int32
+		h, c, j = h.pop()
 		sp := &v.spans[c]
-		k := int64(len(v.subsets[c]))
-		w0 := nw
-		for _, u := range wait[sp.w0:sp.w1] {
-			if near[u] == 2 {
-				wait[nw] = u
-				nw++
-			} else {
-				unit.Charge(u, k)
+		kept := sp.w0
+		for _, l := range lis[sp.w0:sp.w1] {
+			src := int32(-1)
+			for _, x := range nbrs[l.n0:l.n1] {
+				if sc := from[x] - 1; sc == c || inSlot(v.subsets[sc], j) {
+					src = x
+					break
+				}
 			}
-			near[u] = 0
+			if src >= 0 && !u.Lost() && from[src]-1 == c {
+				msgs[l.id], _ = v.unwrap(v.wrap(msgs[src], c), c)
+				holds[l.id] = true
+				u.Charge(l.id, int64(sp.step)+1)
+				continue
+			}
+			lis[kept] = l
+			kept++
 		}
-		sp.w0, sp.w1 = w0, nw
+		if sp.w1 = kept; kept > sp.w0 {
+			if sp.step++; int(sp.step) < len(v.subsets[c]) {
+				h = h.push(c, v.subsets[c][sp.step])
+			}
+		}
 	}
-	return send[:ns], wait[:nw]
+	for _, c := range live {
+		sp := v.spans[c]
+		k := int64(len(v.subsets[c]))
+		for _, l := range lis[sp.w0:sp.w1] {
+			u.Charge(l.id, k)
+		}
+	}
+	for _, x := range snd {
+		from[x] = 0
+	}
+	v.keepScratch(snd, lis, nbrs, live, h)
+}
+
+// keepScratch stores the unit-cost stage's lists back into the VNet when
+// they outgrew their buffers. Storing a slice header costs a GC write
+// barrier, so it is skipped while the buffers kept their capacity.
+func (v *VNet) keepScratch(snd []int32, lis []listener, nbrs, live []int32, h stepHeap) {
+	if cap(snd) > cap(v.senders) {
+		v.senders = snd[:0]
+	}
+	if cap(lis) > cap(v.lis) {
+		v.lis = lis[:0]
+	}
+	if cap(nbrs) > cap(v.nbrs) {
+		v.nbrs = nbrs[:0]
+	}
+	if cap(live) > cap(v.live) {
+		v.live = live[:0]
+	}
+	if cap(h) > cap(v.pending) {
+		v.pending = h[:0]
+	}
+}
+
+// inSlot reports whether slot j is in the sorted subset s.
+func inSlot(s []int32, j int32) bool {
+	_, ok := slices.BinarySearch(s, j)
+	return ok
+}
+
+// stepHeap is a binary min-heap of (slot, cluster) pairs, ordered by slot
+// and then by cluster. Its methods take and return the slice by value.
+type stepHeap []uint64
+
+func (q stepHeap) push(c, j int32) stepHeap {
+	q = append(q, uint64(j)<<32|uint64(c))
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	return q
+}
+
+func (q stepHeap) pop() (rest stepHeap, c, j int32) {
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < len(q) && q[l] < q[m] {
+			m = l
+		}
+		if r < len(q) && q[r] < q[m] {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	return q, int32(uint32(top)), int32(top >> 32)
 }
 
 // LocalBroadcast implements lbnet.Net on the cluster graph (Lemma 3.2):
 // sending clusters' messages reach, w.h.p., every receiving cluster adjacent
 // to a sender in G*. The result is also downcast to every member of each
-// receiving cluster, keeping replicated cluster state consistent.
+// receiving cluster, keeping replicated cluster state consistent. The casts
+// touch only the members of sending and receiving clusters.
 func (v *VNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []radio.Msg, ok []bool) {
 	if len(got) != len(receivers) || len(ok) != len(receivers) {
 		panic("vnet: result slices must match receivers length")
 	}
-	partS := v.partScratch
-	clusterMsg, hasMsg := v.lbMsg, v.lbHas
+	partS, partR := v.partS[:0], v.partR[:0]
 	for i := range senders {
-		partS[senders[i].ID] = true
-		hasMsg[senders[i].ID] = true
-		clusterMsg[senders[i].ID] = senders[i].Msg
+		c := senders[i].ID
+		v.lbSend[c] = true
+		v.lbMsg[c] = senders[i].Msg
+		partS = append(partS, c)
 	}
+	for _, c := range receivers {
+		if v.lbSend[c] {
+			panic("vnet: cluster is both sender and receiver")
+		}
+	}
+	partR = append(partR, receivers...)
+	slices.Sort(partS)
+	slices.Sort(partR)
+	v.partS, v.partR = partS, partR
+
 	// Phase 1: Downcast sender payloads to sender-cluster members.
-	v.Downcast(partS, hasMsg, clusterMsg, v.memberMsg, v.memberHas)
+	v.Downcast(partS, nil, v.lbMsg, v.memberMsg, v.memberHas)
 
 	// Phase 2: one parent Local-Broadcast from all sender-cluster members to
 	// all receiver-cluster members. Participant lists are built from member
@@ -525,13 +672,8 @@ func (v *VNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []radio
 			}
 		}
 	}
-	partR := v.lbPartR
 	rx := v.waitBuf[:0]
 	for _, c := range receivers {
-		if partS[c] {
-			panic("vnet: cluster is both sender and receiver")
-		}
-		partR[c] = true
 		for _, layerMembers := range v.membersAtLayer[c] {
 			rx = append(rx, layerMembers...)
 		}
@@ -540,39 +682,30 @@ func (v *VNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []radio
 	ok2 := v.okScratch[:len(rx)]
 	v.parent.LocalBroadcast(tx, rx, got2, ok2)
 	// Phase-1 payloads are dead once tx is built, so phase 2's results go
-	// straight into the same per-member arrays; only receiver-cluster
-	// members are written, and only they take part in phase 3.
+	// straight into the Upcast's working copy; every receiver-cluster
+	// member is written, and only they take part in phase 3.
 	for i, u := range rx {
 		v.memberMsg[u], v.memberHas[u] = got2[i], ok2[i]
 	}
 	v.sendBuf, v.waitBuf = tx[:0], rx[:0]
 
 	// Phase 3: Upcast one received message per receiving cluster.
-	clusterGot, clusterOk := v.lbGot, v.lbOk
-	v.Upcast(partR, v.memberHas, v.memberMsg, clusterGot, clusterOk)
+	v.upcast(partR, v.lbGot, v.lbOk)
 
 	// Phase 4: Downcast the result so every member learns it.
-	v.Downcast(partR, clusterOk, clusterGot, v.memberMsg, v.memberHas)
+	v.Downcast(partR, v.lbOk, v.lbGot, v.memberMsg, v.memberHas)
 
 	for i, c := range receivers {
-		got[i], ok[i] = clusterGot[c], clusterOk[c]
+		got[i], ok[i] = v.lbGot[c], v.lbOk[c]
 	}
-	// Clear the participant scratch sparsely — only the entries this call
-	// set — so the next call starts clean at cost proportional to
-	// participation, not cluster count.
-	for i := range senders {
-		c := senders[i].ID
-		partS[c], hasMsg[c] = false, false
-		clusterMsg[c] = radio.Msg{}
-	}
-	for _, c := range receivers {
-		partR[c] = false
+	for _, c := range partS {
+		v.lbSend[c] = false
 	}
 	// Meters: every sender or receiver cluster participated in one virtual LB.
-	for i := range senders {
-		v.energy[senders[i].ID]++
+	for _, c := range partS {
+		v.energy[c]++
 	}
-	for _, c := range receivers {
+	for _, c := range partR {
 		v.energy[c]++
 	}
 	v.lbTime++

@@ -11,6 +11,18 @@ import (
 	"repro/internal/rng"
 )
 
+// clusters lists the clusters a mask marks, ascending: the participation
+// list Downcast and Upcast take.
+func clusters(mask []bool) []int32 {
+	var out []int32
+	for c, in := range mask {
+		if in {
+			out = append(out, int32(c))
+		}
+	}
+	return out
+}
+
 // buildVNet clusters g on a UnitNet and returns the virtual level.
 func buildVNet(t *testing.T, g *graph.Graph, invBeta int, seed uint64) (*VNet, lbnet.Net) {
 	t.Helper()
@@ -35,7 +47,7 @@ func TestDowncastReachesAllMembers(t *testing.T) {
 		}
 		memberGot := make([]radio.Msg, g.N())
 		memberOk := make([]bool, g.N())
-		vn.Downcast(part, has, msgs, memberGot, memberOk)
+		vn.Downcast(clusters(part), has, msgs, memberGot, memberOk)
 		for u := 0; u < g.N(); u++ {
 			c := vn.Clustering().ClusterOf[u]
 			if !memberOk[u] || memberGot[u].A != uint64(c)+100 {
@@ -67,7 +79,7 @@ func TestDowncastOnlyParticipants(t *testing.T) {
 	for u := int32(0); u < int32(g.N()); u++ {
 		energyBefore[u] = base.LBEnergy(u)
 	}
-	vn.Downcast(part, has, msgs, memberGot, memberOk)
+	vn.Downcast(clusters(part), has, msgs, memberGot, memberOk)
 	for u := int32(0); u < int32(g.N()); u++ {
 		c := vn.Clustering().ClusterOf[u]
 		if c == 0 {
@@ -104,7 +116,7 @@ func TestUpcastDeliversToCenter(t *testing.T) {
 	}
 	clusterGot := make([]radio.Msg, nc)
 	clusterOk := make([]bool, nc)
-	vn.Upcast(part, memberHas, memberMsg, clusterGot, clusterOk)
+	vn.Upcast(clusters(part), memberHas, memberMsg, clusterGot, clusterOk)
 	for c := 0; c < nc; c++ {
 		if !clusterOk[c] {
 			t.Fatalf("cluster %d center received nothing", c)
@@ -147,7 +159,7 @@ func TestUpcastSingleHolder(t *testing.T) {
 	memberMsg[holder] = radio.Msg{A: 777}
 	clusterGot := make([]radio.Msg, nc)
 	clusterOk := make([]bool, nc)
-	vn.Upcast(part, memberHas, memberMsg, clusterGot, clusterOk)
+	vn.Upcast(clusters(part), memberHas, memberMsg, clusterGot, clusterOk)
 	if !clusterOk[big] || clusterGot[big].A != 777 {
 		t.Fatalf("lone deep holder's message did not reach the center: ok=%v", clusterOk[big])
 	}
@@ -158,7 +170,7 @@ func TestCastFixedDuration(t *testing.T) {
 	vn, base := buildVNet(t, g, 4, 19)
 	nc := vn.N()
 	before := base.LBTime()
-	vn.Downcast(make([]bool, nc), make([]bool, nc), make([]radio.Msg, nc),
+	vn.Downcast(nil, make([]bool, nc), make([]radio.Msg, nc),
 		make([]radio.Msg, g.N()), make([]bool, g.N()))
 	if got := base.LBTime() - before; got != vn.CastLBs() {
 		t.Fatalf("empty downcast consumed %d parent LBs, want %d", got, vn.CastLBs())
@@ -170,7 +182,7 @@ func TestCastFixedDuration(t *testing.T) {
 		part[c], has[c] = true, true
 	}
 	before = base.LBTime()
-	vn.Downcast(part, has, make([]radio.Msg, nc), make([]radio.Msg, g.N()), make([]bool, g.N()))
+	vn.Downcast(clusters(part), has, make([]radio.Msg, nc), make([]radio.Msg, g.N()), make([]bool, g.N()))
 	if got := base.LBTime() - before; got != vn.CastLBs() {
 		t.Fatalf("full downcast consumed %d parent LBs, want %d", got, vn.CastLBs())
 	}
@@ -253,7 +265,7 @@ func TestCastEnergyLemma31(t *testing.T) {
 	for c := range part {
 		part[c], has[c] = true, true
 	}
-	vn.Downcast(part, has, msgs, make([]radio.Msg, g.N()), make([]bool, g.N()))
+	vn.Downcast(clusters(part), has, msgs, make([]radio.Msg, g.N()), make([]bool, g.N()))
 	// Per-vertex budget: one listen per own subset slot plus one send per
 	// slot in the next stage — 2|S_C| + slack. |S_C| concentrates around
 	// SubsetLen/C.
