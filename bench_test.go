@@ -687,6 +687,79 @@ func BenchmarkDecayLocalBroadcastRaw(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalBroadcastWindow measures one physical-channel Decay
+// Local-Broadcast (2 passes, as scale-physics runs them) on
+// ConnectedGNP(2^15) in the two shapes of a Decay BFS wavefront: a few
+// senders with everyone else listening, whose rows are the senders' own
+// adjacency, and the widest BFS layer sending to the few vertices beyond
+// it, whose rows hold only the arcs into those listeners.
+func BenchmarkLocalBroadcastWindow(b *testing.B) {
+	n := 1 << 15
+	g, _ := graph.Named("gnp", n, 1)
+	dist := graph.BFS(g, 0)
+	width := map[int32]int{}
+	wide := int32(0)
+	for _, d := range dist {
+		if width[d]++; width[d] > width[wide] {
+			wide = d
+		}
+	}
+	var few, layer, beyond, rest []int32
+	for v, d := range dist {
+		switch {
+		case d == wide:
+			layer = append(layer, int32(v))
+		case d > wide:
+			beyond = append(beyond, int32(v))
+		}
+		if v < 8 {
+			few = append(few, int32(v))
+		} else {
+			rest = append(rest, int32(v))
+		}
+	}
+	p := decay.ParamsFor(n, 2)
+	for _, shape := range []struct {
+		name      string
+		senders   []int32
+		receivers []int32
+	}{
+		{"few-to-all", few, rest},
+		{"layer-to-few", layer, beyond},
+	} {
+		senders := make([]radio.TX, len(shape.senders))
+		for i, v := range shape.senders {
+			senders[i] = radio.TX{ID: v, Msg: radio.Msg{Kind: 1, A: uint64(v)}}
+		}
+		got := make([]radio.Msg, len(shape.receivers))
+		ok := make([]bool, len(shape.receivers))
+		eng := radio.NewEngine(g)
+		var s decay.Scratch
+		s.LocalBroadcast(eng, p, senders, shape.receivers, rng.Derive(1, 0), got, ok) // warm
+		b.Run(fmt.Sprintf("%s/S=%d/R=%d", shape.name, len(senders), len(shape.receivers)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.LocalBroadcast(eng, p, senders, shape.receivers, rng.Derive(1, uint64(i+1)), got, ok)
+			}
+		})
+	}
+}
+
+// BenchmarkReferenceBFS measures the sequential reference BFS that every
+// Check and the connectivity test of a G(n,p) build run, at n = 2^15 on
+// G(n,p), whose wide middle level the bottom-up direction walks from the
+// few unreached vertices, and on a grid, whose levels stay narrow.
+func BenchmarkReferenceBFS(b *testing.B) {
+	for _, family := range []string{"gnp", "grid"} {
+		g, _ := graph.Named(family, 1<<15, 1)
+		b.Run(fmt.Sprintf("%s/n=%d", family, g.N()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				graph.BFS(g, int32(i%g.N()))
+			}
+		})
+	}
+}
+
 // BenchmarkVerifyGradient measures the polylog labeling verifier.
 func BenchmarkVerifyGradient(b *testing.B) {
 	ctx := harness.NewContext()

@@ -10,20 +10,28 @@ import (
 
 // TestLocalBroadcastScratchZeroAllocs asserts the Decay rounds allocate
 // nothing once a Scratch has been warmed — the property that keeps large
-// physical-cost sweeps activity-bound instead of GC-bound. The 128-sender
-// case is BenchmarkDecayLocalBroadcastRaw's shape.
+// physical-cost sweeps activity-bound instead of GC-bound. The leaves
+// sending to the hub run on CSR rows, and the 128-sender case is
+// BenchmarkDecayLocalBroadcastRaw's shape; the hub sending to four leaves
+// runs on receiver-side rows, whose engine buffers must be reused too.
 func TestLocalBroadcastScratchZeroAllocs(t *testing.T) {
-	for _, c := range []struct{ senders, passes int }{{64, 4}, {128, 8}} {
-		g := graph.Star(c.senders + 1)
+	for _, c := range []struct {
+		leaves, passes int
+		hubSends       bool
+	}{{64, 4, false}, {128, 8, false}, {64, 4, true}} {
+		g := graph.Star(c.leaves + 1)
 		e := radio.NewEngine(g)
 		p := ParamsFor(g.N(), c.passes)
-		senders := make([]radio.TX, 0, c.senders)
-		for v := 1; v <= c.senders; v++ {
+		senders := make([]radio.TX, 0, c.leaves)
+		for v := 1; v <= c.leaves; v++ {
 			senders = append(senders, radio.TX{ID: int32(v), Msg: radio.Msg{A: uint64(v)}})
 		}
 		receivers := []int32{0}
-		got := make([]radio.Msg, 1)
-		ok := make([]bool, 1)
+		if c.hubSends {
+			senders, receivers = []radio.TX{{ID: 0, Msg: radio.Msg{A: 9}}}, []int32{1, 2, 3, 4}
+		}
+		got := make([]radio.Msg, len(receivers))
+		ok := make([]bool, len(receivers))
 		var s Scratch
 		s.LocalBroadcast(e, p, senders, receivers, rng.Derive(1, 0), got, ok) // warm
 		call := uint64(1)
@@ -32,8 +40,8 @@ func TestLocalBroadcastScratchZeroAllocs(t *testing.T) {
 			s.LocalBroadcast(e, p, senders, receivers, rng.Derive(1, call), got, ok)
 		})
 		if allocs != 0 {
-			t.Fatalf("Scratch.LocalBroadcast with %d senders and %d passes allocates %v per call in steady state, want 0",
-				c.senders, c.passes, allocs)
+			t.Fatalf("Scratch.LocalBroadcast with %d senders, %d receivers and %d passes allocates %v per call in steady state, want 0",
+				len(senders), len(receivers), c.passes, allocs)
 		}
 	}
 }

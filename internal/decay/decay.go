@@ -81,9 +81,13 @@ type Scratch struct {
 // callSeed must be fresh per call (derive it from a root seed and a call
 // counter). got and ok must have len(receivers).
 //
-// The call is one listen window on the engine (radio.Engine.Listen), so it
-// costs its transmissions plus one pass over the receivers, not one pass
-// per round.
+// The call is one listen window on the engine (radio.Engine.Listen) with
+// rows restricted to the smaller side: each transmission walks the
+// sender's arcs, or only its arcs into the receiver set when the receivers
+// have fewer arcs than the senders. So the call costs its transmissions
+// over those rows plus one pass over each side, not one pass per round,
+// and a wide frontier sending to a few stragglers pays for the stragglers'
+// adjacency rather than its own.
 func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers []int32, callSeed uint64, got []radio.Msg, ok []bool) {
 	if len(got) != len(receivers) || len(ok) != len(receivers) {
 		panic("decay: result slices must match receivers length")
@@ -99,7 +103,7 @@ func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, 
 	tx := scratch.Grow(s.tx, len(senders))
 	s.slotOf, s.start, s.tx = slotOf, start, tx
 	heard := s.heard
-	e.Listen(receivers)
+	e.Listen(senders, receivers)
 	for pass := 0; pass < p.Passes; pass++ {
 		// Each sender independently picks its decay slot for this pass; a
 		// stable counting sort then lays tx out slot by slot, senders in

@@ -83,17 +83,23 @@ func windowTestGraph(r *rng.Source) (g *graph.Graph, star bool) {
 
 // windowTestSplit draws disjoint senders and receivers in shuffled order,
 // either side possibly empty. On a star the hub listens and most leaves
-// send. Some messages exceed the RN[O(log n)] budget, so the violation
-// counter is compared too.
+// send. A sender-heavy split (one in four elsewhere) has a handful of
+// receivers and most other vertices sending, so the engine's rows come
+// from the receivers' side. Some messages exceed the RN[O(log n)] budget,
+// so the violation counter is compared too.
 func windowTestSplit(n int, star bool, r *rng.Source) ([]radio.TX, []int32) {
 	pSend, pRecv := r.Intn(4), r.Intn(4) // out of 4; 0 leaves a side empty
+	few := 0
+	if !star && r.Intn(4) == 0 {
+		pSend, pRecv, few = 3, 0, 1+r.Intn(3)
+	}
 	var senders []radio.TX
 	var receivers []int32
 	for _, v := range r.Perm(n) {
 		roll := r.Intn(4)
 		switch {
-		case star && v == 0:
-			receivers = append(receivers, 0)
+		case star && v == 0, len(receivers) < few:
+			receivers = append(receivers, int32(v))
 		case star:
 			if roll != 0 {
 				senders = append(senders, radio.TX{ID: int32(v), Msg: radio.Msg{A: uint64(v), C: r.Uint64() >> r.Intn(64)}})
@@ -107,18 +113,31 @@ func windowTestSplit(n int, star bool, r *rng.Source) ([]radio.TX, []int32) {
 	return senders, receivers
 }
 
+// degreeSums returns the arcs of the senders and of the receivers.
+func degreeSums(g *graph.Graph, senders []radio.TX, receivers []int32) (s, r int) {
+	for _, t := range senders {
+		s += g.Degree(t.ID)
+	}
+	for _, v := range receivers {
+		r += g.Degree(v)
+	}
+	return s, r
+}
+
 // TestLocalBroadcastMatchesPerRoundSteps is the byte-identity property of
 // the listen-window Local-Broadcast: over random graphs, sender/receiver
 // splits and pass counts, several consecutive calls on one engine through
 // one reused Scratch must fill got/ok exactly like the per-round reference
 // and leave every device's Energy/Listens/Transmits, the clock and the
-// violation counter identical.
+// violation counter identical. Calls whose receivers have fewer arcs than
+// their senders run on receiver-side rows; both kinds must occur.
 func TestLocalBroadcastMatchesPerRoundSteps(t *testing.T) {
 	seeds := uint64(300)
 	if testing.Short() {
 		seeds = 60
 	}
 	var s Scratch
+	var byReceivers, byCSR int
 	for seed := uint64(0); seed < seeds; seed++ {
 		r := rng.New(rng.Derive(0x10ca1, seed))
 		g, star := windowTestGraph(r)
@@ -128,6 +147,11 @@ func TestLocalBroadcastMatchesPerRoundSteps(t *testing.T) {
 			senders, receivers := windowTestSplit(g.N(), star, r)
 			p := ParamsFor(g.N(), 1+r.Intn(4))
 			callSeed := r.Uint64()
+			if sArcs, rArcs := degreeSums(g, senders, receivers); rArcs < sArcs {
+				byReceivers++
+			} else if len(senders) > 0 {
+				byCSR++
+			}
 			got, ok := make([]radio.Msg, len(receivers)), make([]bool, len(receivers))
 			wantGot, wantOK := make([]radio.Msg, len(receivers)), make([]bool, len(receivers))
 			s.LocalBroadcast(win, p, senders, receivers, callSeed, got, ok)
@@ -149,5 +173,8 @@ func TestLocalBroadcastMatchesPerRoundSteps(t *testing.T) {
 				}
 			}
 		}
+	}
+	if byReceivers == 0 || byCSR == 0 {
+		t.Fatalf("%d calls on receiver-side rows and %d with senders on CSR rows: want both", byReceivers, byCSR)
 	}
 }

@@ -12,28 +12,95 @@ func BFS(g *Graph, src int32) []int32 {
 
 // MultiSourceBFS returns, for each vertex, the hop distance to the nearest
 // source (Unreachable where no path exists). Duplicate sources are allowed.
+//
+// Each level is walked from the smaller side, as in direction-optimizing
+// BFS (Beamer, Asanović and Patterson, SC'12) with the switch rule reduced
+// to one comparison of costs it already has: top-down over the frontier's
+// arcs, or bottom-up over each unreached vertex's adjacency up to its first
+// neighbour on the frontier, whichever visits fewer vertices and arcs.
+// BFS distances are unique, so the direction changes only the work: after
+// a wide level, an unreached vertex costs about one neighbour check instead
+// of the wide level costing all of its arcs.
 func MultiSourceBFS(g *Graph, srcs []int32) []int32 {
-	dist := make([]int32, g.N())
+	dist, _ := multiSourceBFS(g, srcs)
+	return dist
+}
+
+// multiSourceBFS is MultiSourceBFS, also reporting how many levels it
+// walked bottom-up.
+func multiSourceBFS(g *Graph, srcs []int32) (dist []int32, bottomUp int) {
+	n := g.N()
+	dist = make([]int32, n)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	queue := make([]int32, 0, g.N())
+	queue := make([]int32, 0, n)
+	// frontierArcs and unreachedArcs sum the degrees of the current level
+	// and of the vertices no level has reached yet.
+	frontierArcs, unreachedArcs := 0, len(g.neighbors)
 	for _, s := range srcs {
 		if dist[s] == Unreachable {
 			dist[s] = 0
 			queue = append(queue, s)
+			frontierArcs += g.Degree(s)
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == Unreachable {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+	unreachedArcs -= frontierArcs
+	// rest lists the unreached vertices from the first bottom-up level on,
+	// and each bottom-up level drops the ones reached since; until then a
+	// bottom-up level would scan all n vertices to find them. The search
+	// stops once no unreached vertex has an arc left: no level can reach one.
+	var rest []int32
+	for head := 0; head < len(queue) && unreachedArcs > 0; {
+		level := dist[queue[head]]
+		frontier := queue[head:]
+		head = len(queue)
+		scan := n
+		if rest != nil {
+			scan = len(rest)
+		}
+		nextArcs := 0
+		if scan+unreachedArcs < len(frontier)+frontierArcs {
+			bottomUp++
+			if rest == nil {
+				rest = make([]int32, 0, n-len(queue))
+				for v := int32(0); v < int32(n); v++ {
+					if dist[v] == Unreachable {
+						rest = append(rest, v)
+					}
+				}
+			}
+			kept := rest[:0]
+		unreached:
+			for _, v := range rest {
+				if dist[v] != Unreachable {
+					continue
+				}
+				for _, u := range g.Neighbors(v) {
+					if dist[u] == level {
+						dist[v] = level + 1
+						queue = append(queue, v)
+						nextArcs += g.Degree(v)
+						continue unreached
+					}
+				}
+				kept = append(kept, v)
+			}
+			rest = kept
+		} else {
+			for _, u := range frontier {
+				for _, v := range g.Neighbors(u) {
+					if dist[v] == Unreachable {
+						dist[v] = level + 1
+						queue = append(queue, v)
+						nextArcs += g.Degree(v)
+					}
+				}
 			}
 		}
+		frontierArcs, unreachedArcs = nextArcs, unreachedArcs-nextArcs
 	}
-	return dist
+	return dist, bottomUp
 }
 
 // BFSTree returns distances and a parent array (parent[src] = src,

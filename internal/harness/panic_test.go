@@ -21,7 +21,7 @@ func (panicAlgo) Doc() string               { return "test-only entry whose ever
 func (panicAlgo) Params() []repro.ParamSpec { return nil }
 func (panicAlgo) Run(_ context.Context, nw *repro.Network, _ repro.Request) (*repro.Result, error) {
 	if pn, ok := nw.Base().(*lbnet.PhysNet); ok {
-		pn.Engine().Listen([]int32{0})
+		pn.Engine().Listen(nil, []int32{0})
 	}
 	panic("injected trial panic")
 }

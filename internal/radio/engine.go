@@ -15,9 +15,12 @@
 //     transmitters into per-neighbor counters; parallelism lives between
 //     trials, each on its own engine, never inside one. A listen window
 //     (Listen, StepWindow, EndListen) runs many rounds over one fixed
-//     listener set — a Local-Broadcast — for the cost of its transmissions
-//     plus one pass over the listeners, byte-identical to stepping those
-//     rounds one by one.
+//     sender set and one fixed listener set — a Local-Broadcast — with its
+//     rows restricted to the smaller side: a transmission walks the
+//     sender's CSR row, or, when the listeners have fewer arcs than the
+//     senders, only the sender's arcs into the listener set. A window
+//     costs its transmissions over those rows plus a pass over both sides,
+//     byte-identical to stepping its rounds one by one.
 //
 //   - Sim/Device: a goroutine-per-device blocking API (Listen, Transmit,
 //     Idle) on which free-form protocols can be written as ordinary
@@ -32,6 +35,7 @@ import (
 	"math/bits"
 
 	"repro/internal/graph"
+	"repro/internal/scratch"
 )
 
 // Msg is a radio message. The paper's algorithms need only a handful of
@@ -99,8 +103,18 @@ type Engine struct {
 	// Listen-window state (see Listen). lpos[v] is v's position in the
 	// window's receiver list plus one while v waits in an open window, and 0
 	// otherwise; window is that list and windowStart the round it opened.
+	// spos[v] is v's position in the declared senders plus one during the
+	// window, and 0 otherwise. When the receivers have fewer arcs than the
+	// senders (byReceivers), sender k's row is rowBuf[rowOff[k]:rowOff[k+1]]
+	// for k = spos[v], its arcs into the receiver set; otherwise it is v's
+	// CSR row.
 	lpos        []int32
+	spos        []int32
 	window      []int32
+	senders     []TX
+	byReceivers bool
+	rowOff      []int32
+	rowBuf      []int32
 	windowOpen  bool
 	windowStart int64
 }
@@ -161,6 +175,7 @@ func (e *Engine) Reset(g *graph.Graph) {
 		e.cnt = make([]int32, n)
 		e.from = make([]int32, n)
 		e.lpos = make([]int32, n)
+		e.spos = make([]int32, n)
 	} else {
 		e.energy = e.energy[:n]
 		e.listens = e.listens[:n]
@@ -168,15 +183,17 @@ func (e *Engine) Reset(g *graph.Graph) {
 		e.cnt = e.cnt[:n]
 		e.from = e.from[:n]
 		e.lpos = e.lpos[:n]
+		e.spos = e.spos[:n]
 		clear(e.energy)
 		clear(e.listens)
 		clear(e.transmits)
 		clear(e.cnt)
 		clear(e.from)
 		clear(e.lpos)
+		clear(e.spos)
 	}
 	e.touched = e.touched[:0]
-	e.window, e.windowOpen = nil, false
+	e.window, e.senders, e.windowOpen = nil, nil, false
 	e.round = 0
 	e.msgViolations = 0
 	if !e.msgBitsSet {
@@ -296,23 +313,29 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 }
 
 // mark is the mark phase shared by Step and StepWindow: it
-// meters every transmitter and walks its CSR adjacency into the
+// meters every transmitter and walks its row — its CSR row, or inside a
+// listen window the row Listen chose (see windowRow) — into the
 // per-neighbor counters, recording every counter the first time it is
 // touched so teardown never re-walks a neighborhood. Afterwards cnt[v] is
 // -1 for a transmitter and otherwise the number of v's transmitting
-// neighbors, with from[v] the tx index of the last of them.
+// neighbors whose rows hold v, with from[v] the tx index of the last of
+// them.
 func (e *Engine) mark(tx []TX) {
 	for i := range tx {
 		t := &tx[i]
 		if e.cnt[t.ID] == -1 {
 			panic(fmt.Sprintf("radio: device %d transmits twice in round %d", t.ID, e.round))
 		}
+		row := e.g.Neighbors(t.ID)
+		if e.windowOpen {
+			row = e.windowRow(t.ID)
+		}
 		if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
 			e.msgViolations++
 		}
 		e.energy[t.ID]++
 		e.transmits[t.ID]++
-		for _, u := range e.g.Neighbors(t.ID) {
+		for _, u := range row {
 			if e.cnt[u] >= 0 {
 				if e.cnt[u] == 0 {
 					e.touched = append(e.touched, u)
@@ -326,6 +349,20 @@ func (e *Engine) mark(tx []TX) {
 	}
 }
 
+// windowRow returns the row Listen chose for transmitter v of the open
+// window, which holds at least v's arcs into the receiver set. A
+// transmitter the window did not declare panics.
+func (e *Engine) windowRow(v int32) []int32 {
+	k := e.spos[v]
+	if k == 0 {
+		panic(fmt.Sprintf("radio: device %d transmits in round %d but was not declared a sender of the listen window", v, e.round))
+	}
+	if !e.byReceivers {
+		return e.g.Neighbors(v)
+	}
+	return e.rowBuf[e.rowOff[k]:e.rowOff[k+1]]
+}
+
 // Heard is one delivery of a listen-window round: the listener at position
 // Index of the window's receiver list heard Msg from its only transmitting
 // neighbor.
@@ -337,34 +374,85 @@ type Heard struct {
 // Listen opens a listen window: every device in receivers listens in each
 // following round until it hears a message or EndListen closes the window,
 // exactly as if each of those rounds were a Step with the still-waiting
-// receivers as listeners. Rounds advance only through StepWindow until
-// EndListen; Step and SkipRounds panic meanwhile. Opening costs
-// O(#receivers); receivers must stay unmodified until EndListen. A device
-// listed twice panics, as does opening a second window.
+// receivers as listeners. Only the devices in senders may transmit in the
+// window's rounds (their messages here are ignored; each round's tx carries
+// its own). Rounds advance only through StepWindow until EndListen; Step
+// and SkipRounds panic meanwhile. senders and receivers must stay
+// unmodified until EndListen. A receiver listed twice panics, as does
+// opening a second window.
+//
+// Each sender's row is restricted to the smaller side. When the receivers'
+// degrees sum to less than the senders', Listen builds every sender's arcs
+// into the receiver set from the receivers' adjacency, a count pass and a
+// fill pass into engine scratch, and a transmission walks only those;
+// otherwise a transmission walks the sender's CSR row. Either way a waiting
+// receiver's counter counts exactly its transmitting neighbors, since all
+// of its arcs to senders are in the rows, so deliveries and meters are the
+// same. Opening costs O(#senders + #receivers), plus O(Σ deg(receivers))
+// when the rows are built.
 //
 // A listener's meters settle in one add each when it hears (StepWindow) or
 // when the window closes (EndListen) — until then Energy and Listens omit
 // its open window. The window reports clean deliveries only: an engine
 // WithCollisionDetection gives waiting listeners no noise feedback.
-func (e *Engine) Listen(receivers []int32) {
+func (e *Engine) Listen(senders []TX, receivers []int32) {
 	if e.windowOpen {
 		panic("radio: listen window already open")
 	}
-	e.window, e.windowOpen, e.windowStart = receivers, true, e.round
+	e.window, e.senders, e.windowOpen, e.windowStart = receivers, senders, true, e.round
+	var recvArcs, sendArcs int
 	for i, v := range receivers {
 		if e.lpos[v] != 0 {
 			panic(fmt.Sprintf("radio: device %d listens twice in round %d", v, e.round))
 		}
 		e.lpos[v] = int32(i) + 1
+		recvArcs += e.g.Degree(v)
 	}
+	for i := range senders {
+		v := senders[i].ID
+		e.spos[v] = int32(i) + 1
+		sendArcs += e.g.Degree(v)
+	}
+	e.byReceivers = recvArcs < sendArcs
+	if !e.byReceivers {
+		return
+	}
+	// Count each sender's arcs into the receiver set at rowOff[k], k its
+	// spos; prefix sums leave rowOff[k] at the end of row k, and the fill
+	// pass moves it back to the row's start, so row k ends where row k+1
+	// starts and the last row at rowOff[len(senders)+1].
+	off := scratch.Grow(e.rowOff, len(senders)+2)
+	clear(off)
+	for _, r := range receivers {
+		for _, x := range e.g.Neighbors(r) {
+			if k := e.spos[x]; k != 0 {
+				off[k]++
+			}
+		}
+	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	buf := scratch.Grow(e.rowBuf, int(off[len(off)-1]))
+	for _, r := range receivers {
+		for _, x := range e.g.Neighbors(r) {
+			if k := e.spos[x]; k != 0 {
+				off[k]--
+				buf[off[k]] = r
+			}
+		}
+	}
+	e.rowOff, e.rowBuf = off, buf
 }
 
 // StepWindow executes one round of the open listen window with tx as the
-// transmitters (same rules as Step's tx; a waiting listener must not
-// transmit). It appends to heard every waiting listener that heard exactly
-// one transmitting neighbor, charges each of them the rounds it listened,
-// ends their wait, and returns the extended slice. The round costs
-// O(Σ deg(tx)) — O(1) without transmitters.
+// transmitters (same rules as Step's tx; every transmitter must be one of
+// the window's senders, and a waiting listener must not transmit). It
+// appends to heard every waiting listener that heard exactly one
+// transmitting neighbor, charges each of them the rounds it listened, ends
+// their wait, and returns the extended slice. The round costs the lengths
+// of the transmitters' rows, each restricted to the smaller side (see
+// Listen) — O(1) without transmitters.
 func (e *Engine) StepWindow(tx []TX, heard []Heard) []Heard {
 	if !e.windowOpen {
 		panic("radio: StepWindow without an open listen window")
@@ -391,7 +479,7 @@ func (e *Engine) StepWindow(tx []TX, heard []Heard) []Heard {
 }
 
 // EndListen closes the listen window, charging every listener still
-// waiting for each round the window ran, in O(#receivers).
+// waiting for each round the window ran, in O(#senders + #receivers).
 func (e *Engine) EndListen() {
 	k := e.round - e.windowStart
 	for _, v := range e.window {
@@ -401,5 +489,8 @@ func (e *Engine) EndListen() {
 			e.lpos[v] = 0
 		}
 	}
-	e.window, e.windowOpen = nil, false
+	for i := range e.senders {
+		e.spos[e.senders[i].ID] = 0
+	}
+	e.window, e.senders, e.windowOpen = nil, nil, false
 }

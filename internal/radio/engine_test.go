@@ -258,19 +258,38 @@ func TestTransmitAndListenPanics(t *testing.T) {
 	})
 }
 
-// requireSamePanic runs one programming error through Step and through a
-// listen window's StepWindow on Path(64), and requires both to panic with
-// the identical value: the window shares Step's mark phase, so a contract
-// violation reads the same whichever way the round runs.
-func requireSamePanic(t *testing.T, what string, viaStep, viaWindow func(e *Engine)) {
+// requireSamePanic runs one programming error — the round's transmitters
+// tx and listeners — through Step and through a listen window's StepWindow
+// on Path(64), and requires every run to panic with the identical value:
+// the window shares Step's mark phase, so a contract violation reads the
+// same whichever way the round runs. The window runs twice: declaring just
+// tx as its senders, which keeps CSR rows (the listeners must have at
+// least as many arcs), and declaring every tenth device too, which makes
+// the senders' arcs outnumber the listeners' and the rows receiver-side.
+func requireSamePanic(t *testing.T, what string, tx []TX, listeners []int32) {
 	t.Helper()
 	g := graph.Path(64)
-	want := recoverFrom(func() { viaStep(NewEngine(g)) })
+	want := recoverFrom(func() { NewEngine(g).Step(tx, listeners, make([]RX, len(listeners))) })
 	if want == nil {
 		t.Fatalf("Step did not panic on %s", what)
 	}
-	if got := recoverFrom(func() { viaWindow(NewEngine(g)) }); got != want {
-		t.Fatalf("listen-window %s panic %v, want Step's %v", what, got, want)
+	var tenth []TX
+	for v := int32(0); v < 64; v += 10 {
+		tenth = append(tenth, TX{ID: v})
+	}
+	for _, extra := range [][]TX{nil, tenth} {
+		e := NewEngine(g)
+		senders := append(append([]TX(nil), tx...), extra...)
+		got := recoverFrom(func() {
+			e.Listen(senders, listeners)
+			e.StepWindow(tx, nil)
+		})
+		if byReceivers := extra != nil; e.byReceivers != byReceivers {
+			t.Fatalf("listen-window %s: receiver-side rows %v, want %v", what, e.byReceivers, byReceivers)
+		}
+		if got != want {
+			t.Fatalf("listen-window %s panic %v (receiver-side rows %v), want Step's %v", what, got, e.byReceivers, want)
+		}
 	}
 }
 
@@ -278,23 +297,13 @@ func requireSamePanic(t *testing.T, what string, viaStep, viaWindow func(e *Engi
 // value on both ways a round runs, Step and the listen window. (The name
 // dates from the sharded step, the other path it once compared.)
 func TestShardedDoubleTransmitPanics(t *testing.T) {
-	requireSamePanic(t, "duplicate transmitter",
-		func(e *Engine) { e.Step([]TX{{ID: 5}, {ID: 5}}, nil, nil) },
-		func(e *Engine) {
-			e.Listen([]int32{7})
-			e.StepWindow([]TX{{ID: 5}, {ID: 5}}, nil)
-		})
+	requireSamePanic(t, "duplicate transmitter", []TX{{ID: 5}, {ID: 5}}, []int32{7, 20})
 }
 
 // TestShardedTransmitAndListenPanics pins a device that both transmits and
 // listens to one panic value on Step and on the listen window.
 func TestShardedTransmitAndListenPanics(t *testing.T) {
-	requireSamePanic(t, "transmit+listen",
-		func(e *Engine) { e.Step([]TX{{ID: 5}}, []int32{5}, make([]RX, 1)) },
-		func(e *Engine) {
-			e.Listen([]int32{5})
-			e.StepWindow([]TX{{ID: 5}}, nil)
-		})
+	requireSamePanic(t, "transmit+listen", []TX{{ID: 5}}, []int32{5})
 }
 
 func TestMsgBitsAccounting(t *testing.T) {

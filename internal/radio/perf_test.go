@@ -122,8 +122,8 @@ func TestShardedReset(t *testing.T) {
 				}
 			}
 			w := drawWindow(g.N(), r)
-			reused.Listen(w.listeners)
-			fresh.Listen(w.listeners)
+			reused.Listen(w.senders, w.listeners)
+			fresh.Listen(w.senders, w.listeners)
 			for round, tx := range w.rounds {
 				got, want = reused.StepWindow(tx, got[:0]), fresh.StepWindow(tx, want[:0])
 				if !sameHeard(got, want) {
@@ -142,7 +142,8 @@ func TestShardedReset(t *testing.T) {
 				t.Fatalf("graph %d: device %d meters diverge from a fresh engine's", gi, v)
 			}
 		}
-		reused.Listen(drawWindow(g.N(), r).listeners) // abandoned: the next Reset discards it
+		w := drawWindow(g.N(), r)
+		reused.Listen(w.senders, w.listeners) // abandoned: the next Reset discards it
 	}
 }
 

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -44,6 +45,7 @@ type VNet struct {
 	memberMsg  []radio.Msg // Upcast's working copy of the members' entries
 	memberHas  []bool
 	active     []int32     // the current cast's participating clusters, ascending
+	byDepth    []int32     // unit-cost cast: the participating clusters by descending maxLayerOf
 	slotBits   []uint64    // the slots of a step schedule being built, one bit each
 	slotBucket [][]int32   // [slot] -> the schedule's clusters using it, ascending
 	steps      []int32     // the schedule's slots, ascending
@@ -57,7 +59,7 @@ type VNet struct {
 	senders    []int32     // unit-cost stage: its senders, to clear senderOf
 	lis        []listener  // unit-cost stage: its kept receivers, grouped by cluster
 	nbrs       []int32     // unit-cost stage: each listener's stage-sender neighbours, ascending
-	live       []int32     // unit-cost stage: clusters with a kept receiver, ascending
+	live       []int32     // unit-cost stage: clusters with a kept receiver
 	pending    stepHeap    // unit-cost stage: the next step of each cluster still listening
 	lbMsg      []radio.Msg // LocalBroadcast: per-cluster sender payloads
 	lbSend     []bool      // LocalBroadcast: the clusters sending in this call
@@ -324,6 +326,14 @@ func (v *VNet) cast(part []int32, msgs []radio.Msg, holds []bool, up bool) {
 	}
 	executed := int64(0)
 	if v.unit != nil {
+		// A stage reaches a cluster iff its layer is at most the cluster's
+		// maxLayerOf, so in descending depth order the clusters a stage
+		// reaches are a prefix. Their order does not reach the outputs:
+		// castStageUnit resolves listeners by (slot, cluster) heap order.
+		v.byDepth = append(v.byDepth[:0], part...)
+		slices.SortFunc(v.byDepth, func(a, b int32) int {
+			return cmp.Compare(v.maxLayerOf[b], v.maxLayerOf[a])
+		})
 		for k := int32(1); k <= maxStage; k++ {
 			_, sLayer, rLayer := stage(k)
 			v.castStageUnit(sLayer, rLayer, msgs, holds)
@@ -473,13 +483,15 @@ func (v *VNet) castStage(stage, sLayer, rLayer int32, msgs []radio.Msg, holds []
 //
 // Outputs, meters and failure draws are exactly those of one parent
 // LocalBroadcast per step, at a cost proportional to the stage's members,
-// their adjacency and the steps in which someone still listens.
+// their adjacency and the steps in which someone still listens. The
+// clusters are walked in byDepth order up to the first one the stage does
+// not reach, so clusters shallower than the stage cost nothing.
 func (v *VNet) castStageUnit(sLayer, rLayer int32, msgs []radio.Msg, holds []bool) {
 	u, g, from := v.unit, v.unit.Graph(), v.senderOf
 	snd := v.senders[:0]
-	for _, c := range v.active {
+	for _, c := range v.byDepth {
 		if sLayer > v.maxLayerOf[c] {
-			continue
+			break
 		}
 		k := int64(len(v.subsets[c]))
 		for _, x := range v.membersAtLayer[c][sLayer] {
@@ -491,9 +503,9 @@ func (v *VNet) castStageUnit(sLayer, rLayer int32, msgs []radio.Msg, holds []boo
 		}
 	}
 	lis, nbrs, live, h := v.lis[:0], v.nbrs[:0], v.live[:0], v.pending[:0]
-	for _, c := range v.active {
+	for _, c := range v.byDepth {
 		if rLayer > v.maxLayerOf[c] {
-			continue
+			break
 		}
 		k := int64(len(v.subsets[c]))
 		sp := &v.spans[c]
