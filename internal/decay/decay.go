@@ -69,7 +69,6 @@ type Scratch struct {
 	dist      []int32
 	frontier  []int32
 	unlabeled []int32
-	got       []radio.Msg
 	ok        []bool
 	senders   []radio.TX
 }
@@ -79,7 +78,8 @@ type Scratch struct {
 // stops listening as soon as it hears a message (the energy optimization of
 // Lemma 2.4); senders transmit once per pass in a decay-distributed slot.
 // callSeed must be fresh per call (derive it from a root seed and a call
-// counter). got and ok must have len(receivers).
+// counter). ok must have len(receivers), and so must got unless it is nil:
+// a caller that reads only who heard passes nil and no message is stored.
 //
 // The call is one listen window on the engine (radio.Engine.Listen) with
 // rows restricted to the smaller side: each transmission walks the
@@ -89,7 +89,7 @@ type Scratch struct {
 // and a wide frontier sending to a few stragglers pays for the stragglers'
 // adjacency rather than its own.
 func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers []int32, callSeed uint64, got []radio.Msg, ok []bool) {
-	if len(got) != len(receivers) || len(ok) != len(receivers) {
+	if (got != nil && len(got) != len(receivers)) || len(ok) != len(receivers) {
 		panic("decay: result slices must match receivers length")
 	}
 	clear(got)
@@ -105,12 +105,14 @@ func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, 
 	heard := s.heard
 	e.Listen(senders, receivers)
 	for pass := 0; pass < p.Passes; pass++ {
-		// Each sender independently picks its decay slot for this pass; a
-		// stable counting sort then lays tx out slot by slot, senders in
-		// index order within a slot.
+		// Each sender independently picks its decay slot for this pass,
+		// from the seed Derive(callSeed, pass, ID); a stable counting sort
+		// then lays tx out slot by slot, senders in index order within a
+		// slot.
 		clear(start)
+		passSeed := rng.Derive(callSeed, uint64(pass))
 		for i := range senders {
-			s.rnd.Reseed(rng.Derive(callSeed, uint64(pass), uint64(senders[i].ID)))
+			s.rnd.Reseed(rng.Extend(passSeed, uint64(senders[i].ID)))
 			slotOf[i] = int32(s.rnd.GeometricSlot(p.Slots))
 			start[slotOf[i]+1]++
 		}
@@ -127,7 +129,10 @@ func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, 
 		for slot := 1; slot <= p.Slots; slot++ {
 			heard = e.StepWindow(tx[lo:start[slot]], heard[:0])
 			for _, h := range heard {
-				got[h.Index], ok[h.Index] = h.Msg, true
+				ok[h.Index] = true
+				if got != nil {
+					got[h.Index] = h.Msg
+				}
 			}
 			lo = start[slot]
 		}
@@ -189,9 +194,8 @@ func (s *Scratch) BFSHooked(h progress.Hooks, e *radio.Engine, p Params, srcs []
 			unlabeled = append(unlabeled, v)
 		}
 	}
-	got := scratch.Grow(s.got, n)
 	ok := scratch.Grow(s.ok, n)
-	s.got, s.ok = got, ok
+	s.ok = ok
 	senders := s.senders[:0]
 	for k := int32(1); int(k) <= maxDist && len(frontier) > 0 && len(unlabeled) > 0; k++ {
 		if h.Err() != nil {
@@ -201,7 +205,7 @@ func (s *Scratch) BFSHooked(h progress.Hooks, e *radio.Engine, p Params, srcs []
 		for _, v := range frontier {
 			senders = append(senders, radio.TX{ID: v, Msg: radio.Msg{Kind: 1, A: uint64(k - 1)}})
 		}
-		s.LocalBroadcast(e, p, senders, unlabeled, rng.Derive(seed, uint64(k)), got[:len(unlabeled)], ok[:len(unlabeled)])
+		s.LocalBroadcast(e, p, senders, unlabeled, rng.Derive(seed, uint64(k)), nil, ok[:len(unlabeled)])
 		res.LBCalls++
 		h.Rounds(PhaseBFS, p.Duration())
 		frontier = frontier[:0]
@@ -278,8 +282,7 @@ func Sense(e *radio.Engine, p Params, senders []int32, receivers []int32, callSe
 	for i, s := range senders {
 		tx[i] = radio.TX{ID: s, Msg: radio.Msg{Kind: 0x5e}}
 	}
-	got := make([]radio.Msg, len(receivers))
 	ok := make([]bool, len(receivers))
-	LocalBroadcast(e, p, tx, receivers, callSeed, got, ok)
+	LocalBroadcast(e, p, tx, receivers, callSeed, nil, ok)
 	return ok
 }

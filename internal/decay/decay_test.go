@@ -119,23 +119,29 @@ func TestHearingReceiverStopsListening(t *testing.T) {
 	}
 }
 
+// TestLocalBroadcastDeterminism runs one call twice, the second time with a
+// nil got, which stores no messages and must not change who hears or the
+// energy spent.
 func TestLocalBroadcastDeterminism(t *testing.T) {
 	g := graph.Complete(12)
 	p := ParamsFor(12, 3)
-	run := func() ([]bool, int64) {
+	run := func(msgs bool) ([]bool, int64) {
 		e := radio.NewEngine(g)
 		var senders []radio.TX
 		for v := 0; v < 6; v++ {
 			senders = append(senders, radio.TX{ID: int32(v), Msg: radio.Msg{A: uint64(v)}})
 		}
 		receivers := []int32{6, 7, 8, 9, 10, 11}
-		got := make([]radio.Msg, len(receivers))
+		var got []radio.Msg
+		if msgs {
+			got = make([]radio.Msg, len(receivers))
+		}
 		ok := make([]bool, len(receivers))
 		LocalBroadcast(e, p, senders, receivers, 21, got, ok)
 		return ok, e.TotalEnergy()
 	}
-	ok1, e1 := run()
-	ok2, e2 := run()
+	ok1, e1 := run(true)
+	ok2, e2 := run(false)
 	if e1 != e2 {
 		t.Fatalf("energy differs: %d vs %d", e1, e2)
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -107,17 +108,18 @@ func TestBuilderCountingSortMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGeneratorArcOrderMatchesReference runs the seeded generators straight
-// on a builder and compares each finalized graph with referenceCSR of the
-// arcs the builder still holds. G(n, p)'s augmentation refill and the
-// geometric stitch re-add edges out of row order, so the sweep must reach
-// both.
+// TestGeneratorArcOrderMatchesReference runs the seeded generators that
+// build through AddEdge straight on a builder and compares each finalized
+// graph with referenceCSR of the arcs the builder still holds. G(n, p)'s
+// augmentation refill and the geometric stitch re-add edges out of row
+// order, so the sweep must reach both. A G(n, p) sample that needs no
+// refill is written straight into CSR and leaves no arcs behind;
+// TestGNPMatchesReference pins it.
 func TestGeneratorArcOrderMatchesReference(t *testing.T) {
 	gens := []struct {
 		name  string
 		build func(b *Builder, n int, r *rng.Source) *Graph
 	}{
-		{"gnp", func(b *Builder, n int, r *rng.Source) *Graph { return GNPInto(b, n, gnpP(n), r) }},
 		{"tree", RandomTreeInto},
 		{"connected-gnp", func(b *Builder, n int, r *rng.Source) *Graph { return ConnectedGNPInto(b, n, gnpP(n), r) }},
 		{"geometric", func(b *Builder, n int, r *rng.Source) *Graph {
@@ -133,17 +135,18 @@ func TestGeneratorArcOrderMatchesReference(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, 100, 1 << 14} {
 			for seed := uint64(0); seed < 4; seed++ {
 				g := gen.build(b, n, rng.New(seed))
-				requireReferenceCSR(t, fmt.Sprintf("%s n=%d seed=%d", gen.name, n, seed), g, n, builderEdges(b))
 				switch gen.name {
 				case "connected-gnp":
-					if !IsConnected(GNP(n, gnpP(n), rng.New(seed))) {
-						refills++
+					if IsConnected(GNP(n, gnpP(n), rng.New(seed))) {
+						continue
 					}
+					refills++
 				case "connected-geometric":
 					if !IsConnected(RandomGeometric(n, geoRadius(n), rng.New(seed), false)) {
 						stitches++
 					}
 				}
+				requireReferenceCSR(t, fmt.Sprintf("%s n=%d seed=%d", gen.name, n, seed), g, n, builderEdges(b))
 			}
 		}
 	}
@@ -290,27 +293,158 @@ func TestBuilderResetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestGNPReservationCoversSample pins the arc reservation GNPInto makes
-// before sampling: on a builder hinted for average degree 8 (the harness's
-// pooled builder), a connected G(n, p) sample — including
-// ConnectedGNPInto's augmentation refill — ends with exactly the capacity
-// the one up-front reservation gives, so the arc arrays never regrew
-// mid-sample, and its graph matches a fresh build's.
+// TestGNPReservationCoversSample pins the upper-list reservation GNPInto
+// makes before sampling: on a builder hinted for average degree 8 (the
+// harness's pooled builder), the list, one entry per edge, ends in exactly
+// the capacity the one up-front reservation gives, so it never regrew
+// mid-sample. The builder is left holding no arcs, and the pooled sample
+// matches a fresh build's.
 func TestGNPReservationCoversSample(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 100, 1 << 10, 1 << 14} {
 		p := gnpP(n)
 		for seed := uint64(0); seed < 4; seed++ {
 			b := FromDegreeHint(n, 8)
-			want := cap(slices.Grow(make([]int32, 0, cap(b.src)), gnpReserve(n, p)))
-			g := ConnectedGNPInto(b, n, p, rng.New(seed))
-			if cap(b.src) != want || cap(b.dst) != want {
-				t.Fatalf("n=%d seed=%d: arc capacity %d/%d after %d arcs, want the reserved %d",
-					n, seed, cap(b.src), cap(b.dst), len(b.src), want)
+			want := cap(slices.Grow(make([]int32, 0, cap(b.dst)), gnpReserve(n, p)))
+			g := GNPInto(b, n, p, rng.New(seed))
+			if cap(b.dst) != want {
+				t.Fatalf("n=%d seed=%d: upper list capacity %d for %d edges, want the reserved %d",
+					n, seed, cap(b.dst), g.M(), want)
 			}
-			fresh := ConnectedGNP(n, p, rng.New(seed))
+			if len(b.src) != 0 || len(b.dst) != 0 {
+				t.Fatalf("n=%d seed=%d: builder left holding %d/%d arcs, want none", n, seed, len(b.src), len(b.dst))
+			}
+			fresh := GNP(n, p, rng.New(seed))
 			if !slices.Equal(g.neighbors, fresh.neighbors) || !slices.Equal(g.offsets, fresh.offsets) {
 				t.Fatalf("n=%d seed=%d: pooled sample differs from a fresh one", n, seed)
 			}
 		}
+	}
+}
+
+// gnpReference is the G(n, p) sampler as it stood before GNPInto wrote the
+// CSR itself: the same geometric-skip loop with the exact skip, feeding
+// AddEdge and Builder.Graph. GNPInto must match it draw for draw.
+func gnpReference(b *Builder, n int, p float64, r *rng.Source) *Graph {
+	b.Reset(n)
+	if p >= 1 {
+		return Complete(n)
+	}
+	if p <= 0 {
+		return b.Graph()
+	}
+	logq := math.Log(1 - p)
+	u, v := int64(0), int64(0)
+	nn := int64(n)
+	for u < nn {
+		skip := int64(math.Log(1-r.Float64())/logq) + 1
+		v += skip
+		for v >= nn && u < nn {
+			u++
+			v = v - nn + u + 1
+		}
+		if u < nn && v > u {
+			b.AddEdge(int32(u), int32(v))
+		}
+	}
+	return b.Graph()
+}
+
+// TestGNPMatchesReference compares GNPInto, on a builder reused across
+// every size and p and on a fresh one per sample, with gnpReference:
+// offsets, neighbours and MaxDegree, and the state the sample leaves the
+// source in, which ConnectedGNPInto's refill draws from next. Pairs whose
+// mean edge count exceeds 2^21 are skipped: the dense p at n = 2^14 and
+// 2^17 would take gigabytes.
+func TestGNPMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			t.Parallel()
+			reused, ref := NewBuilder(0), NewBuilder(0)
+			for _, n := range []int{0, 1, 2, 3, 100, 1 << 14, 1 << 17} {
+				for _, p := range []float64{gnpP(n), 0.01, 0.5, 0.99} {
+					if p*float64(n)*float64(n-1)/2 > 1<<21 {
+						continue
+					}
+					rw := rng.New(seed)
+					want := gnpReference(ref, n, p, rw)
+					for _, b := range []*Builder{reused, NewBuilder(0)} {
+						r := rng.New(seed)
+						g := GNPInto(b, n, p, r)
+						label := fmt.Sprintf("n=%d p=%g reused=%v", n, p, b == reused)
+						if !slices.Equal(g.offsets, want.offsets) || !slices.Equal(g.neighbors, want.neighbors) {
+							t.Fatalf("%s: CSR differs from the reference", label)
+						}
+						if g.MaxDegree() != want.MaxDegree() {
+							t.Fatalf("%s: MaxDegree = %d, want %d", label, g.MaxDegree(), want.MaxDegree())
+						}
+						if *r != *rw {
+							t.Fatalf("%s: source left in a different state than the reference leaves it", label)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestGeoSkipExact checks the bracketed skip against the exact expression
+// int64(math.Log(y)/logq) at the registry's p from n = 64 to 2^20 and at
+// three fixed p: on 10^7 random y per p (half drawn as the sampler draws
+// them, half with a uniform exponent in [-53, -1] and a uniform mantissa),
+// on y = 1, and within 8 ulps of the boundaries exp(k·logq) ≥ 2^-53 for
+// every k up to 32 and then k growing by 1/32 each time, where the
+// estimate cannot settle the skip. The bracket must leave y = 1 and every
+// boundary input to the exact expression, and settle all but 1% of the
+// random ones itself.
+func TestGeoSkipExact(t *testing.T) {
+	ps := []float64{0.01, 0.5, 0.99}
+	for n := 64; n <= 1<<20; n *= 4 {
+		ps = append(ps, gnpP(n))
+	}
+	for _, p := range ps {
+		t.Run(fmt.Sprint("p=", p), func(t *testing.T) {
+			t.Parallel()
+			s := newGeoSkip(p)
+			// check fails the test unless y's skip is exact, and reports
+			// whether the bracket left it to the exact expression.
+			check := func(y float64) bool {
+				got, exact := s.skip(y)
+				if want := int64(math.Log(y) / s.logq); got != want {
+					t.Fatalf("y=%v (%#x): skip %d, want %d", y, math.Float64bits(y), got, want)
+				}
+				return exact
+			}
+			r := rng.New(math.Float64bits(p))
+			const draws = 10_000_000
+			fallbacks := 0
+			for i := range draws {
+				y := 1 - r.Float64()
+				if i&1 == 1 {
+					x := r.Uint64()
+					y = math.Float64frombits((1022-(x>>52)%53)<<52 | x&(1<<52-1))
+				}
+				if check(y) {
+					fallbacks++
+				}
+			}
+			if fallbacks > draws/100 {
+				t.Fatalf("the bracket fell back on %d of %d random draws, want at most 1%%", fallbacks, draws)
+			}
+			if !check(1) {
+				t.Fatal("the bracket settled y = 1, whose quotient is the integer 0")
+			}
+			for k := 1; float64(k)*s.logq >= -53*math.Ln2; k = max(k+1, k+k/32) {
+				y := math.Exp(float64(k) * s.logq)
+				for range 8 {
+					y = math.Nextafter(y, 0)
+				}
+				for j := -8; j <= 8; j++ {
+					if y <= 1 && !check(y) {
+						t.Fatalf("k=%d: the bracket settled y = %v, %d ulps from the boundary", k, y, j)
+					}
+					y = math.Nextafter(y, 2)
+				}
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/rng"
+	"repro/internal/scratch"
 )
 
 // Path returns the n-vertex path 0—1—…—(n-1). Diameter n-1.
@@ -141,6 +142,17 @@ func GNP(n int, p float64, r *rng.Source) *Graph {
 }
 
 // GNPInto is GNP building through a caller-owned builder (Reset to n first).
+//
+// The sampler is the geometric-skip method of Batagelj and Brandes (Phys.
+// Rev. E 71, 036113, 2005): it walks the pairs u < v in (u, v) order and
+// crosses each run of absent edges with one draw. It writes the CSR itself.
+// Row u's upper neighbours (v > u) arrive ascending, so they go onto one
+// list while each edge counts a degree at both ends; a prefix pass turns
+// the degrees into offsets. One pass over u in ascending order then copies
+// u's upper block behind its lower one and appends u to the lower block of
+// each upper neighbour, so every row comes out sorted and duplicate-free
+// with no scatter, sort or dedupe. The builder's arrays are the scratch:
+// dst holds the upper list and pos the row cursors.
 func GNPInto(b *Builder, n int, p float64, r *rng.Source) *Graph {
 	b.Reset(n)
 	if p >= 1 {
@@ -149,35 +161,114 @@ func GNPInto(b *Builder, n int, p float64, r *rng.Source) *Graph {
 	if p <= 0 {
 		return b.Graph()
 	}
-	// Reserve the arcs up front, so a pooled builder hinted for a sparser
-	// family grows once instead of regrowing its arc arrays mid-sample.
-	arcs := gnpReserve(n, p)
-	b.src = slices.Grow(b.src, arcs)
-	b.dst = slices.Grow(b.dst, arcs)
-	// Geometric skipping for sparse p: iterate over present edges only.
-	logq := math.Log(1 - p)
+	g := &Graph{offsets: make([]int32, n+1)}
+	deg := g.offsets[1:] // deg[v] is summed into offsets in place below
+	up := slices.Grow(b.dst[:0], gnpReserve(n, p))
+	s := newGeoSkip(p)
 	u, v := int64(0), int64(0)
 	nn := int64(n)
 	for u < nn {
-		skip := int64(math.Log(1-r.Float64())/logq) + 1
-		v += skip
+		skip, _ := s.skip(1 - r.Float64())
+		v += skip + 1
 		for v >= nn && u < nn {
 			u++
 			v = v - nn + u + 1
 		}
 		if u < nn && v > u {
-			b.AddEdge(int32(u), int32(v))
+			up = append(up, int32(v))
+			deg[u]++
+			deg[v]++
 		}
 	}
-	return b.Graph()
+	b.dst = up[:0] // keep the grown array; the builder holds no arcs
+
+	var maxDeg int32
+	for v := range n {
+		maxDeg = max(maxDeg, g.offsets[v+1])
+		g.offsets[v+1] += g.offsets[v]
+	}
+	g.maxDeg = int(maxDeg)
+	g.neighbors = make([]int32, g.offsets[n])
+	// cursor[v] is where v's next lower neighbour goes. Every lower
+	// neighbour of u is smaller than u, so when the pass reaches u its lower
+	// block is full and cursor[u] is where its upper block starts.
+	cursor := scratch.Grow(b.pos, n)
+	b.pos = cursor
+	copy(cursor, g.offsets)
+	for u := range int32(n) {
+		lo, hi := cursor[u], g.offsets[u+1]
+		blk := up[:hi-lo]
+		up = up[hi-lo:]
+		copy(g.neighbors[lo:hi], blk)
+		for _, w := range blk {
+			g.neighbors[cursor[w]] = u
+			cursor[w]++
+		}
+	}
+	return g
 }
 
-// gnpReserve bounds the arcs a G(n, p) sample fills a builder with: the
-// mean edge count plus four standard deviations, plus the n-1 edges
-// ConnectedGNPInto's augmentation adds, each edge stored in both directions.
+// gnpReserve bounds the upper list a G(n, p) sample fills: the mean edge
+// count plus four standard deviations, one entry per edge. GNPInto reserves
+// it before sampling, so a pooled builder hinted for a sparser family grows
+// once instead of regrowing mid-sample. ConnectedGNPInto's rare refill
+// (the sample is disconnected with probability about 1/n at the registry's
+// p) adds arcs through AddEdge and grows the builder as it needs.
 func gnpReserve(n int, p float64) int {
 	mean := p * float64(n) * float64(n-1) / 2
-	return 2 * (int(mean+4*math.Sqrt(mean)) + n)
+	return int(mean + 4*math.Sqrt(mean))
+}
+
+// geoSkip computes the sampler's skip int64(math.Log(y)/logq), with
+// logq = ln(1-p) and y = 1 - r.Float64() in [2^-53, 1], bit for bit and
+// mostly without math.Log. Write y = 2^e·m with m in [1, 2), let c be m cut
+// to its top seven fraction bits and t = (m-c)/c, so 0 ≤ t < 1/128. Then
+//
+//	ln y = e·ln 2 + ln c + ln(1+t),  ln(1+t) ≈ t - t²/2 + t³/3,
+//
+// with ln c from a 128-entry table. The series alternates, so its
+// truncation error is at most t⁴/4 < 9.4e-10. math.Log's own error (under
+// one ulp) and the float rounding of the sum, of the division by logq and
+// of the product by 1/logq add under 1e-13 more, since |ln y| ≤ 53·ln 2.
+// So the estimate a lies within 1e-9/|logq| of the quotient the exact
+// expression computes. Where a lies at least margin = 1e-7/|logq| from
+// every integer, both truncate to the same integer; elsewhere skip
+// evaluates the exact expression. The error and the margin both scale with
+// 1/|logq|, so the margin keeps a hundredfold headroom at every p. At the
+// registry's p it falls back on under 1% of draws.
+type geoSkip struct {
+	logq, inv, margin float64
+}
+
+func newGeoSkip(p float64) geoSkip {
+	logq := math.Log(1 - p)
+	return geoSkip{logq: logq, inv: 1 / logq, margin: 1e-7 / -logq}
+}
+
+// lnMant[i] = ln(1 + i/128) and invMant[i] = 1/(1 + i/128), for the 128
+// values of c.
+var lnMant, invMant = func() (ln, inv [128]float64) {
+	for i := range ln {
+		c := 1 + float64(i)/128
+		ln[i], inv[i] = math.Log(c), 1/c
+	}
+	return ln, inv
+}()
+
+// skip returns int64(math.Log(y)/s.logq) for y in [2^-53, 1], and
+// whether the bracket left it to that expression because its estimate lies
+// within s.margin of an integer.
+func (s geoSkip) skip(y float64) (k int64, exact bool) {
+	bits := math.Float64bits(y)
+	e := int64(bits>>52) - 1023
+	i := bits >> 45 & 127
+	t := float64(bits&(1<<45-1)) * 0x1p-52 * invMant[i]
+	a := (float64(e)*math.Ln2 + lnMant[i] + t*(1-t*(0.5-t*(1.0/3)))) * s.inv
+	k = int64(a)
+	if frac := a - float64(k); frac >= s.margin && frac <= 1-s.margin {
+		return k, false
+	}
+	return int64(math.Log(y) / s.logq), true
 }
 
 // ConnectedGNP returns G(n, p) with a uniform random spanning tree's worth of

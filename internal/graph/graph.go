@@ -79,7 +79,9 @@ func (g *Graph) Edges(fn func(u, v int32)) {
 // slice headers. Finalization scatters the arcs into their rows in one
 // stable counting pass and comparison-sorts only the rows that arrived out
 // of order; generators that append every row in ascending order (star, grid,
-// uniform-attachment tree, G(n, p)) pay no sort at all.
+// uniform-attachment tree) pay no sort at all. GNPInto adds no arcs: it
+// writes its CSR itself and uses the builder's arrays only as scratch, and
+// only ConnectedGNPInto's rare connectivity refill goes through AddEdge.
 // A Builder may be reused across graphs via Reset: the arc arrays and the
 // finalization scratch persist, so a pooled builder that has reached its
 // working size accumulates and finalizes follow-up graphs with only the two
@@ -92,7 +94,7 @@ type Builder struct {
 	dst []int32
 
 	// pos is the finalization scratch (row cursors), reused across Graph
-	// calls.
+	// and GNPInto calls.
 	pos []int32
 }
 

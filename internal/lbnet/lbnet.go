@@ -37,7 +37,8 @@ type Net interface {
 // MaxLBEnergy returns the maximum per-vertex LB-unit energy on net.
 func MaxLBEnergy(net Net) int64 {
 	var m int64
-	for v := int32(0); v < int32(net.N()); v++ {
+	n := int32(net.N())
+	for v := int32(0); v < n; v++ {
 		if e := net.LBEnergy(v); e > m {
 			m = e
 		}
@@ -48,7 +49,8 @@ func MaxLBEnergy(net Net) int64 {
 // TotalLBEnergy returns the aggregate LB-unit energy on net.
 func TotalLBEnergy(net Net) int64 {
 	var s int64
-	for v := int32(0); v < int32(net.N()); v++ {
+	n := int32(net.N())
+	for v := int32(0); v < n; v++ {
 		s += net.LBEnergy(v)
 	}
 	return s

@@ -47,6 +47,20 @@ func TestDeriveIndependence(t *testing.T) {
 	}
 }
 
+// TestExtendAppendsOneTag pins the identity Derive(s, t1, ..., tk, t) ==
+// Extend(Derive(s, t1, ..., tk), t) that lets a caller derive a shared tag
+// prefix once.
+func TestExtendAppendsOneTag(t *testing.T) {
+	check := func(seed, a, b, c uint64) bool {
+		return Derive(seed, a) == Extend(Derive(seed), a) &&
+			Derive(seed, a, b) == Extend(Derive(seed, a), b) &&
+			Derive(seed, a, b, c) == Extend(Extend(Derive(seed, a), b), c)
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestZeroSeedUsable(t *testing.T) {
 	r := New(0)
 	var x uint64
