@@ -690,9 +690,9 @@ func BenchmarkDecayLocalBroadcastRaw(b *testing.B) {
 // BenchmarkLocalBroadcastWindow measures one physical-channel Decay
 // Local-Broadcast (2 passes, as scale-physics runs them) on
 // ConnectedGNP(2^15) in the two shapes of a Decay BFS wavefront: a few
-// senders with everyone else listening, whose rows are the senders' own
+// senders with everyone else listening, whose rows come from the senders'
 // adjacency, and the widest BFS layer sending to the few vertices beyond
-// it, whose rows hold only the arcs into those listeners.
+// it, whose rows come from those listeners' adjacency.
 func BenchmarkLocalBroadcastWindow(b *testing.B) {
 	n := 1 << 15
 	g, _ := graph.Named("gnp", n, 1)

@@ -1,6 +1,7 @@
 package decay
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,24 +11,26 @@ import (
 
 // TestLocalBroadcastScratchZeroAllocs asserts the Decay rounds allocate
 // nothing once a Scratch has been warmed — the property that keeps large
-// physical-cost sweeps activity-bound instead of GC-bound. The leaves
-// sending to the hub run on CSR rows, and the 128-sender case is
-// BenchmarkDecayLocalBroadcastRaw's shape; the hub sending to four leaves
-// runs on receiver-side rows, whose engine buffers must be reused too.
+// physical-cost sweeps activity-bound instead of GC-bound. Every leaf
+// sending to the hub (64 arcs each way) and the hub sending to four leaves
+// take their rows from the receivers' side, and the 128-sender case is
+// BenchmarkDecayLocalBroadcastRaw's shape; three leaves sending to the hub
+// take theirs from the senders' side, whose engine buffers must be reused
+// too.
 func TestLocalBroadcastScratchZeroAllocs(t *testing.T) {
+	bySide := map[bool]bool{}
 	for _, c := range []struct {
-		leaves, passes int
-		hubSends       bool
-	}{{64, 4, false}, {128, 8, false}, {64, 4, true}} {
+		leaves, passes, senders int // senders 0: the hub sends to four leaves
+	}{{64, 4, 64}, {128, 8, 128}, {64, 4, 0}, {64, 4, 3}} {
 		g := graph.Star(c.leaves + 1)
 		e := radio.NewEngine(g)
 		p := ParamsFor(g.N(), c.passes)
-		senders := make([]radio.TX, 0, c.leaves)
-		for v := 1; v <= c.leaves; v++ {
+		senders := make([]radio.TX, 0, c.senders)
+		for v := 1; v <= c.senders; v++ {
 			senders = append(senders, radio.TX{ID: int32(v), Msg: radio.Msg{A: uint64(v)}})
 		}
 		receivers := []int32{0}
-		if c.hubSends {
+		if c.senders == 0 {
 			senders, receivers = []radio.TX{{ID: 0, Msg: radio.Msg{A: 9}}}, []int32{1, 2, 3, 4}
 		}
 		got := make([]radio.Msg, len(receivers))
@@ -43,6 +46,11 @@ func TestLocalBroadcastScratchZeroAllocs(t *testing.T) {
 			t.Fatalf("Scratch.LocalBroadcast with %d senders, %d receivers and %d passes allocates %v per call in steady state, want 0",
 				len(senders), len(receivers), c.passes, allocs)
 		}
+		requireSide(t, fmt.Sprintf("%d senders to %d receivers", len(senders), len(receivers)), e, senders, receivers)
+		bySide[e.ReceiverSide()] = true
+	}
+	if !bySide[true] || !bySide[false] {
+		t.Fatalf("calls by row side (receivers' side true) %v: want both", bySide)
 	}
 }
 

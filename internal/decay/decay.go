@@ -59,11 +59,9 @@ func (p Params) Duration() int64 {
 // A Scratch is not safe for concurrent use; the trial harness keeps one per
 // worker.
 type Scratch struct {
-	slotOf []int32       // decay slot of each sender in the current pass
-	start  []int32       // per-slot offsets into tx
-	tx     []radio.TX    // the current pass's senders, grouped by slot
-	heard  []radio.Heard // one round's deliveries
-	rnd    rng.Source
+	when  []uint8       // each sender's decay slot in the current pass
+	heard []radio.Heard // one pass's deliveries
+	rnd   rng.Source
 
 	// BFS state.
 	dist      []int32
@@ -81,13 +79,14 @@ type Scratch struct {
 // counter). ok must have len(receivers), and so must got unless it is nil:
 // a caller that reads only who heard passes nil and no message is stored.
 //
-// The call is one listen window on the engine (radio.Engine.Listen) with
-// rows restricted to the smaller side: each transmission walks the
-// sender's arcs, or only its arcs into the receiver set when the receivers
-// have fewer arcs than the senders. So the call costs its transmissions
-// over those rows plus one pass over each side, not one pass per round,
-// and a wide frontier sending to a few stragglers pays for the stragglers'
-// adjacency rather than its own.
+// The call is one listen window on the engine (radio.Engine.Listen), run a
+// pass at a time: each pass draws every sender's slot and hands the slots
+// to Engine.StepPass, which resolves each waiting receiver from its row of
+// sending neighbours, built once per call from the side with fewer arcs.
+// So the call costs that build plus, per pass, the senders and the rows
+// still waiting, not one walk of every transmitter's arcs per round, and a
+// receiver with no sending neighbour is touched only when it is marked and
+// charged.
 func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers []int32, callSeed uint64, got []radio.Msg, ok []bool) {
 	if (got != nil && len(got) != len(receivers)) || len(ok) != len(receivers) {
 		panic("decay: result slices must match receivers length")
@@ -98,47 +97,28 @@ func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, 
 		e.SkipRounds(p.Duration())
 		return
 	}
-	slotOf := scratch.Grow(s.slotOf, len(senders))
-	start := scratch.Grow(s.start, p.Slots+2)
-	tx := scratch.Grow(s.tx, len(senders))
-	s.slotOf, s.start, s.tx = slotOf, start, tx
-	heard := s.heard
+	// A pass delivers to each receiver at most once, so heard never grows
+	// past len(receivers).
+	when := scratch.Grow(s.when, len(senders))
+	heard := scratch.Grow(s.heard, len(receivers))
+	s.when, s.heard = when, heard
 	e.Listen(senders, receivers)
 	for pass := 0; pass < p.Passes; pass++ {
 		// Each sender independently picks its decay slot for this pass,
-		// from the seed Derive(callSeed, pass, ID); a stable counting sort
-		// then lays tx out slot by slot, senders in index order within a
-		// slot.
-		clear(start)
+		// from the seed Derive(callSeed, pass, ID).
 		passSeed := rng.Derive(callSeed, uint64(pass))
 		for i := range senders {
 			s.rnd.Reseed(rng.Extend(passSeed, uint64(senders[i].ID)))
-			slotOf[i] = int32(s.rnd.GeometricSlot(p.Slots))
-			start[slotOf[i]+1]++
+			when[i] = uint8(s.rnd.GeometricSlot(p.Slots))
 		}
-		for slot := 1; slot <= p.Slots; slot++ {
-			start[slot+1] += start[slot]
-		}
-		for i := range senders {
-			tx[start[slotOf[i]]] = senders[i]
-			start[slotOf[i]]++
-		}
-		// Placement left start[slot] at the end of slot's run of tx; the
-		// run begins where the previous slot's ends.
-		var lo int32
-		for slot := 1; slot <= p.Slots; slot++ {
-			heard = e.StepWindow(tx[lo:start[slot]], heard[:0])
-			for _, h := range heard {
-				ok[h.Index] = true
-				if got != nil {
-					got[h.Index] = h.Msg
-				}
+		for _, h := range e.StepPass(p.Slots, when, heard[:0]) {
+			ok[h.Index] = true
+			if got != nil {
+				got[h.Index] = senders[h.From].Msg
 			}
-			lo = start[slot]
 		}
 	}
 	e.EndListen()
-	s.heard = heard
 }
 
 // LocalBroadcast is the scratch-free convenience wrapper: it allocates fresh
@@ -196,14 +176,16 @@ func (s *Scratch) BFSHooked(h progress.Hooks, e *radio.Engine, p Params, srcs []
 	}
 	ok := scratch.Grow(s.ok, n)
 	s.ok = ok
-	senders := s.senders[:0]
+	senders := s.senders
 	for k := int32(1); int(k) <= maxDist && len(frontier) > 0 && len(unlabeled) > 0; k++ {
 		if h.Err() != nil {
 			break // canceled: partial labels, meters settled
 		}
-		senders = senders[:0]
-		for _, v := range frontier {
-			senders = append(senders, radio.TX{ID: v, Msg: radio.Msg{Kind: 1, A: uint64(k - 1)}})
+		// Sized to the wave, not to n: a narrow search keeps a small
+		// buffer, and a wide wave allocates once rather than doubling.
+		senders = scratch.Grow(senders, len(frontier))
+		for i, v := range frontier {
+			senders[i] = radio.TX{ID: v, Msg: radio.Msg{Kind: 1, A: uint64(k - 1)}}
 		}
 		s.LocalBroadcast(e, p, senders, unlabeled, rng.Derive(seed, uint64(k)), nil, ok[:len(unlabeled)])
 		res.LBCalls++

@@ -1,21 +1,23 @@
 package decay
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/progress"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
 
 // stepLocalBroadcast is the per-round Local-Broadcast the listen window
 // replaced, kept as the reference: every round rescans the senders for the
-// slot's transmitters and hands the still-waiting receivers to Step.
+// slot's transmitters and hands the still-waiting receivers to Step. got
+// may be nil, as for Scratch.LocalBroadcast.
 func stepLocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers []int32, callSeed uint64, got []radio.Msg, ok []bool) {
-	for i := range ok {
-		ok[i] = false
-		got[i] = radio.Msg{}
-	}
+	clear(got)
+	clear(ok)
 	if len(senders) == 0 && len(receivers) == 0 {
 		e.SkipRounds(p.Duration())
 		return
@@ -48,7 +50,9 @@ func stepLocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers
 			w := 0
 			for j := range active {
 				if out[j].OK {
-					got[idx[j]] = out[j].Msg
+					if got != nil {
+						got[idx[j]] = out[j].Msg
+					}
 					ok[idx[j]] = true
 				} else {
 					active[w], idx[w] = active[j], idx[j]
@@ -85,8 +89,8 @@ func windowTestGraph(r *rng.Source) (g *graph.Graph, star bool) {
 // either side possibly empty. On a star the hub listens and most leaves
 // send. A sender-heavy split (one in four elsewhere) has a handful of
 // receivers and most other vertices sending, so the engine's rows come
-// from the receivers' side. Some messages exceed the RN[O(log n)] budget,
-// so the violation counter is compared too.
+// from the receivers' side. Some messages exceed the tight 40-bit budget
+// the comparison's engines use, so the violation counter is compared too.
 func windowTestSplit(n int, star bool, r *rng.Source) ([]radio.TX, []int32) {
 	pSend, pRecv := r.Intn(4), r.Intn(4) // out of 4; 0 leaves a side empty
 	few := 0
@@ -113,15 +117,27 @@ func windowTestSplit(n int, star bool, r *rng.Source) ([]radio.TX, []int32) {
 	return senders, receivers
 }
 
-// degreeSums returns the arcs of the senders and of the receivers.
-func degreeSums(g *graph.Graph, senders []radio.TX, receivers []int32) (s, r int) {
+// fromReceivers reports whether a listen window with these senders and
+// receivers must build its rows from the receivers' adjacency: whether the
+// receivers have no more arcs than the senders.
+func fromReceivers(g *graph.Graph, senders []radio.TX, receivers []int32) bool {
+	var s, r int
 	for _, t := range senders {
 		s += g.Degree(t.ID)
 	}
 	for _, v := range receivers {
 		r += g.Degree(v)
 	}
-	return s, r
+	return r <= s
+}
+
+// requireSide requires the latest listen window on e, with these senders
+// and receivers, to have built its rows on the side fromReceivers picks.
+func requireSide(t *testing.T, what string, e *radio.Engine, senders []radio.TX, receivers []int32) {
+	t.Helper()
+	if want := fromReceivers(e.Graph(), senders, receivers); e.ReceiverSide() != want {
+		t.Fatalf("%s: rows from the receivers' side %v, want %v", what, e.ReceiverSide(), want)
+	}
 }
 
 // TestLocalBroadcastMatchesPerRoundSteps is the byte-identity property of
@@ -129,52 +145,169 @@ func degreeSums(g *graph.Graph, senders []radio.TX, receivers []int32) (s, r int
 // splits and pass counts, several consecutive calls on one engine through
 // one reused Scratch must fill got/ok exactly like the per-round reference
 // and leave every device's Energy/Listens/Transmits, the clock and the
-// violation counter identical. Calls whose receivers have fewer arcs than
-// their senders run on receiver-side rows; both kinds must occur.
+// violation counter identical. Calls whose receivers have no more arcs
+// than their senders must take their rows from the receivers' side, the
+// others from the senders'; both must occur.
 func TestLocalBroadcastMatchesPerRoundSteps(t *testing.T) {
 	seeds := uint64(300)
 	if testing.Short() {
 		seeds = 60
 	}
 	var s Scratch
-	var byReceivers, byCSR int
+	bySide := map[bool]int{}
+	var violations int64
 	for seed := uint64(0); seed < seeds; seed++ {
 		r := rng.New(rng.Derive(0x10ca1, seed))
 		g, star := windowTestGraph(r)
-		win, ref := radio.NewEngine(g), radio.NewEngine(g)
+		budget := radio.WithMaxMsgBits(40)
+		win, ref := radio.NewEngine(g, budget), radio.NewEngine(g, budget)
 		calls := 1 + r.Intn(4)
 		for call := 0; call < calls; call++ {
 			senders, receivers := windowTestSplit(g.N(), star, r)
 			p := ParamsFor(g.N(), 1+r.Intn(4))
 			callSeed := r.Uint64()
-			if sArcs, rArcs := degreeSums(g, senders, receivers); rArcs < sArcs {
-				byReceivers++
-			} else if len(senders) > 0 {
-				byCSR++
-			}
 			got, ok := make([]radio.Msg, len(receivers)), make([]bool, len(receivers))
 			wantGot, wantOK := make([]radio.Msg, len(receivers)), make([]bool, len(receivers))
 			s.LocalBroadcast(win, p, senders, receivers, callSeed, got, ok)
 			stepLocalBroadcast(ref, p, senders, receivers, callSeed, wantGot, wantOK)
+			if len(senders) > 0 && len(receivers) > 0 {
+				requireSide(t, fmt.Sprintf("seed %d call %d", seed, call), win, senders, receivers)
+				bySide[win.ReceiverSide()]++
+			}
 			for i := range receivers {
 				if got[i] != wantGot[i] || ok[i] != wantOK[i] {
 					t.Fatalf("seed %d call %d: receiver %d got (%+v, %v), per-round (%+v, %v)",
 						seed, call, receivers[i], got[i], ok[i], wantGot[i], wantOK[i])
 				}
 			}
-			if win.Round() != ref.Round() || win.MsgViolations() != ref.MsgViolations() {
-				t.Fatalf("seed %d call %d: clock/violations (%d, %d), per-round (%d, %d)",
-					seed, call, win.Round(), win.MsgViolations(), ref.Round(), ref.MsgViolations())
-			}
-			for v := int32(0); int(v) < g.N(); v++ {
-				if win.Energy(v) != ref.Energy(v) || win.Listens(v) != ref.Listens(v) || win.Transmits(v) != ref.Transmits(v) {
-					t.Fatalf("seed %d call %d: device %d meters (%d,%d,%d), per-round (%d,%d,%d)", seed, call, v,
-						win.Energy(v), win.Listens(v), win.Transmits(v), ref.Energy(v), ref.Listens(v), ref.Transmits(v))
-				}
-			}
+			requireSameMeters(t, fmt.Sprintf("seed %d call %d", seed, call), win, ref)
+		}
+		violations += win.MsgViolations()
+	}
+	if bySide[true] == 0 || bySide[false] == 0 {
+		t.Fatalf("calls by row side (receivers' side true) %v: want both", bySide)
+	}
+	if violations == 0 {
+		t.Fatal("no message exceeded the budget: the violation counter went untested")
+	}
+}
+
+// requireSameMeters requires every device's Energy/Listens/Transmits, the
+// clock and the violation counter of got to equal want's.
+func requireSameMeters(t *testing.T, what string, got, want *radio.Engine) {
+	t.Helper()
+	if got.Round() != want.Round() || got.MsgViolations() != want.MsgViolations() {
+		t.Fatalf("%s: clock/violations (%d, %d), per-round (%d, %d)",
+			what, got.Round(), got.MsgViolations(), want.Round(), want.MsgViolations())
+	}
+	for v := int32(0); int(v) < got.N(); v++ {
+		if got.Energy(v) != want.Energy(v) || got.Listens(v) != want.Listens(v) || got.Transmits(v) != want.Transmits(v) {
+			t.Fatalf("%s: device %d meters (%d,%d,%d), per-round (%d,%d,%d)", what, v,
+				got.Energy(v), got.Listens(v), got.Transmits(v), want.Energy(v), want.Listens(v), want.Transmits(v))
 		}
 	}
-	if byReceivers == 0 || byCSR == 0 {
-		t.Fatalf("%d calls on receiver-side rows and %d with senders on CSR rows: want both", byReceivers, byCSR)
+}
+
+// stepBFS is Scratch.BFS with every Local-Broadcast run round by round
+// through stepLocalBroadcast. It returns the labels and, for each call,
+// whether its receivers have no more arcs than its senders, which must put
+// the listen window's rows on the receivers' side.
+func stepBFS(e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) (dist []int32, sides []bool) {
+	g := e.Graph()
+	dist = make([]int32, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	for _, v := range srcs {
+		dist[v] = 0
+	}
+	frontier := append([]int32(nil), srcs...)
+	var unlabeled []int32
+	for v := range dist {
+		if dist[v] == -1 {
+			unlabeled = append(unlabeled, int32(v))
+		}
+	}
+	for k := int32(1); int(k) <= maxDist && len(frontier) > 0 && len(unlabeled) > 0; k++ {
+		var senders []radio.TX
+		for _, v := range frontier {
+			senders = append(senders, radio.TX{ID: v, Msg: radio.Msg{Kind: 1, A: uint64(k - 1)}})
+		}
+		sides = append(sides, fromReceivers(g, senders, unlabeled))
+		ok := make([]bool, len(unlabeled))
+		stepLocalBroadcast(e, p, senders, unlabeled, rng.Derive(seed, uint64(k)), nil, ok)
+		frontier = frontier[:0]
+		var rest []int32
+		for j, v := range unlabeled {
+			if ok[j] {
+				dist[v] = k
+				frontier = append(frontier, v)
+			} else {
+				rest = append(rest, v)
+			}
+		}
+		unlabeled = rest
+	}
+	return dist, sides
+}
+
+// TestBFSMatchesPerRoundSteps compares whole Decay BFSs at n ≈ 4096 with
+// the same searches run round by round through Step: labels, every
+// device's meters, the clock and the violation counter must be equal, at
+// 1 to 3 passes. Each search starts at the last vertex — a leaf of the
+// star, a corner of the grid — so its narrow first waves take their rows
+// from the senders' side. On G(n,p), the star and the tree a later wave
+// sends to fewer arcs than its own (on the star, the hub to every other
+// leaf), so each of their searches must use both sides. On the grid a
+// vertex whose two parents, and later its two children, collided in every
+// pass is never labelled, and a few such stragglers keep the receivers'
+// arcs above the narrow last waves' to the end.
+func TestBFSMatchesPerRoundSteps(t *testing.T) {
+	r := rng.New(4096)
+	graphs := []struct {
+		name      string
+		g         *graph.Graph
+		bothSides bool
+	}{
+		{"gnp", graph.ConnectedGNP(4096, 0.002, r), true},
+		{"star", graph.Star(4097), true},
+		{"grid", graph.Grid(64, 64), false},
+		{"tree", graph.RandomTree(4096, r), true},
+	}
+	var s Scratch
+	for _, c := range graphs {
+		for passes := 1; passes <= 3; passes++ {
+			n := c.g.N()
+			p := ParamsFor(n, passes)
+			src := []int32{int32(n - 1)}
+			seed := rng.Derive(0xbf5, uint64(passes), uint64(n))
+			budget := radio.WithMaxMsgBits(8) // every label but 0 is oversized
+			win, ref := radio.NewEngine(c.g, budget), radio.NewEngine(c.g, budget)
+			var got []bool // each call's row side, read from the engine after the call
+			h := progress.Hooks{Obs: progress.Funcs{OnRoundBatch: func(string, int64) {
+				got = append(got, win.ReceiverSide())
+			}}}
+			res := s.BFSHooked(h, win, p, src, n, seed)
+			want, sides := stepBFS(ref, p, src, n, seed)
+			what := fmt.Sprintf("%s passes %d", c.name, passes)
+			for v := range want {
+				if res.Dist[v] != want[v] {
+					t.Fatalf("%s: vertex %d labelled %d, per-round %d", what, v, res.Dist[v], want[v])
+				}
+			}
+			requireSameMeters(t, what, win, ref)
+			if win.MsgViolations() == 0 {
+				t.Fatalf("%s: no oversized label", what)
+			}
+			if res.Rounds != ref.Round() || res.LBCalls != int64(len(sides)) {
+				t.Fatalf("%s: %d rounds in %d calls, per-round %d in %d", what, res.Rounds, res.LBCalls, ref.Round(), len(sides))
+			}
+			if !slices.Equal(got, sides) {
+				t.Fatalf("%s: calls by row side (receivers' side true) %v, by the degree-sum rule %v", what, got, sides)
+			}
+			if c.bothSides && (!slices.Contains(got, true) || !slices.Contains(got, false)) {
+				t.Fatalf("%s: calls by row side (receivers' side true) %v, want both", what, got)
+			}
+		}
 	}
 }

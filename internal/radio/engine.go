@@ -14,12 +14,13 @@
 //     A step is one sequential walk over the CSR adjacency of the
 //     transmitters into per-neighbor counters; parallelism lives between
 //     trials, each on its own engine, never inside one. A listen window
-//     (Listen, StepWindow, EndListen) runs many rounds over one fixed
-//     sender set and one fixed listener set — a Local-Broadcast — with its
-//     rows restricted to the smaller side: a transmission walks the
-//     sender's CSR row, or, when the listeners have fewer arcs than the
-//     senders, only the sender's arcs into the listener set. A window
-//     costs its transmissions over those rows plus a pass over both sides,
+//     (Listen, StepPass, EndListen) runs a Local-Broadcast over one fixed
+//     sender set and one fixed listener set a pass at a time, each sender
+//     transmitting once per pass in a round of its choosing: Listen gives
+//     every listener with a sending neighbor a row of its senders, built
+//     from the smaller side's adjacency, and a pass resolves each waiting
+//     listener from its row with two bit masks. A window costs that build
+//     plus, per pass, the senders and the rows still waiting,
 //     byte-identical to stepping its rounds one by one.
 //
 //   - Sim/Device: a goroutine-per-device blocking API (Listen, Transmit,
@@ -104,19 +105,19 @@ type Engine struct {
 	// window's receiver list plus one while v waits in an open window, and 0
 	// otherwise; window is that list and windowStart the round it opened.
 	// spos[v] is v's position in the declared senders plus one during the
-	// window, and 0 otherwise. When the receivers have fewer arcs than the
-	// senders (byReceivers), sender k's row is rowBuf[rowOff[k]:rowOff[k+1]]
-	// for k = spos[v], its arcs into the receiver set; otherwise it is v's
-	// CSR row.
-	lpos        []int32
-	spos        []int32
-	window      []int32
-	senders     []TX
-	byReceivers bool
-	rowOff      []int32
-	rowBuf      []int32
-	windowOpen  bool
-	windowStart int64
+	// window, and 0 otherwise. rows holds the waiting receivers that have a
+	// sending neighbor, their sender positions in rowBuf; receiverSide
+	// records which builder the latest Listen ran: true when it built them
+	// from the receivers' adjacency.
+	lpos         []int32
+	spos         []int32
+	window       []int32
+	senders      []TX
+	rows         []passRow
+	rowBuf       []int32
+	receiverSide bool
+	windowOpen   bool
+	windowStart  int64
 }
 
 // Option configures an Engine.
@@ -193,7 +194,8 @@ func (e *Engine) Reset(g *graph.Graph) {
 		clear(e.spos)
 	}
 	e.touched = e.touched[:0]
-	e.window, e.senders, e.windowOpen = nil, nil, false
+	e.window, e.senders, e.rows, e.windowOpen = nil, nil, e.rows[:0], false
+	e.receiverSide = false
 	e.round = 0
 	e.msgViolations = 0
 	if !e.msgBitsSet {
@@ -312,30 +314,23 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 	e.round++
 }
 
-// mark is the mark phase shared by Step and StepWindow: it
-// meters every transmitter and walks its row — its CSR row, or inside a
-// listen window the row Listen chose (see windowRow) — into the
-// per-neighbor counters, recording every counter the first time it is
-// touched so teardown never re-walks a neighborhood. Afterwards cnt[v] is
-// -1 for a transmitter and otherwise the number of v's transmitting
-// neighbors whose rows hold v, with from[v] the tx index of the last of
-// them.
+// mark is Step's mark phase: it meters every transmitter and walks its CSR
+// row into the per-neighbor counters, recording every counter the first
+// time it is touched so teardown never re-walks a neighborhood. Afterwards
+// cnt[v] is -1 for a transmitter and otherwise the number of v's
+// transmitting neighbors, with from[v] the tx index of the last of them.
 func (e *Engine) mark(tx []TX) {
 	for i := range tx {
 		t := &tx[i]
 		if e.cnt[t.ID] == -1 {
 			panic(fmt.Sprintf("radio: device %d transmits twice in round %d", t.ID, e.round))
 		}
-		row := e.g.Neighbors(t.ID)
-		if e.windowOpen {
-			row = e.windowRow(t.ID)
-		}
 		if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
 			e.msgViolations++
 		}
 		e.energy[t.ID]++
 		e.transmits[t.ID]++
-		for _, u := range row {
+		for _, u := range e.g.Neighbors(t.ID) {
 			if e.cnt[u] >= 0 {
 				if e.cnt[u] == 0 {
 					e.touched = append(e.touched, u)
@@ -349,49 +344,42 @@ func (e *Engine) mark(tx []TX) {
 	}
 }
 
-// windowRow returns the row Listen chose for transmitter v of the open
-// window, which holds at least v's arcs into the receiver set. A
-// transmitter the window did not declare panics.
-func (e *Engine) windowRow(v int32) []int32 {
-	k := e.spos[v]
-	if k == 0 {
-		panic(fmt.Sprintf("radio: device %d transmits in round %d but was not declared a sender of the listen window", v, e.round))
-	}
-	if !e.byReceivers {
-		return e.g.Neighbors(v)
-	}
-	return e.rowBuf[e.rowOff[k]:e.rowOff[k+1]]
+// Heard is one delivery of a pass: the receiver at position Index of the
+// window's receiver list heard the sender at position From of its senders.
+type Heard struct {
+	Index, From int32
 }
 
-// Heard is one delivery of a listen-window round: the listener at position
-// Index of the window's receiver list heard Msg from its only transmitting
-// neighbor.
-type Heard struct {
-	Index int32
-	Msg   Msg
+// passRow is one waiting receiver of an open window that has a sending
+// neighbor: its position in the receiver list, and its sending neighbors'
+// positions in the sender list, rowBuf[lo:hi].
+type passRow struct {
+	recv, lo, hi int32
 }
+
+// maxPassRounds is the longest pass StepPass runs: a receiver resolves a
+// pass from one bit per round of a uint64, and round 0 is never used.
+const maxPassRounds = 63
 
 // Listen opens a listen window: every device in receivers listens in each
 // following round until it hears a message or EndListen closes the window,
-// exactly as if each of those rounds were a Step with the still-waiting
-// receivers as listeners. Only the devices in senders may transmit in the
-// window's rounds (their messages here are ignored; each round's tx carries
-// its own). Rounds advance only through StepWindow until EndListen; Step
-// and SkipRounds panic meanwhile. senders and receivers must stay
-// unmodified until EndListen. A receiver listed twice panics, as does
-// opening a second window.
+// and the window's rounds run one pass at a time (StepPass), each declared
+// sender transmitting its message once per pass. Until EndListen, Step and
+// SkipRounds panic, and senders and receivers must stay unmodified.
 //
-// Each sender's row is restricted to the smaller side. When the receivers'
-// degrees sum to less than the senders', Listen builds every sender's arcs
-// into the receiver set from the receivers' adjacency, a count pass and a
-// fill pass into engine scratch, and a transmission walks only those;
-// otherwise a transmission walks the sender's CSR row. Either way a waiting
-// receiver's counter counts exactly its transmitting neighbors, since all
-// of its arcs to senders are in the rows, so deliveries and meters are the
-// same. Opening costs O(#senders + #receivers), plus O(Σ deg(receivers))
-// when the rows are built.
+// The two sets must be disjoint and duplicate-free, as Step requires of one
+// round: a device listed twice as a sender, a device in both sets and a
+// receiver listed twice panic with Step's wording, as does opening a second
+// window.
 //
-// A listener's meters settle in one add each when it hears (StepWindow) or
+// Listen gives every receiver with at least one sending neighbor a row of
+// its senders' positions, built from the smaller side: from the receivers'
+// adjacency when Σ deg(receivers) ≤ Σ deg(senders), otherwise from the
+// senders' (ReceiverSide reports which). A receiver without a sending
+// neighbor gets no row and is never visited again before EndListen.
+// Opening costs O(#senders + #receivers + the smaller degree sum).
+//
+// A listener's meters settle in one add each when it hears (StepPass) or
 // when the window closes (EndListen) — until then Energy and Listens omit
 // its open window. The window reports clean deliveries only: an engine
 // WithCollisionDetection gives waiting listeners no noise feedback.
@@ -400,81 +388,161 @@ func (e *Engine) Listen(senders []TX, receivers []int32) {
 		panic("radio: listen window already open")
 	}
 	e.window, e.senders, e.windowOpen, e.windowStart = receivers, senders, true, e.round
-	var recvArcs, sendArcs int
+	var sendArcs, recvArcs int
+	for i := range senders {
+		t := &senders[i]
+		if e.spos[t.ID] != 0 {
+			panic(fmt.Sprintf("radio: device %d transmits twice in round %d", t.ID, e.round))
+		}
+		e.spos[t.ID] = int32(i) + 1
+		sendArcs += e.g.Degree(t.ID)
+	}
 	for i, v := range receivers {
+		if e.spos[v] != 0 {
+			panic(fmt.Sprintf("radio: device %d both transmits and listens in round %d", v, e.round))
+		}
 		if e.lpos[v] != 0 {
 			panic(fmt.Sprintf("radio: device %d listens twice in round %d", v, e.round))
 		}
 		e.lpos[v] = int32(i) + 1
 		recvArcs += e.g.Degree(v)
 	}
-	for i := range senders {
-		v := senders[i].ID
-		e.spos[v] = int32(i) + 1
-		sendArcs += e.g.Degree(v)
+	if recvArcs <= sendArcs {
+		e.rowsFromReceivers(recvArcs)
+	} else {
+		e.rowsFromSenders(sendArcs)
 	}
-	e.byReceivers = recvArcs < sendArcs
-	if !e.byReceivers {
-		return
-	}
-	// Count each sender's arcs into the receiver set at rowOff[k], k its
-	// spos; prefix sums leave rowOff[k] at the end of row k, and the fill
-	// pass moves it back to the row's start, so row k ends where row k+1
-	// starts and the last row at rowOff[len(senders)+1].
-	off := scratch.Grow(e.rowOff, len(senders)+2)
-	clear(off)
-	for _, r := range receivers {
-		for _, x := range e.g.Neighbors(r) {
-			if k := e.spos[x]; k != 0 {
-				off[k]++
-			}
-		}
-	}
-	for k := 1; k < len(off); k++ {
-		off[k] += off[k-1]
-	}
-	buf := scratch.Grow(e.rowBuf, int(off[len(off)-1]))
-	for _, r := range receivers {
-		for _, x := range e.g.Neighbors(r) {
-			if k := e.spos[x]; k != 0 {
-				off[k]--
-				buf[off[k]] = r
-			}
-		}
-	}
-	e.rowOff, e.rowBuf = off, buf
 }
 
-// StepWindow executes one round of the open listen window with tx as the
-// transmitters (same rules as Step's tx; every transmitter must be one of
-// the window's senders, and a waiting listener must not transmit). It
-// appends to heard every waiting listener that heard exactly one
-// transmitting neighbor, charges each of them the rounds it listened, ends
-// their wait, and returns the extended slice. The round costs the lengths
-// of the transmitters' rows, each restricted to the smaller side (see
-// Listen) — O(1) without transmitters.
-func (e *Engine) StepWindow(tx []TX, heard []Heard) []Heard {
-	if !e.windowOpen {
-		panic("radio: StepWindow without an open listen window")
-	}
-	e.mark(tx)
-	k := e.round - e.windowStart + 1 // rounds listened, this one included
-	for _, u := range e.touched {
-		if p := e.lpos[u]; p != 0 {
-			switch e.cnt[u] {
-			case -1:
-				panic(fmt.Sprintf("radio: device %d both transmits and listens in round %d", u, e.round))
-			case 1:
-				heard = append(heard, Heard{Index: p - 1, Msg: tx[e.from[u]].Msg})
-				e.energy[u] += k
-				e.listens[u] += k
-				e.lpos[u] = 0
+// rowsFromReceivers builds the rows from the receivers' adjacency, in one
+// pass over their arcs into the buffers sized by that arc count.
+func (e *Engine) rowsFromReceivers(arcs int) {
+	rows := scratch.Grow(e.rows, min(len(e.window), arcs))
+	buf := scratch.Grow(e.rowBuf, arcs)
+	var nrows int
+	var end int32
+	for i, v := range e.window {
+		lo := end
+		for _, x := range e.g.Neighbors(v) {
+			if k := e.spos[x]; k != 0 {
+				buf[end] = k - 1
+				end++
 			}
 		}
+		if end > lo {
+			rows[nrows] = passRow{recv: int32(i), lo: lo, hi: end}
+			nrows++
+		}
+	}
+	e.rows, e.rowBuf, e.receiverSide = rows[:nrows], buf, true
+}
+
+// rowsFromSenders builds the rows from the senders' adjacency without
+// visiting a receiver that no sender reaches. A count pass opens a row at
+// a receiver's first arc from a sender, keeping the row's index in from[]
+// and its arc count in cnt[] (Step's scratch, zero between rounds); the
+// rows are then laid out back to back, the counters cleared, and a fill
+// pass appends each sender to its receivers' rows.
+func (e *Engine) rowsFromSenders(arcs int) {
+	rows := scratch.Grow(e.rows, min(len(e.window), arcs))[:0]
+	for k := range e.senders {
+		for _, u := range e.g.Neighbors(e.senders[k].ID) {
+			if p := e.lpos[u]; p != 0 {
+				if e.cnt[u] == 0 {
+					e.from[u] = int32(len(rows))
+					rows = append(rows, passRow{recv: p - 1})
+				}
+				e.cnt[u]++
+			}
+		}
+	}
+	var end int32
+	for j := range rows {
+		u := e.window[rows[j].recv]
+		rows[j].lo, rows[j].hi = end, end
+		end += e.cnt[u]
 		e.cnt[u] = 0
 	}
-	e.touched = e.touched[:0]
-	e.round++
+	buf := scratch.Grow(e.rowBuf, int(end))
+	for k := range e.senders {
+		for _, u := range e.g.Neighbors(e.senders[k].ID) {
+			if e.lpos[u] != 0 {
+				r := &rows[e.from[u]]
+				buf[r.hi] = int32(k)
+				r.hi++
+			}
+		}
+	}
+	e.rows, e.rowBuf, e.receiverSide = rows, buf, false
+}
+
+// StepPass runs one pass of rounds rounds in the open listen window: the
+// sender at position k transmits once, in the pass's round when[k] ∈
+// [1, rounds], and every waiting receiver listens until it hears. A
+// receiver with a row resolves the whole pass from it with two masks —
+// once holds the rounds some sender of the row uses, more the rounds two
+// or more use — and hears in the lowest round of once &^ more, from the
+// one sender of its row in that round: the round and sender Step would
+// deliver, since its row holds exactly its sending neighbors. StepPass
+// appends every such delivery to heard, charges the receiver the rounds
+// it listened in one add, ends its wait, and returns the extended slice.
+// Each sender pays one transmission per pass, each oversized message one
+// violation, and the clock advances by rounds. A pass costs O(#senders)
+// plus the rows of the receivers still waiting; rounds must lie in
+// [1, maxPassRounds] and when must have one entry per sender.
+func (e *Engine) StepPass(rounds int, when []uint8, heard []Heard) []Heard {
+	if !e.windowOpen {
+		panic("radio: StepPass without an open listen window")
+	}
+	if rounds < 1 || rounds > maxPassRounds {
+		panic(fmt.Sprintf("radio: a pass of %d rounds, want 1 to %d", rounds, maxPassRounds))
+	}
+	if len(when) != len(e.senders) {
+		panic(fmt.Sprintf("radio: %d transmit rounds for %d senders", len(when), len(e.senders)))
+	}
+	for k := range e.senders {
+		t := &e.senders[k]
+		if r := when[k]; r < 1 || int(r) > rounds {
+			panic(fmt.Sprintf("radio: device %d transmits in round %d of a %d-round pass", t.ID, r, rounds))
+		}
+		if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
+			e.msgViolations++
+		}
+		e.energy[t.ID]++
+		e.transmits[t.ID]++
+	}
+	before := e.round - e.windowStart // rounds listened in earlier passes
+	rows, w := e.rows, 0
+	for _, r := range rows {
+		row := e.rowBuf[r.lo:r.hi]
+		var once, more uint64
+		for _, k := range row {
+			b := uint64(1) << when[k]
+			more |= once & b
+			once |= b
+		}
+		clean := once &^ more
+		if clean == 0 {
+			rows[w] = r
+			w++
+			continue
+		}
+		round := uint8(bits.TrailingZeros64(clean))
+		from := row[0]
+		for _, k := range row {
+			if when[k] == round {
+				from = k
+				break
+			}
+		}
+		v := e.window[r.recv]
+		e.energy[v] += before + int64(round)
+		e.listens[v] += before + int64(round)
+		e.lpos[v] = 0
+		heard = append(heard, Heard{Index: r.recv, From: from})
+	}
+	e.rows = rows[:w]
+	e.round += int64(rounds)
 	return heard
 }
 
@@ -492,5 +560,11 @@ func (e *Engine) EndListen() {
 	for i := range e.senders {
 		e.spos[e.senders[i].ID] = 0
 	}
-	e.window, e.senders, e.windowOpen = nil, nil, false
+	e.window, e.senders, e.rows, e.windowOpen = nil, nil, e.rows[:0], false
 }
+
+// ReceiverSide reports whether the latest listen window built its rows
+// from the receivers' adjacency rather than the senders' (see Listen). It
+// holds from Listen until the next Listen or Reset, so a caller can read it
+// after EndListen; tests use it to require windows on both sides.
+func (e *Engine) ReceiverSide() bool { return e.receiverSide }

@@ -259,13 +259,11 @@ func TestTransmitAndListenPanics(t *testing.T) {
 }
 
 // requireSamePanic runs one programming error — the round's transmitters
-// tx and listeners — through Step and through a listen window's StepWindow
-// on Path(64), and requires every run to panic with the identical value:
-// the window shares Step's mark phase, so a contract violation reads the
-// same whichever way the round runs. The window runs twice: declaring just
-// tx as its senders, which keeps CSR rows (the listeners must have at
-// least as many arcs), and declaring every tenth device too, which makes
-// the senders' arcs outnumber the listeners' and the rows receiver-side.
+// tx and listeners — through Step and through Listen, which opens a window
+// with tx as its senders and listeners as its receivers, on Path(64), and
+// requires both to panic with the identical value: a contract violation
+// reads the same whichever way the round runs. Listen panics while it
+// marks the two sides, before it builds any row.
 func requireSamePanic(t *testing.T, what string, tx []TX, listeners []int32) {
 	t.Helper()
 	g := graph.Path(64)
@@ -273,23 +271,8 @@ func requireSamePanic(t *testing.T, what string, tx []TX, listeners []int32) {
 	if want == nil {
 		t.Fatalf("Step did not panic on %s", what)
 	}
-	var tenth []TX
-	for v := int32(0); v < 64; v += 10 {
-		tenth = append(tenth, TX{ID: v})
-	}
-	for _, extra := range [][]TX{nil, tenth} {
-		e := NewEngine(g)
-		senders := append(append([]TX(nil), tx...), extra...)
-		got := recoverFrom(func() {
-			e.Listen(senders, listeners)
-			e.StepWindow(tx, nil)
-		})
-		if byReceivers := extra != nil; e.byReceivers != byReceivers {
-			t.Fatalf("listen-window %s: receiver-side rows %v, want %v", what, e.byReceivers, byReceivers)
-		}
-		if got != want {
-			t.Fatalf("listen-window %s panic %v (receiver-side rows %v), want Step's %v", what, got, e.byReceivers, want)
-		}
+	if got := recoverFrom(func() { NewEngine(g).Listen(tx, listeners) }); got != want {
+		t.Fatalf("listen-window %s panic %v, want Step's %v", what, got, want)
 	}
 }
 

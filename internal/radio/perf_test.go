@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -99,17 +100,18 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 // interleaved and a window left open at every switch, and requires the
 // trajectory of a fresh engine on each graph: every delivery, the clock,
 // the violation counter and every device's meters. No scratch, window state
-// included, may leak across graphs. (The name dates from the sharded step,
-// whose shard ownership Reset also had to recompute.)
+// and rows from either side included, may leak across graphs. (The name
+// dates from the sharded step, whose shard ownership Reset also had to
+// recompute.)
 func TestShardedReset(t *testing.T) {
 	const budget = 40 // tight: some messages violate
 	graphs := []*graph.Graph{graph.Cycle(100), graph.Grid(16, 16), graph.Star(40)}
 	reused := NewEngine(graphs[0], WithMaxMsgBits(budget))
+	bySide := map[bool]int{}
 	for gi, g := range graphs {
 		r := rng.New(uint64(500 + gi))
 		fresh := NewEngine(g, WithMaxMsgBits(budget))
 		reused.Reset(g)
-		var got, want []Heard
 		for call := 0; call < 4; call++ {
 			for round := 0; round < 5; round++ {
 				tx, listeners := stepPattern(g.N(), r)
@@ -122,16 +124,18 @@ func TestShardedReset(t *testing.T) {
 				}
 			}
 			w := drawWindow(g.N(), r)
-			reused.Listen(w.senders, w.listeners)
-			fresh.Listen(w.senders, w.listeners)
-			for round, tx := range w.rounds {
-				got, want = reused.StepWindow(tx, got[:0]), fresh.StepWindow(tx, want[:0])
-				if !sameHeard(got, want) {
-					t.Fatalf("graph %d call %d window round %d: heard %+v, fresh engine %+v", gi, call, round, got, want)
+			got, want := runWindow(reused, w), runWindow(fresh, w)
+			what := fmt.Sprintf("graph %d call %d", gi, call)
+			requireSide(t, what, reused, w.senders, w.listeners)
+			requireSide(t, what, fresh, w.senders, w.listeners)
+			if len(w.senders) > 0 && len(w.listeners) > 0 {
+				bySide[reused.ReceiverSide()]++
+			}
+			for pass := range want {
+				if !sameHeard(got[pass], want[pass]) {
+					t.Fatalf("graph %d call %d window pass %d: heard %+v, fresh engine %+v", gi, call, pass, got[pass], want[pass])
 				}
 			}
-			reused.EndListen()
-			fresh.EndListen()
 		}
 		if reused.Round() != fresh.Round() || reused.MsgViolations() != fresh.MsgViolations() {
 			t.Fatalf("graph %d: clock/violations (%d, %d), fresh engine (%d, %d)",
@@ -144,6 +148,10 @@ func TestShardedReset(t *testing.T) {
 		}
 		w := drawWindow(g.N(), r)
 		reused.Listen(w.senders, w.listeners) // abandoned: the next Reset discards it
+		reused.StepPass(w.rounds, w.passes[0], nil)
+	}
+	if bySide[true] == 0 || bySide[false] == 0 {
+		t.Fatalf("windows by row side %v: want both", bySide)
 	}
 }
 
