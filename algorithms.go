@@ -180,7 +180,7 @@ func (a *recursiveAlgo) Check(nw *Network, req Request, res *Result) {
 
 // decayAlgo is the everyone-awake comparator. It always runs on the physical
 // channel: under CostPhysical it shares the network's engine and meters;
-// under CostUnit it runs on the pooled external engine (WithEngine) or a
+// under CostUnit it runs on the pooled engine (WithEngineProvider) or a
 // private one, and its physical meters reach the caller through Result.Cost
 // either way.
 type decayAlgo struct{ algoMeta }
@@ -193,7 +193,7 @@ func (a *decayAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result,
 	eng := nw.baselineEngine()
 	startRounds, startViol := eng.Round(), eng.MsgViolations()
 	before := nw.Report()
-	r := nw.decayScratch().BFSHooked(hooksFor(ctx, req), eng,
+	r := nw.decayScratch().BFS(hooksFor(ctx, req), eng,
 		decay.ParamsFor(nw.g.N(), nw.passes), []int32{src}, d, rng.Derive(nw.seed, 0xd3ca))
 	if err := ctx.Err(); err != nil {
 		return nil, err

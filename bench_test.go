@@ -134,7 +134,7 @@ func BenchmarkE2LocalBroadcast(b *testing.B) {
 			Instances: []harness.Instance{{Family: "star", N: deg + 1}},
 			RunCtx: func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
 				eng := radio.NewEngine(g)
-				decay.LocalBroadcast(eng, p, senders, []int32{0}, rng.Derive(tr.Seed, 0xb2), got, ok)
+				new(decay.Scratch).LocalBroadcast(eng, p, senders, []int32{0}, rng.Derive(tr.Seed, 0xb2), got, ok)
 				return harness.Metrics{"ok": harness.BoolMetric(ok[0])}, nil
 			},
 		}

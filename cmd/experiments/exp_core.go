@@ -126,7 +126,7 @@ func runE2(cfg config) {
 				}
 				got := make([]radio.Msg, 1)
 				ok := make([]bool, 1)
-				decay.LocalBroadcast(eng, p, senders, []int32{0}, rng.Derive(tr.Seed, 0xe2), got, ok)
+				new(decay.Scratch).LocalBroadcast(eng, p, senders, []int32{0}, rng.Derive(tr.Seed, 0xe2), got, ok)
 				m := harness.Metrics{"ok": harness.BoolMetric(ok[0]), "senderE": float64(eng.Energy(1))}
 				if ok[0] {
 					// Conditional metric: mean hearing energy over the

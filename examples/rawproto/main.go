@@ -1,8 +1,9 @@
-// Rawproto shows the goroutine-per-device API: each radio device runs plain
-// sequential Go code (Listen / Transmit / Idle) against the collision
-// semantics of the RN model. The protocol here is a token ring relay with a
-// duty-cycled listener — a miniature of the energy ideas in the paper,
-// written at the lowest level the simulator offers.
+// Rawproto drives the radio channel at the lowest level the simulator
+// offers, one round at a time with Engine.Step: each round names the
+// devices that transmit and the devices that listen, every other device
+// sleeps for free, and a listener hears only when exactly one neighbor
+// transmits. The protocol here is a token ring relay with duty-cycled
+// listeners — a miniature of the energy ideas in the paper.
 package main
 
 import (
@@ -17,31 +18,24 @@ func main() {
 	const n = 24
 	g := graph.Cycle(n)
 	eng := radio.NewEngine(g)
-	sim := radio.NewSim(eng, 7)
 
 	// The token starts at device 0 and must travel around the ring. Each
-	// device sleeps until the token is due in its neighborhood (it knows
-	// the schedule: one hop per round), listens once, and relays.
-	arrival := make([]int64, n)
-	sim.Run(func(d *radio.Device) {
-		id := int64(d.ID())
-		if id == 0 {
-			d.Transmit(radio.Msg{Kind: 1, A: 0})
-			arrival[0] = 0
-			return
+	// device knows the schedule (one hop per round), so in round r only
+	// device r, which holds the token, transmits and only device r+1 wakes
+	// to listen; the last device only receives.
+	arrival := make([]int64, n) // round each device heard the token, -1 if never
+	out := make([]radio.RX, 1)
+	for r := int32(0); r < n-1; r++ {
+		var tx []radio.TX
+		if arrival[r] >= 0 {
+			tx = []radio.TX{{ID: r, Msg: radio.Msg{Kind: 1, A: uint64(r)}}}
 		}
-		// Wake exactly when the predecessor transmits: round id-1.
-		d.IdleUntil(id - 1)
-		m, ok := d.Listen()
-		if !ok || m.Kind != 1 {
-			arrival[d.ID()] = -1
-			return
+		eng.Step(tx, []int32{r + 1}, out)
+		arrival[r+1] = -1
+		if out[0].OK && out[0].Msg.Kind == 1 {
+			arrival[r+1] = eng.Round() - 1
 		}
-		arrival[d.ID()] = d.Now() - 1
-		if int(id) < n-1 { // the last device only receives
-			d.Transmit(radio.Msg{Kind: 1, A: uint64(id)})
-		}
-	})
+	}
 
 	fmt.Printf("token ring over %d devices\n", n)
 	for v := 0; v < n; v++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/progress"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -54,8 +55,8 @@ func TestLocalBroadcastScratchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestScratchBFSMatchesFresh pins the pooled path to the one-shot path: the
-// same seeds must label identically whether the scratch is fresh or reused,
+// TestScratchBFSMatchesFresh pins a reused Scratch to a fresh one: the same
+// seeds must label identically whether the scratch is fresh or reused,
 // including across graphs of different sizes.
 func TestScratchBFSMatchesFresh(t *testing.T) {
 	var s Scratch
@@ -63,9 +64,9 @@ func TestScratchBFSMatchesFresh(t *testing.T) {
 		seed := uint64(100 + i)
 		p := ParamsFor(g.N(), 6)
 		eFresh := radio.NewEngine(g)
-		want := BFS(eFresh, p, []int32{0}, g.N(), seed)
+		want := new(Scratch).BFS(progress.Hooks{}, eFresh, p, []int32{0}, g.N(), seed)
 		ePooled := radio.NewEngine(g)
-		got := s.BFS(ePooled, p, []int32{0}, g.N(), seed)
+		got := s.BFS(progress.Hooks{}, ePooled, p, []int32{0}, g.N(), seed)
 		if len(got.Dist) != len(want.Dist) {
 			t.Fatalf("graph %d: dist length %d, want %d", i, len(got.Dist), len(want.Dist))
 		}

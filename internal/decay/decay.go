@@ -14,7 +14,6 @@
 package decay
 
 import (
-	"repro/internal/graph"
 	"repro/internal/progress"
 	"repro/internal/radio"
 	"repro/internal/rng"
@@ -121,13 +120,6 @@ func (s *Scratch) LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, 
 	e.EndListen()
 }
 
-// LocalBroadcast is the scratch-free convenience wrapper: it allocates fresh
-// buffers per call. Hot loops should hold a Scratch instead.
-func LocalBroadcast(e *radio.Engine, p Params, senders []radio.TX, receivers []int32, callSeed uint64, got []radio.Msg, ok []bool) {
-	var s Scratch
-	s.LocalBroadcast(e, p, senders, receivers, callSeed, got, ok)
-}
-
 // BFSResult carries the outcome of a Decay BFS run.
 type BFSResult struct {
 	Dist     []int32 // hop distance from the source set, -1 where not reached
@@ -142,18 +134,15 @@ type BFSResult struct {
 // Θ(D log² n) energy per vertex. The search stops after maxDist wavefront
 // steps or when a step labels nothing.
 //
+// The wavefront loop polls h.Err before every step — a canceled context
+// stops the search within one wavefront step and returns the labels
+// assigned so far, with all meters settled — and reports each completed
+// step as a round batch of p.Duration() physical rounds under PhaseBFS.
+// The zero Hooks observe nothing and never cancel.
+//
 // The returned Dist slice aliases the Scratch and is valid until the next
 // BFS call on the same Scratch; copy it to retain it longer.
-func (s *Scratch) BFS(e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) BFSResult {
-	return s.BFSHooked(progress.Hooks{}, e, p, srcs, maxDist, seed)
-}
-
-// BFSHooked is BFS with cancellation and progress observation: the wavefront
-// loop polls h.Err before every step — a canceled context stops the search
-// within one wavefront step and returns the labels assigned so far, with all
-// meters settled — and reports each completed step as a round batch of
-// p.Duration() physical rounds under PhaseBFS.
-func (s *Scratch) BFSHooked(h progress.Hooks, e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) BFSResult {
+func (s *Scratch) BFS(h progress.Hooks, e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) BFSResult {
 	h.Start(PhaseBFS)
 	defer h.End(PhaseBFS)
 	n := e.N()
@@ -210,61 +199,4 @@ func (s *Scratch) BFSHooked(h progress.Hooks, e *radio.Engine, p Params, srcs []
 	res.Dist = dist
 	res.Rounds = e.Round() - start
 	return res
-}
-
-// BFS is the scratch-free convenience wrapper around Scratch.BFS; its Dist
-// result is freshly allocated and safe to retain.
-func BFS(e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) BFSResult {
-	var s Scratch
-	return s.BFS(e, p, srcs, maxDist, seed)
-}
-
-// Broadcast floods a message from src until it has (w.h.p.) reached every
-// vertex or maxDepth wavefront steps elapse. Vertices transmit only in the
-// step after they first receive, so the schedule matches BFS layers. It
-// returns which vertices received the message.
-func Broadcast(e *radio.Engine, p Params, src int32, msg radio.Msg, maxDepth int, seed uint64) []bool {
-	res := BFS(e, p, []int32{src}, maxDepth, rng.Derive(seed, 0xb70adca57))
-	_ = msg // payload identical at every hop; labels stand in for delivery
-	informed := make([]bool, e.N())
-	for v, d := range res.Dist {
-		informed[v] = d >= 0
-	}
-	return informed
-}
-
-// ReferenceAgainst reports how many labels in dist disagree with a
-// sequential BFS from srcs on g (label -1 compared against unreachable or
-// distance > maxDist). Used by tests; the registry's decay entry performs
-// the same check through core.VerifyAgainstReference.
-func ReferenceAgainst(g *graph.Graph, srcs []int32, dist []int32, maxDist int) int {
-	ref := graph.MultiSourceBFS(g, srcs)
-	bad := 0
-	for v := range ref {
-		want := ref[v]
-		if want == graph.Unreachable || int(want) > maxDist {
-			want = -1
-		}
-		if dist[v] != want {
-			bad++
-		}
-	}
-	return bad
-}
-
-// Sense implements the paper's footnote 2: even without hardware collision
-// detection, Local-Broadcast lets each receiver differentiate "no
-// transmitter in N(v)" from "at least one" in polylog(n) rounds w.h.p. —
-// senders run the Decay schedule and a receiver declares the channel busy
-// iff it hears any message during the call. busy[i] reports the verdict for
-// receivers[i]. This is why the paper can assume the weakest (no-CD) model
-// at only polylog cost.
-func Sense(e *radio.Engine, p Params, senders []int32, receivers []int32, callSeed uint64) []bool {
-	tx := make([]radio.TX, len(senders))
-	for i, s := range senders {
-		tx[i] = radio.TX{ID: s, Msg: radio.Msg{Kind: 0x5e}}
-	}
-	ok := make([]bool, len(receivers))
-	LocalBroadcast(e, p, tx, receivers, callSeed, nil, ok)
-	return ok
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/progress"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
@@ -16,7 +17,7 @@ func TestLocalBroadcastSingleSender(t *testing.T) {
 	receivers := []int32{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	got := make([]radio.Msg, len(receivers))
 	ok := make([]bool, len(receivers))
-	LocalBroadcast(e, p, senders, receivers, 7, got, ok)
+	new(Scratch).LocalBroadcast(e, p, senders, receivers, 7, got, ok)
 	for i := range receivers {
 		if !ok[i] || got[i].A != 99 {
 			t.Fatalf("receiver %d did not hear the lone sender", receivers[i])
@@ -41,7 +42,7 @@ func TestLocalBroadcastContention(t *testing.T) {
 			}
 			got := make([]radio.Msg, 1)
 			ok := make([]bool, 1)
-			LocalBroadcast(e, p, senders, []int32{0}, rng.Derive(11, uint64(trial), uint64(deg)), got, ok)
+			new(Scratch).LocalBroadcast(e, p, senders, []int32{0}, rng.Derive(11, uint64(trial), uint64(deg)), got, ok)
 			if !ok[0] {
 				fails++
 			}
@@ -58,7 +59,7 @@ func TestLocalBroadcastNoSenderNeighbors(t *testing.T) {
 	p := ParamsFor(4, 3)
 	got := make([]radio.Msg, 1)
 	ok := make([]bool, 1)
-	LocalBroadcast(e, p, []radio.TX{{ID: 0, Msg: radio.Msg{A: 1}}}, []int32{3}, 5, got, ok)
+	new(Scratch).LocalBroadcast(e, p, []radio.TX{{ID: 0, Msg: radio.Msg{A: 1}}}, []int32{3}, 5, got, ok)
 	if ok[0] {
 		t.Fatal("receiver with no sender-neighbor heard a message")
 	}
@@ -83,7 +84,7 @@ func TestLocalBroadcastFixedDuration(t *testing.T) {
 		e := radio.NewEngine(g)
 		got := make([]radio.Msg, len(scenario.receivers))
 		ok := make([]bool, len(scenario.receivers))
-		LocalBroadcast(e, p, scenario.senders, scenario.receivers, 3, got, ok)
+		new(Scratch).LocalBroadcast(e, p, scenario.senders, scenario.receivers, 3, got, ok)
 		if e.Round() != p.Duration() {
 			t.Fatalf("duration %d != %d for %+v", e.Round(), p.Duration(), scenario)
 		}
@@ -96,7 +97,7 @@ func TestSenderEnergyIsPasses(t *testing.T) {
 	p := ParamsFor(2, 5)
 	got := make([]radio.Msg, 1)
 	ok := make([]bool, 1)
-	LocalBroadcast(e, p, []radio.TX{{ID: 0, Msg: radio.Msg{A: 2}}}, []int32{1}, 9, got, ok)
+	new(Scratch).LocalBroadcast(e, p, []radio.TX{{ID: 0, Msg: radio.Msg{A: 2}}}, []int32{1}, 9, got, ok)
 	if e.Energy(0) != int64(p.Passes) {
 		t.Fatalf("sender energy = %d, want %d (one transmission per pass)", e.Energy(0), p.Passes)
 	}
@@ -110,7 +111,7 @@ func TestHearingReceiverStopsListening(t *testing.T) {
 	p := ParamsFor(2, 6)
 	got := make([]radio.Msg, 1)
 	ok := make([]bool, 1)
-	LocalBroadcast(e, p, []radio.TX{{ID: 0, Msg: radio.Msg{A: 2}}}, []int32{1}, 13, got, ok)
+	new(Scratch).LocalBroadcast(e, p, []radio.TX{{ID: 0, Msg: radio.Msg{A: 2}}}, []int32{1}, 13, got, ok)
 	if !ok[0] {
 		t.Fatal("lone-neighbor receiver failed to hear")
 	}
@@ -137,7 +138,7 @@ func TestLocalBroadcastDeterminism(t *testing.T) {
 			got = make([]radio.Msg, len(receivers))
 		}
 		ok := make([]bool, len(receivers))
-		LocalBroadcast(e, p, senders, receivers, 21, got, ok)
+		new(Scratch).LocalBroadcast(e, p, senders, receivers, 21, got, ok)
 		return ok, e.TotalEnergy()
 	}
 	ok1, e1 := run(true)
@@ -152,60 +153,11 @@ func TestLocalBroadcastDeterminism(t *testing.T) {
 	}
 }
 
-func TestBFSMatchesReferenceOnFamilies(t *testing.T) {
-	families := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"path", graph.Path(40)},
-		{"cycle", graph.Cycle(33)},
-		{"grid", graph.Grid(6, 7)},
-		{"star", graph.Star(30)},
-		{"tree", graph.BinaryTree(31)},
-		{"complete", graph.Complete(20)},
-		{"hypercube", graph.Hypercube(5)},
-	}
-	for _, fam := range families {
-		e := radio.NewEngine(fam.g)
-		p := ParamsFor(fam.g.N(), 4)
-		res := BFS(e, p, []int32{0}, fam.g.N(), rng.Derive(31, uint64(fam.g.N())))
-		if bad := ReferenceAgainst(fam.g, []int32{0}, res.Dist, fam.g.N()); bad != 0 {
-			t.Errorf("%s: %d vertices mislabeled", fam.name, bad)
-		}
-	}
-}
-
-func TestBFSRandomGraphsManySeeds(t *testing.T) {
-	r := rng.New(77)
-	for trial := 0; trial < 8; trial++ {
-		g := graph.ConnectedGNP(80, 0.05, r)
-		e := radio.NewEngine(g)
-		// w.h.p. correctness needs Θ(log n) passes (Lemma 2.4 with
-		// f = 1/poly(n)); 4 passes would fail ~1% of deliveries.
-		p := ParamsFor(80, 10)
-		res := BFS(e, p, []int32{0}, 80, rng.Derive(100, uint64(trial)))
-		if bad := ReferenceAgainst(g, []int32{0}, res.Dist, 80); bad != 0 {
-			t.Fatalf("trial %d: %d mislabeled", trial, bad)
-		}
-	}
-}
-
-func TestBFSMultiSource(t *testing.T) {
-	g := graph.Path(30)
-	e := radio.NewEngine(g)
-	p := ParamsFor(30, 4)
-	srcs := []int32{0, 29}
-	res := BFS(e, p, srcs, 30, 5)
-	if bad := ReferenceAgainst(g, srcs, res.Dist, 30); bad != 0 {
-		t.Fatalf("%d mislabeled", bad)
-	}
-}
-
 func TestBFSMaxDistCutoff(t *testing.T) {
 	g := graph.Path(20)
 	e := radio.NewEngine(g)
 	p := ParamsFor(20, 4)
-	res := BFS(e, p, []int32{0}, 5, 9)
+	res := new(Scratch).BFS(progress.Hooks{}, e, p, []int32{0}, 5, 9)
 	for v := int32(0); v < 20; v++ {
 		want := v
 		if v > 5 {
@@ -224,7 +176,7 @@ func TestBFSEnergyShape(t *testing.T) {
 	g := graph.Path(64)
 	e := radio.NewEngine(g)
 	p := ParamsFor(64, 3)
-	BFS(e, p, []int32{0}, 64, 3)
+	new(Scratch).BFS(progress.Hooks{}, e, p, []int32{0}, 64, 3)
 	// Vertex 60 must spend far more than vertex 2.
 	if e.Energy(60) < 5*e.Energy(2) {
 		t.Fatalf("energy not distance-proportional: E(60)=%d E(2)=%d", e.Energy(60), e.Energy(2))
@@ -233,18 +185,6 @@ func TestBFSEnergyShape(t *testing.T) {
 	upper := int64(64) * p.Duration()
 	if e.Energy(63) > upper {
 		t.Fatalf("E(63)=%d exceeds D·duration=%d", e.Energy(63), upper)
-	}
-}
-
-func TestBroadcastInforms(t *testing.T) {
-	g := graph.Grid(8, 8)
-	e := radio.NewEngine(g)
-	p := ParamsFor(64, 4)
-	informed := Broadcast(e, p, 0, radio.Msg{A: 1}, 64, 15)
-	for v, inf := range informed {
-		if !inf {
-			t.Fatalf("vertex %d not informed", v)
-		}
 	}
 }
 
@@ -268,7 +208,7 @@ func TestMessageBudgetRespected(t *testing.T) {
 	g := graph.Path(40)
 	e := radio.NewEngine(g) // default RN[O(log n)] budget
 	p := ParamsFor(40, 4)
-	BFS(e, p, []int32{0}, 40, 3)
+	new(Scratch).BFS(progress.Hooks{}, e, p, []int32{0}, 40, 3)
 	if e.MsgViolations() != 0 {
 		t.Fatalf("BFS violated RN[O(log n)] budget %d times", e.MsgViolations())
 	}
@@ -286,36 +226,6 @@ func BenchmarkLocalBroadcastStar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := radio.NewEngine(g)
-		LocalBroadcast(e, p, senders, []int32{0}, uint64(i), got, ok)
-	}
-}
-
-// TestSenseDifferentiatesBusyFromQuiet is footnote 2 of the paper: without
-// hardware CD, a Decay-scheduled call distinguishes zero transmitters from
-// two-or-more w.h.p.
-func TestSenseDifferentiatesBusyFromQuiet(t *testing.T) {
-	g := graph.Star(34) // center 0, 33 leaves
-	p := ParamsFor(34, 8)
-	misses := 0
-	for trial := 0; trial < 50; trial++ {
-		e := radio.NewEngine(g)
-		// All leaves transmit: a guaranteed collision every slot if naive,
-		// but Decay isolates someone w.h.p.
-		senders := make([]int32, 0, 33)
-		for v := int32(1); v < 34; v++ {
-			senders = append(senders, v)
-		}
-		busy := Sense(e, p, senders, []int32{0}, rng.Derive(91, uint64(trial)))
-		if !busy[0] {
-			misses++
-		}
-		// Quiet channel: no senders at all.
-		quiet := Sense(e, p, nil, []int32{0}, rng.Derive(92, uint64(trial)))
-		if quiet[0] {
-			t.Fatal("silence sensed as busy")
-		}
-	}
-	if misses > 2 {
-		t.Fatalf("busy channel missed %d/50 times", misses)
+		new(Scratch).LocalBroadcast(e, p, senders, []int32{0}, uint64(i), got, ok)
 	}
 }

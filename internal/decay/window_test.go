@@ -1,6 +1,7 @@
 package decay
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -251,6 +252,25 @@ func stepBFS(e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) 
 	return dist, sides
 }
 
+// bfsTestGraph is one topology of the whole-BFS comparisons; bothSides
+// marks the graphs on which every search must build rows on both sides.
+type bfsTestGraph struct {
+	name      string
+	g         *graph.Graph
+	bothSides bool
+}
+
+// bfsTestGraphs returns the whole-BFS comparisons' graphs at n ≈ 4096.
+func bfsTestGraphs() []bfsTestGraph {
+	r := rng.New(4096)
+	return []bfsTestGraph{
+		{"gnp", graph.ConnectedGNP(4096, 0.002, r), true},
+		{"star", graph.Star(4097), true},
+		{"grid", graph.Grid(64, 64), false},
+		{"tree", graph.RandomTree(4096, r), true},
+	}
+}
+
 // TestBFSMatchesPerRoundSteps compares whole Decay BFSs at n ≈ 4096 with
 // the same searches run round by round through Step: labels, every
 // device's meters, the clock and the violation counter must be equal, at
@@ -263,19 +283,8 @@ func stepBFS(e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) 
 // pass is never labelled, and a few such stragglers keep the receivers'
 // arcs above the narrow last waves' to the end.
 func TestBFSMatchesPerRoundSteps(t *testing.T) {
-	r := rng.New(4096)
-	graphs := []struct {
-		name      string
-		g         *graph.Graph
-		bothSides bool
-	}{
-		{"gnp", graph.ConnectedGNP(4096, 0.002, r), true},
-		{"star", graph.Star(4097), true},
-		{"grid", graph.Grid(64, 64), false},
-		{"tree", graph.RandomTree(4096, r), true},
-	}
 	var s Scratch
-	for _, c := range graphs {
+	for _, c := range bfsTestGraphs() {
 		for passes := 1; passes <= 3; passes++ {
 			n := c.g.N()
 			p := ParamsFor(n, passes)
@@ -287,7 +296,7 @@ func TestBFSMatchesPerRoundSteps(t *testing.T) {
 			h := progress.Hooks{Obs: progress.Funcs{OnRoundBatch: func(string, int64) {
 				got = append(got, win.ReceiverSide())
 			}}}
-			res := s.BFSHooked(h, win, p, src, n, seed)
+			res := s.BFS(h, win, p, src, n, seed)
 			want, sides := stepBFS(ref, p, src, n, seed)
 			what := fmt.Sprintf("%s passes %d", c.name, passes)
 			for v := range want {
@@ -307,6 +316,51 @@ func TestBFSMatchesPerRoundSteps(t *testing.T) {
 			}
 			if c.bothSides && (!slices.Contains(got, true) || !slices.Contains(got, false)) {
 				t.Fatalf("%s: calls by row side (receivers' side true) %v, want both", what, got)
+			}
+		}
+	}
+}
+
+// TestCanceledBFSSettlesLikeShorterSearch cancels Decay BFSs through
+// progress.Hooks.Ctx once k ∈ {1, 3} waves have run, on the gnp and grid
+// graphs of TestBFSMatchesPerRoundSteps at 1 to 3 passes, and requires
+// what the same search run round by round to maxDist k leaves: labels,
+// every device's meters, the clock, the violation counter, Rounds and
+// LBCalls. A cancellation stops the search before its next wave, with
+// every meter settled.
+func TestCanceledBFSSettlesLikeShorterSearch(t *testing.T) {
+	var s Scratch
+	for _, c := range bfsTestGraphs() {
+		if c.name != "gnp" && c.name != "grid" {
+			continue
+		}
+		n := c.g.N()
+		src := []int32{int32(n - 1)}
+		for passes := 1; passes <= 3; passes++ {
+			p := ParamsFor(n, passes)
+			seed := rng.Derive(0xbf5, uint64(passes), uint64(n))
+			for _, k := range []int{1, 3} {
+				budget := radio.WithMaxMsgBits(8)
+				win, ref := radio.NewEngine(c.g, budget), radio.NewEngine(c.g, budget)
+				ctx, cancel := context.WithCancel(context.Background())
+				waves := 0
+				h := progress.Hooks{Ctx: ctx, Obs: progress.Funcs{OnRoundBatch: func(string, int64) {
+					if waves++; waves == k {
+						cancel()
+					}
+				}}}
+				res := s.BFS(h, win, p, src, n, seed)
+				cancel()
+				want, sides := stepBFS(ref, p, src, k, seed)
+				what := fmt.Sprintf("%s passes %d canceled after %d waves", c.name, passes, k)
+				if !slices.Equal(res.Dist, want) {
+					t.Fatalf("%s: labels differ from a search to maxDist %d", what, k)
+				}
+				requireSameMeters(t, what, win, ref)
+				if res.LBCalls != int64(k) || res.LBCalls != int64(len(sides)) || res.Rounds != ref.Round() {
+					t.Fatalf("%s: %d rounds in %d calls, per-round to maxDist %d: %d in %d",
+						what, res.Rounds, res.LBCalls, k, ref.Round(), len(sides))
+				}
 			}
 		}
 	}

@@ -74,12 +74,10 @@ func TestLeaseRetryAccounting(t *testing.T) {
 	}
 }
 
-// TestPendingAndStraggler pins the one-holder rule: pending offers the
+// TestPendingLeaseHasOneHolder pins the one-holder rule: pending offers the
 // lowest lease nobody holds, never a held one, and offers a released lease
-// again while it has unacked slots. (The name dates from straggler
-// hedging, which granted a held lease to a second worker; that mechanism
-// is gone.)
-func TestPendingAndStraggler(t *testing.T) {
+// again while it has unacked slots.
+func TestPendingLeaseHasOneHolder(t *testing.T) {
 	tbl := newTable(9, 3) // leases 0,1,2
 	if p := tbl.pending(); p == nil || p.id != 0 {
 		t.Fatalf("pending = %v, want lease 0", p)

@@ -69,11 +69,10 @@ func runSequential(t *testing.T, scenarios ...*Scenario) []Result {
 	return results
 }
 
-// TestShardSchedulingMatchesTrialParallel pins the Runner's worker pool to
-// the determinism contract on a mix of seeded and deterministic families
-// and sizes: Workers 2 and 4 reproduce sequential execution exactly. (The
-// name dates from the big-instance schedule this once compared as well.)
-func TestShardSchedulingMatchesTrialParallel(t *testing.T) {
+// TestWorkerPoolMatchesSequential pins the Runner's worker pool to the
+// determinism contract on a mix of seeded and deterministic families and
+// sizes: Workers 2 and 4 reproduce sequential execution exactly.
+func TestWorkerPoolMatchesSequential(t *testing.T) {
 	sequential := runSequential(t, scheduleScenarios()...)
 	for _, workers := range []int{2, 4} {
 		got := (&Runner{Workers: workers, Root: 5}).Run(scheduleScenarios()...)
@@ -83,11 +82,10 @@ func TestShardSchedulingMatchesTrialParallel(t *testing.T) {
 	}
 }
 
-// TestShardSchedulingExecutesShardedSteps drives a big instance through the
+// TestStreamMatchesRunnerOnBigInstance drives a big instance through the
 // dist worker's schedule: a Stream runs the n = 2¹⁷+1 star Decay trial on
-// its one pooled Context and must emit exactly the Runner's result. (The
-// name dates from when both schedules sharded such a trial's steps.)
-func TestShardSchedulingExecutesShardedSteps(t *testing.T) {
+// its one pooled Context and must emit exactly the Runner's result.
+func TestStreamMatchesRunnerOnBigInstance(t *testing.T) {
 	want := runSequential(t, bigStar(1))
 	st := (&Runner{Root: 5}).Stream(bigStar(1))
 	var got []Result

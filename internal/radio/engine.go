@@ -5,27 +5,24 @@
 // neighbors transmits. There is no collision detection: a listener cannot
 // distinguish silence from a collision.
 //
-// The package provides two front-ends over one physics core:
+// Engine is the package's one API, and a caller drives the channel with it
+// a round at a time (Step) or a Local-Broadcast at a time (a listen
+// window: Listen, StepPass, EndListen).
 //
-//   - Engine: a vectorized step API used by the protocol layers. It is
-//     activity-proportional — the cost of a step is O(Σ deg(transmitters) +
-//     #listeners), and rounds in which nobody is awake are skipped in O(1).
-//     This mirrors the paper's central concern: sleeping radios are free.
-//     A step is one sequential walk over the CSR adjacency of the
-//     transmitters into per-neighbor counters; parallelism lives between
-//     trials, each on its own engine, never inside one. A listen window
-//     (Listen, StepPass, EndListen) runs a Local-Broadcast over one fixed
-//     sender set and one fixed listener set a pass at a time, each sender
-//     transmitting once per pass in a round of its choosing: Listen gives
-//     every listener with a sending neighbor a row of its senders, built
-//     from the smaller side's adjacency, and a pass resolves each waiting
-//     listener from its row with two bit masks. A window costs that build
-//     plus, per pass, the senders and the rows still waiting,
-//     byte-identical to stepping its rounds one by one.
+// Step is activity-proportional — the cost of a step is
+// O(Σ deg(transmitters) + #listeners), and rounds in which nobody is awake
+// are skipped in O(1). This mirrors the paper's central concern: sleeping
+// radios are free. A step is one sequential walk over the CSR adjacency of
+// the transmitters into per-neighbor counters; parallelism lives between
+// trials, each on its own engine, never inside one.
 //
-//   - Sim/Device: a goroutine-per-device blocking API (Listen, Transmit,
-//     Idle) on which free-form protocols can be written as ordinary
-//     sequential Go code.
+// A listen window runs a Local-Broadcast over one fixed sender set and one
+// fixed listener set a pass at a time, each sender transmitting once per
+// pass in a round of its choosing: Listen gives every listener with a
+// sending neighbor a row of its senders, built from the smaller side's
+// adjacency, and a pass resolves each waiting listener from its row with
+// two bit masks. A window costs that build plus, per pass, the senders and
+// the rows still waiting, byte-identical to stepping its rounds one by one.
 //
 // Energy is metered per device exactly as the paper defines it: the number of
 // timesteps spent listening or transmitting.
@@ -69,20 +66,15 @@ type TX struct {
 	Msg Msg
 }
 
-// RX is a delivery result for a listener.
+// RX is a delivery result for a listener. Silence and a collision both
+// read as the zero RX.
 type RX struct {
 	Msg Msg
 	OK  bool // true iff exactly one neighbor transmitted
-	// Noise is set only on engines with receiver-side collision detection
-	// (WithCollisionDetection): it distinguishes two-or-more transmitters
-	// (noise) from zero (silence). Without CD both cases read as
-	// OK == false, Noise == false — the paper's default model (§1.1,
-	// footnote 2). The §5 lower bounds hold even with CD.
-	Noise bool
 }
 
 // Engine simulates the physics of one radio network. It is not safe for
-// concurrent use; the Sim front-end serializes access.
+// concurrent use.
 type Engine struct {
 	g     *graph.Graph
 	round int64
@@ -94,7 +86,6 @@ type Engine struct {
 	maxMsgBits    int
 	msgBitsSet    bool // maxMsgBits was fixed by option; Reset keeps it
 	msgViolations int64
-	cd            bool
 
 	// scratch for Step, sized n, reset between calls via touched list.
 	cnt     []int32
@@ -139,15 +130,6 @@ func DefaultMsgBits(n int) int {
 		lg = 1
 	}
 	return 8*lg + 80
-}
-
-// WithCollisionDetection enables receiver-side CD: listeners can
-// distinguish noise (>= 2 transmitting neighbors) from silence. The paper's
-// algorithms do not need it (Local-Broadcast recovers the same power within
-// polylog factors, §1.1), but the §5 lower bounds are stated to survive it,
-// which the lowerbound package exercises.
-func WithCollisionDetection() Option {
-	return func(e *Engine) { e.cd = true }
 }
 
 // NewEngine builds an engine over graph g.
@@ -254,22 +236,6 @@ func (e *Engine) TotalEnergy() int64 {
 	return s
 }
 
-// EnergySnapshot copies the per-device energy vector.
-func (e *Engine) EnergySnapshot() []int64 {
-	out := make([]int64, len(e.energy))
-	copy(out, e.energy)
-	return out
-}
-
-// ResetMeters zeroes energy counters and the clock (topology unchanged).
-func (e *Engine) ResetMeters() {
-	clear(e.energy)
-	clear(e.listens)
-	clear(e.transmits)
-	e.round = 0
-	e.msgViolations = 0
-}
-
 // MsgViolations returns how many transmitted messages exceeded the RN[b]
 // budget. Protocol tests assert this is zero.
 func (e *Engine) MsgViolations() int64 { return e.msgViolations }
@@ -297,13 +263,10 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 		}
 		e.energy[v]++
 		e.listens[v]++
-		switch {
-		case c == 1:
+		if c == 1 {
 			out[i] = RX{Msg: tx[e.from[v]].Msg, OK: true}
-		case c >= 2 && e.cd:
-			out[i] = RX{Noise: true} // collision detected
-		default:
-			out[i] = RX{} // silence, or collision without CD: no feedback
+		} else {
+			out[i] = RX{} // silence or collision: no feedback
 		}
 	}
 	// Reset scratch: exactly the counters recorded during the mark phase.
@@ -381,8 +344,7 @@ const maxPassRounds = 63
 //
 // A listener's meters settle in one add each when it hears (StepPass) or
 // when the window closes (EndListen) — until then Energy and Listens omit
-// its open window. The window reports clean deliveries only: an engine
-// WithCollisionDetection gives waiting listeners no noise feedback.
+// its open window.
 func (e *Engine) Listen(senders []TX, receivers []int32) {
 	if e.windowOpen {
 		panic("radio: listen window already open")

@@ -62,7 +62,7 @@ func recoverFrom(f func()) (v any) {
 // TestStepMatchesModel checks Step against the model itself (§1.1) rather
 // than against another execution path: over random graphs and random
 // transmitter/listener splits, a listener hears iff exactly one of its
-// neighbors transmits (with CD, two or more is noise), every awake device
+// neighbors transmits and otherwise reads the zero RX, every awake device
 // pays one unit per round, and every oversized message counts one
 // violation. Every delivery, every device's meters, the clock and the
 // violation counter are compared.
@@ -72,12 +72,7 @@ func TestStepMatchesModel(t *testing.T) {
 		r := rng.New(seed)
 		n := 1 + r.Intn(200)
 		g := randomTestGraph(n, r)
-		cd := seed%2 == 1
-		opts := []Option{WithMaxMsgBits(budget)}
-		if cd {
-			opts = append(opts, WithCollisionDetection())
-		}
-		e := NewEngine(g, opts...)
+		e := NewEngine(g, WithMaxMsgBits(budget))
 		energy, listens, transmits := make([]int64, n), make([]int64, n), make([]int64, n)
 		var violations int64
 		sender := make([]int, n) // tx index + 1 of a transmitting device, else 0
@@ -104,15 +99,12 @@ func TestStepMatchesModel(t *testing.T) {
 					}
 				}
 				var want RX
-				switch {
-				case heard == 1:
+				if heard == 1 {
 					want = RX{Msg: tx[from].Msg, OK: true}
-				case heard >= 2 && cd:
-					want = RX{Noise: true}
 				}
 				if out[i] != want {
-					t.Fatalf("seed %d (n=%d cd=%v) round %d: listener %d with %d transmitting neighbors got %+v, want %+v",
-						seed, n, cd, round, v, heard, out[i], want)
+					t.Fatalf("seed %d (n=%d) round %d: listener %d with %d transmitting neighbors got %+v, want %+v",
+						seed, n, round, v, heard, out[i], want)
 				}
 			}
 		}
@@ -237,15 +229,6 @@ func TestClockAdvances(t *testing.T) {
 	}
 }
 
-func TestResetMeters(t *testing.T) {
-	e := NewEngine(graph.Path(2))
-	step(e, []TX{{ID: 0, Msg: Msg{}}}, []int32{1})
-	e.ResetMeters()
-	if e.TotalEnergy() != 0 || e.Round() != 0 {
-		t.Fatal("ResetMeters incomplete")
-	}
-}
-
 func TestDoubleTransmitPanics(t *testing.T) {
 	requirePanic(t, "device 0 transmits twice in round 0", func() {
 		step(NewEngine(graph.Path(3)), []TX{{ID: 0}, {ID: 0}}, nil)
@@ -276,16 +259,15 @@ func requireSamePanic(t *testing.T, what string, tx []TX, listeners []int32) {
 	}
 }
 
-// TestShardedDoubleTransmitPanics pins a duplicate transmitter to one panic
-// value on both ways a round runs, Step and the listen window. (The name
-// dates from the sharded step, the other path it once compared.)
-func TestShardedDoubleTransmitPanics(t *testing.T) {
+// TestWindowDoubleTransmitPanicsLikeStep pins a duplicate transmitter to
+// one panic value on both ways a round runs, Step and the listen window.
+func TestWindowDoubleTransmitPanicsLikeStep(t *testing.T) {
 	requireSamePanic(t, "duplicate transmitter", []TX{{ID: 5}, {ID: 5}}, []int32{7, 20})
 }
 
-// TestShardedTransmitAndListenPanics pins a device that both transmits and
-// listens to one panic value on Step and on the listen window.
-func TestShardedTransmitAndListenPanics(t *testing.T) {
+// TestWindowTransmitAndListenPanicsLikeStep pins a device that both
+// transmits and listens to one panic value on Step and on the listen window.
+func TestWindowTransmitAndListenPanicsLikeStep(t *testing.T) {
 	requireSamePanic(t, "transmit+listen", []TX{{ID: 5}}, []int32{5})
 }
 
@@ -341,15 +323,6 @@ func TestManyListenersDenseGraph(t *testing.T) {
 	}
 }
 
-func TestEnergySnapshotIsolated(t *testing.T) {
-	e := NewEngine(graph.Path(2))
-	snap := e.EnergySnapshot()
-	snap[0] = 999
-	if e.Energy(0) != 0 {
-		t.Fatal("snapshot aliases internal state")
-	}
-}
-
 func BenchmarkStepSparse(b *testing.B) {
 	g := graph.Grid(64, 64)
 	e := NewEngine(g)
@@ -359,34 +332,5 @@ func BenchmarkStepSparse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step(tx, listeners, out)
-	}
-}
-
-func TestCollisionDetection(t *testing.T) {
-	g := graph.Star(4) // center 0; leaves 1,2,3
-	e := NewEngine(g, WithCollisionDetection())
-	// Two transmitters: noise.
-	out := step(e, []TX{{ID: 1, Msg: Msg{A: 1}}, {ID: 2, Msg: Msg{A: 2}}}, []int32{0})
-	if out[0].OK || !out[0].Noise {
-		t.Fatalf("CD listener should detect noise: %+v", out[0])
-	}
-	// Zero transmitters: silence.
-	out = step(e, nil, []int32{0})
-	if out[0].OK || out[0].Noise {
-		t.Fatalf("CD listener should read silence: %+v", out[0])
-	}
-	// One transmitter: clean delivery, no noise flag.
-	out = step(e, []TX{{ID: 3, Msg: Msg{A: 3}}}, []int32{0})
-	if !out[0].OK || out[0].Noise || out[0].Msg.A != 3 {
-		t.Fatalf("CD delivery wrong: %+v", out[0])
-	}
-}
-
-func TestNoCollisionDetectionByDefault(t *testing.T) {
-	g := graph.Star(4)
-	e := NewEngine(g)
-	out := step(e, []TX{{ID: 1}, {ID: 2}}, []int32{0})
-	if out[0].Noise {
-		t.Fatal("noise reported without CD enabled")
 	}
 }

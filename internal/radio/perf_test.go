@@ -95,15 +95,13 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestShardedReset reuses one engine across graphs of different sizes via
-// Reset (growing, then shrinking) with Step rounds and listen windows
-// interleaved and a window left open at every switch, and requires the
-// trajectory of a fresh engine on each graph: every delivery, the clock,
-// the violation counter and every device's meters. No scratch, window state
-// and rows from either side included, may leak across graphs. (The name
-// dates from the sharded step, whose shard ownership Reset also had to
-// recompute.)
-func TestShardedReset(t *testing.T) {
+// TestResetAcrossSizesMatchesFresh reuses one engine across graphs of
+// different sizes via Reset (growing, then shrinking) with Step rounds and
+// listen windows interleaved and a window left open at every switch, and
+// requires the trajectory of a fresh engine on each graph: every delivery,
+// the clock, the violation counter and every device's meters. No scratch,
+// window state and rows from either side included, may leak across graphs.
+func TestResetAcrossSizesMatchesFresh(t *testing.T) {
 	const budget = 40 // tight: some messages violate
 	graphs := []*graph.Graph{graph.Cycle(100), graph.Grid(16, 16), graph.Star(40)}
 	reused := NewEngine(graphs[0], WithMaxMsgBits(budget))

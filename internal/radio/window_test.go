@@ -178,21 +178,18 @@ func requireSide(t *testing.T, what string, e *Engine, senders []TX, receivers [
 // TestWindowMatchesSteps is the engine-level byte-identity property: over
 // random graphs and windows, consecutive windows on one engine deliver
 // exactly what per-round Steps deliver, from the same senders, and leave
-// identical meters, clock and violation counter — with and without CD. The
-// engine must build every window's rows on the side the degree-sum rule
-// picks, and both sides must occur.
+// identical meters, clock and violation counter. The engine must build
+// every window's rows on the side the degree-sum rule picks, and both sides
+// must occur.
 func TestWindowMatchesSteps(t *testing.T) {
 	bySide := map[bool]int{}
 	for seed := uint64(0); seed < 60; seed++ {
 		r := rng.New(seed)
 		n := 1 + r.Intn(90)
 		g := randomTestGraph(n, r)
-		opts := []Option{WithMaxMsgBits(40)} // tight: some messages violate
-		if seed%3 == 1 {
-			opts = append(opts, WithCollisionDetection())
-		}
-		ref := NewEngine(g, opts...)
-		win := NewEngine(g, opts...)
+		budget := WithMaxMsgBits(40) // tight: some messages violate
+		ref := NewEngine(g, budget)
+		win := NewEngine(g, budget)
 		for call := 0; call < 3; call++ {
 			w := drawWindow(n, r)
 			side := requireWindowMatchesSteps(t, fmt.Sprintf("seed %d call %d", seed, call), win, ref, w)
@@ -435,12 +432,12 @@ func TestWindowRoundZeroAllocs(t *testing.T) {
 	}
 }
 
-// fuzzWindow decodes a window from fuzz input: n ≤ 16 devices, one bit per
-// device pair for the edges, one byte per device for its role (idle,
-// sender or receiver), a pass length of 1 to 63 rounds, 1 to 4 passes with
-// one slot per sender, and messages of varied size. Input that runs out
-// reads as zeros.
-func fuzzWindow(data []byte) (*graph.Graph, windowPattern, bool) {
+// fuzzWindow decodes a window from fuzz input: n ≤ 16 devices, 1 to 4
+// passes from bits 1 and 2 of the second byte, a pass length of 1 to 63
+// rounds, one bit per device pair for the edges, one byte per device for
+// its role (idle, sender or receiver), one slot per sender per pass, and
+// messages of varied size. Input that runs out reads as zeros.
+func fuzzWindow(data []byte) (*graph.Graph, windowPattern) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -458,10 +455,8 @@ func fuzzWindow(data []byte) (*graph.Graph, windowPattern, bool) {
 		return cur>>left&1 == 1
 	}
 	n := 1 + int(next()%16)
-	head := next()
-	cd := head&1 == 1
+	passes := 1 + int((next()>>1)%4)
 	w := windowPattern{rounds: 1 + int(next()%63)}
-	passes := 1 + int((head>>1)%4)
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -486,13 +481,13 @@ func fuzzWindow(data []byte) (*graph.Graph, windowPattern, bool) {
 		}
 		w.passes = append(w.passes, when)
 	}
-	return b.Graph(), w, cd
+	return b.Graph(), w
 }
 
 // FuzzPassMatchesSteps requires a listen window to deliver, pass by pass,
 // exactly what per-round Step delivers on a decoded graph, sender/receiver
 // split and slot schedule, and to leave the same meters, clock and
-// violation counter, with and without CD.
+// violation counter.
 func FuzzPassMatchesSteps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 4, 0xff, 0x1b, 1, 2, 3})
@@ -500,12 +495,9 @@ func FuzzPassMatchesSteps(f *testing.F) {
 		0x96, 0x69, 0x1e, 0x2d, 0x4b, 0x87, 9, 200, 13, 7, 1, 0, 2, 5, 60, 61, 62, 63, 3, 3, 3, 3})
 	f.Add([]byte{8, 5, 11, 0xff, 0xff, 0xff, 0xff, 0x55, 0x55, 0x66, 0x99, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, w, cd := fuzzWindow(data)
-		opts := []Option{WithMaxMsgBits(40)}
-		if cd {
-			opts = append(opts, WithCollisionDetection())
-		}
-		win, ref := NewEngine(g, opts...), NewEngine(g, opts...)
+		g, w := fuzzWindow(data)
+		budget := WithMaxMsgBits(40)
+		win, ref := NewEngine(g, budget), NewEngine(g, budget)
 		requireWindowMatchesSteps(t, "fuzzed window", win, ref, w)
 	})
 }

@@ -101,20 +101,16 @@ func WithParams(p core.Params) Option {
 	return func(nw *Network) { nw.params = &p }
 }
 
-// WithEngine supplies a caller-owned radio engine: the network resets and
-// reuses it instead of allocating its own, for CostPhysical Local-Broadcasts
-// and for the Decay baseline's physical channel in either cost model. The
-// engine must not be used elsewhere while the Network is live.
-func WithEngine(e *radio.Engine) Option {
-	return func(nw *Network) { nw.extEng = e }
-}
-
-// WithEngineProvider is the lazy form of WithEngine: provider is invoked —
-// at most once per Network — only when a workload actually needs the
-// physical channel, and must return an engine already reset onto the
-// network's graph. The harness's pooled worker contexts use this so
-// unit-cost trials that never touch the radio skip the O(n) engine reset.
-// WithEngine wins when both are set.
+// WithEngineProvider supplies caller-owned radio engines: the network
+// reuses them instead of allocating its own, for CostPhysical
+// Local-Broadcasts and for the Decay baseline's physical channel in either
+// cost model. provider is invoked only when a workload needs the physical
+// channel: once per Network under CostPhysical, whose later Resets reuse
+// that engine, and on every Decay baseline run under CostUnit. It must
+// return an engine already reset onto the network's graph, not used
+// elsewhere while the Network is live. The harness's pooled worker
+// contexts use this so unit-cost trials that never touch the radio skip
+// the O(n) engine reset.
 func WithEngineProvider(provider func() *radio.Engine) Option {
 	return func(nw *Network) { nw.engProv = provider }
 }
@@ -128,7 +124,6 @@ type Network struct {
 	model   CostModel
 	passes  int
 	params  *core.Params
-	extEng  *radio.Engine
 	engProv func() *radio.Engine
 	decScr  *decay.Scratch
 	optErr  error
@@ -185,13 +180,12 @@ func log2ceil(n int) int { return graph.Log2Ceil(n) }
 func (nw *Network) Reset() {
 	switch nw.model {
 	case CostPhysical:
-		if nw.extEng == nil && nw.engProv != nil {
-			nw.extEng = nw.engProv()
-		}
-		if nw.extEng != nil {
-			nw.extEng.Reset(nw.g)
-			nw.eng = nw.extEng
-		} else {
+		switch {
+		case nw.eng != nil:
+			nw.eng.Reset(nw.g)
+		case nw.engProv != nil:
+			nw.eng = nw.engProv()
+		default:
 			nw.eng = radio.NewEngine(nw.g)
 		}
 		nw.base = lbnet.NewPhysNet(nw.eng, decay.ParamsFor(nw.g.N(), nw.passes), rng.Derive(nw.seed, 0xba5e))
@@ -269,16 +263,13 @@ func (nw *Network) buildStack(h progress.Hooks, tag uint64, d0 int) (*core.Stack
 }
 
 // baselineEngine returns the physical engine the Decay baseline runs on: the
-// network's own engine under CostPhysical (sharing its meters), else the
-// caller-supplied external engine (WithEngine, reset here; or the lazy
-// WithEngineProvider, which hands it over already reset), else a private one.
+// network's own engine under CostPhysical (sharing its meters), else one
+// from WithEngineProvider, which hands it over already reset, else a
+// private one.
 func (nw *Network) baselineEngine() *radio.Engine {
 	switch {
 	case nw.eng != nil:
 		return nw.eng
-	case nw.extEng != nil:
-		nw.extEng.Reset(nw.g)
-		return nw.extEng
 	case nw.engProv != nil:
 		return nw.engProv()
 	default:
