@@ -615,13 +615,15 @@ func (s *Stack) disseminateDist(r int, part []int32, distStar []int32) {
 }
 
 // VerifyAgainstReference compares labels against a sequential BFS and
-// returns the number of mismatches (labels capped at d).
+// returns the number of mismatches (labels capped at d). The reference
+// search stops at level d, since a vertex beyond it should read Unreached
+// however far it lies.
 func VerifyAgainstReference(g *graph.Graph, sources []int32, dist []int32, d int) int {
-	ref := graph.MultiSourceBFS(g, sources)
+	ref := graph.MultiSourceBFSWithin(g, sources, d)
 	bad := 0
 	for v := range ref {
 		want := ref[v]
-		if want == graph.Unreachable || int(want) > d {
+		if want == graph.Unreachable {
 			want = Unreached
 		}
 		if dist[v] != want {

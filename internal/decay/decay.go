@@ -10,7 +10,11 @@
 //
 // The package also provides the classic everyone-awake Decay BFS baseline
 // (O(D log² n) time and — crucially for the paper — Θ(D log² n) energy per
-// vertex), the comparator for the energy-efficient Recursive-BFS.
+// vertex), the comparator for the energy-efficient Recursive-BFS. Its
+// meters are the schedule's, but a narrow wave hands the engine only the
+// listeners next to its frontier and charges the silent rest in one add
+// each, so simulating a wave costs its frontier, not every unlabeled
+// vertex.
 package decay
 
 import (
@@ -62,8 +66,10 @@ type Scratch struct {
 	heard []radio.Heard // one pass's deliveries
 	rnd   rng.Source
 
-	// BFS state.
+	// BFS state. settled[v] counts the narrow steps (see BFS) v's
+	// listening is charged for: those that listed it, and those before.
 	dist      []int32
+	settled   []int32
 	frontier  []int32
 	unlabeled []int32
 	ok        []bool
@@ -132,7 +138,25 @@ type BFSResult struct {
 // labeled k-1 is a sender and every unlabeled vertex listens. Every vertex
 // stays awake until labeled, which is exactly why this baseline costs
 // Θ(D log² n) energy per vertex. The search stops after maxDist wavefront
-// steps or when a step labels nothing.
+// steps or when a step labels nothing. srcs must be duplicate-free.
+//
+// A listener with no sending neighbour hears only silence and draws
+// nothing, so a step need list as receivers only the vertices that can
+// hear. Each step takes the cheaper of two lists, as graph.MultiSourceBFS
+// picks its direction. While the frontier has fewer arcs than the BFS's
+// list of unlabeled vertices has entries, the step is narrow: its
+// receivers are the frontier's unlabeled neighbours, found from its arcs.
+// Otherwise it is wide and lists every unlabeled vertex. A wide step
+// drops from the list the vertices it labels, as a narrow one does not.
+// Either way each receiver hears exactly what it would with everyone
+// listening. A vertex left out of a narrow step owes that step's
+// p.Duration() rounds of listening, and Engine.ChargeListen charges them
+// when a narrow step next lists it, or when a walk of the list before a
+// wide step or at the end of the search meets it; that walk also drops
+// the vertices narrow steps labeled. So a narrow step costs its
+// frontier's arcs, not every unlabeled vertex, and labels, meters, clock
+// and violation count are those of the schedule with every unlabeled
+// vertex listed.
 //
 // The wavefront loop polls h.Err before every step — a canceled context
 // stops the search within one wavefront step and returns the labels
@@ -145,30 +169,57 @@ type BFSResult struct {
 func (s *Scratch) BFS(h progress.Hooks, e *radio.Engine, p Params, srcs []int32, maxDist int, seed uint64) BFSResult {
 	h.Start(PhaseBFS)
 	defer h.End(PhaseBFS)
-	n := e.N()
+	g := e.Graph()
+	n := g.N()
 	start := e.Round()
+	dur := p.Duration()
 	dist := scratch.Grow(s.dist, n)
-	s.dist = dist
+	settled := scratch.Grow(s.settled, n)
+	s.dist, s.settled = dist, settled
 	for i := range dist {
 		dist[i] = -1
 	}
+	clear(settled)
+	frontier := append(s.frontier[:0], srcs...)
+	frontierArcs := 0
 	for _, v := range srcs {
 		dist[v] = 0
+		frontierArcs += g.Degree(v)
 	}
-	var res BFSResult
-	frontier := append(s.frontier[:0], srcs...)
 	unlabeled := s.unlabeled[:0]
 	for v := int32(0); v < int32(n); v++ {
 		if dist[v] == -1 {
 			unlabeled = append(unlabeled, v)
 		}
 	}
+	left := len(unlabeled)
+	// unlabeled holds the unlabeled vertices as of its latest walk: a
+	// narrow step neither drops the vertices it labels nor charges the
+	// ones it leaves out, and marks the list stale until settle walks it.
+	var narrow int32 // narrow steps so far
+	stale := false
+	settle := func() {
+		w := 0
+		for _, v := range unlabeled {
+			if dist[v] != -1 {
+				continue
+			}
+			if idle := narrow - settled[v]; idle > 0 {
+				e.ChargeListen(v, int64(idle)*dur)
+				settled[v] = narrow
+			}
+			unlabeled[w] = v
+			w++
+		}
+		unlabeled, stale = unlabeled[:w], false
+	}
 	ok := scratch.Grow(s.ok, n)
 	s.ok = ok
 	senders := s.senders
-	for k := int32(1); int(k) <= maxDist && len(frontier) > 0 && len(unlabeled) > 0; k++ {
+	var res BFSResult
+	for k := int32(1); int(k) <= maxDist && len(frontier) > 0 && left > 0; k++ {
 		if h.Err() != nil {
-			break // canceled: partial labels, meters settled
+			break // canceled: partial labels, meters settled below
 		}
 		// Sized to the wave, not to n: a narrow search keeps a small
 		// buffer, and a wide wave allocates once rather than doubling.
@@ -176,24 +227,60 @@ func (s *Scratch) BFS(h progress.Hooks, e *radio.Engine, p Params, srcs []int32,
 		for i, v := range frontier {
 			senders[i] = radio.TX{ID: v, Msg: radio.Msg{Kind: 1, A: uint64(k - 1)}}
 		}
-		s.LocalBroadcast(e, p, senders, unlabeled, rng.Derive(seed, uint64(k)), nil, ok[:len(unlabeled)])
+		var receivers []int32
+		wide := frontierArcs >= len(unlabeled)
+		if wide {
+			if stale {
+				settle()
+			}
+			receivers = unlabeled
+		} else {
+			// The senders hold the frontier, so its buffer takes the
+			// receivers. settled[u] == narrow marks u as already taken;
+			// before that, u is charged the narrow steps that left it out.
+			narrow, stale = narrow+1, true
+			receivers = frontier[:0]
+			for i := range senders {
+				for _, u := range g.Neighbors(senders[i].ID) {
+					if dist[u] == -1 && settled[u] != narrow {
+						if idle := narrow - 1 - settled[u]; idle > 0 {
+							e.ChargeListen(u, int64(idle)*dur)
+						}
+						settled[u] = narrow
+						receivers = append(receivers, u)
+					}
+				}
+			}
+			frontier = receivers
+		}
+		s.LocalBroadcast(e, p, senders, receivers, rng.Derive(seed, uint64(k)), nil, ok[:len(receivers)])
 		res.LBCalls++
-		h.Rounds(PhaseBFS, p.Duration())
-		frontier = frontier[:0]
+		h.Rounds(PhaseBFS, dur)
+		// The receivers that heard form the next frontier, and a wide
+		// step's list keeps the rest; in place when they share a buffer,
+		// since neither write passes the read.
+		frontier, frontierArcs = frontier[:0], 0
 		w := 0
-		for j, v := range unlabeled {
+		for j, v := range receivers {
 			if ok[j] {
 				dist[v] = k
 				frontier = append(frontier, v)
-				if k > res.MaxDepth {
-					res.MaxDepth = k
-				}
-			} else {
+				frontierArcs += g.Degree(v)
+			} else if wide {
 				unlabeled[w] = v
 				w++
 			}
 		}
-		unlabeled = unlabeled[:w]
+		if wide {
+			unlabeled = unlabeled[:w]
+		}
+		if len(frontier) > 0 {
+			left -= len(frontier)
+			res.MaxDepth = k
+		}
+	}
+	if stale {
+		settle() // every vertex still unlabeled listened through every step
 	}
 	s.frontier, s.unlabeled, s.senders = frontier, unlabeled, senders
 	res.Dist = dist

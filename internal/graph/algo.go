@@ -22,13 +22,21 @@ func BFS(g *Graph, src int32) []int32 {
 // a wide level, an unreached vertex costs about one neighbour check instead
 // of the wide level costing all of its arcs.
 func MultiSourceBFS(g *Graph, srcs []int32) []int32 {
-	dist, _ := multiSourceBFS(g, srcs)
+	dist, _ := multiSourceBFS(g, srcs, g.N())
 	return dist
 }
 
-// multiSourceBFS is MultiSourceBFS, also reporting how many levels it
-// walked bottom-up.
-func multiSourceBFS(g *Graph, srcs []int32) (dist []int32, bottomUp int) {
+// MultiSourceBFSWithin is MultiSourceBFS stopped after level d: a vertex
+// farther than d from every source reads Unreachable, and no level beyond
+// d is walked. Every other distance is MultiSourceBFS's.
+func MultiSourceBFSWithin(g *Graph, srcs []int32, d int) []int32 {
+	dist, _ := multiSourceBFS(g, srcs, d)
+	return dist
+}
+
+// multiSourceBFS is MultiSourceBFSWithin, also reporting how many levels
+// it walked bottom-up.
+func multiSourceBFS(g *Graph, srcs []int32, d int) (dist []int32, bottomUp int) {
 	n := g.N()
 	dist = make([]int32, n)
 	for i := range dist {
@@ -49,10 +57,14 @@ func multiSourceBFS(g *Graph, srcs []int32) (dist []int32, bottomUp int) {
 	// rest lists the unreached vertices from the first bottom-up level on,
 	// and each bottom-up level drops the ones reached since; until then a
 	// bottom-up level would scan all n vertices to find them. The search
-	// stops once no unreached vertex has an arc left: no level can reach one.
+	// stops once no unreached vertex has an arc left, since no level can
+	// reach one, or once it has labeled level d.
 	var rest []int32
 	for head := 0; head < len(queue) && unreachedArcs > 0; {
 		level := dist[queue[head]]
+		if int(level) >= d {
+			break
+		}
 		frontier := queue[head:]
 		head = len(queue)
 		scan := n

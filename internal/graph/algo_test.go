@@ -83,7 +83,7 @@ func TestMultiSourceBFSMatchesQueueBFS(t *testing.T) {
 		}
 		srcSets = append(srcSets, some, append(some, some...))
 		for _, srcs := range srcSets {
-			got, up := multiSourceBFS(g, srcs)
+			got, up := multiSourceBFS(g, srcs, g.N())
 			want := queueBFS(g, srcs)
 			for v := range want {
 				if got[v] != want[v] {
@@ -103,7 +103,37 @@ func TestMultiSourceBFSMatchesQueueBFS(t *testing.T) {
 	// From a clique vertex of Lollipop(50, 10), the rest of the clique is
 	// the wide level: its 2402 arcs outweigh a scan of all 60 vertices plus
 	// the tail's 19 arcs, so that level, and only it, runs bottom-up.
-	if _, up := multiSourceBFS(Lollipop(50, 10), []int32{0}); up != 1 {
+	if _, up := multiSourceBFS(Lollipop(50, 10), []int32{0}, 60); up != 1 {
 		t.Fatalf("lollipop from a clique vertex ran %d bottom-up levels, want 1", up)
+	}
+}
+
+// TestMultiSourceBFSWithinCapsFullSearch requires the depth-limited BFS to
+// equal the full one with every distance beyond d read as Unreachable, on
+// every registry family at n ≤ 4096, from the first and the last vertex,
+// for d ∈ {0, 1, 5, n}.
+func TestMultiSourceBFSWithinCapsFullSearch(t *testing.T) {
+	for _, fam := range FamilyNames() {
+		for _, n := range []int{1, 2, 100, 4096} {
+			if fam == "complete" && n > 1024 {
+				n = 1024 // K_4096 alone would hold 16.8M arcs
+			}
+			g, _ := Named(fam, n, 7)
+			n = g.N()
+			for _, srcs := range [][]int32{{0}, {int32(n - 1)}} {
+				full := MultiSourceBFS(g, srcs)
+				for _, d := range []int{0, 1, 5, n} {
+					got := MultiSourceBFSWithin(g, srcs, d)
+					for v, want := range full {
+						if int(want) > d {
+							want = Unreachable
+						}
+						if got[v] != want {
+							t.Fatalf("%s n=%d from %v within %d: dist[%d] = %d, want %d", fam, n, srcs, d, v, got[v], want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -294,28 +294,29 @@ func TestBuilderResetSteadyStateAllocs(t *testing.T) {
 }
 
 // TestGNPReservationCoversSample pins the upper-list reservation GNPInto
-// makes before sampling: on a builder hinted for average degree 8 (the
-// harness's pooled builder), the list, one entry per edge, ends in exactly
-// the capacity the one up-front reservation gives, so it never regrew
-// mid-sample. The builder is left holding no arcs, and the pooled sample
+// makes before sampling: on an empty builder (the harness's pooled builder
+// starts empty) and on one hinted for average degree 8, the list, one
+// entry per edge, ends in exactly the capacity the one up-front
+// reservation gives, so it never regrew mid-sample. The builder is left holding no arcs, and the pooled sample
 // matches a fresh build's.
 func TestGNPReservationCoversSample(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 100, 1 << 10, 1 << 14} {
 		p := gnpP(n)
 		for seed := uint64(0); seed < 4; seed++ {
-			b := FromDegreeHint(n, 8)
-			want := cap(slices.Grow(make([]int32, 0, cap(b.dst)), gnpReserve(n, p)))
-			g := GNPInto(b, n, p, rng.New(seed))
-			if cap(b.dst) != want {
-				t.Fatalf("n=%d seed=%d: upper list capacity %d for %d edges, want the reserved %d",
-					n, seed, cap(b.dst), g.M(), want)
-			}
-			if len(b.src) != 0 || len(b.dst) != 0 {
-				t.Fatalf("n=%d seed=%d: builder left holding %d/%d arcs, want none", n, seed, len(b.src), len(b.dst))
-			}
-			fresh := GNP(n, p, rng.New(seed))
-			if !slices.Equal(g.neighbors, fresh.neighbors) || !slices.Equal(g.offsets, fresh.offsets) {
-				t.Fatalf("n=%d seed=%d: pooled sample differs from a fresh one", n, seed)
+			for _, b := range []*Builder{NewBuilder(n), FromDegreeHint(n, 8)} {
+				want := cap(slices.Grow(make([]int32, 0, cap(b.dst)), gnpReserve(n, p)))
+				g := GNPInto(b, n, p, rng.New(seed))
+				if cap(b.dst) != want {
+					t.Fatalf("n=%d seed=%d: upper list capacity %d for %d edges, want the reserved %d",
+						n, seed, cap(b.dst), g.M(), want)
+				}
+				if len(b.src) != 0 || len(b.dst) != 0 {
+					t.Fatalf("n=%d seed=%d: builder left holding %d/%d arcs, want none", n, seed, len(b.src), len(b.dst))
+				}
+				fresh := GNP(n, p, rng.New(seed))
+				if !slices.Equal(g.neighbors, fresh.neighbors) || !slices.Equal(g.offsets, fresh.offsets) {
+					t.Fatalf("n=%d seed=%d: pooled sample differs from a fresh one", n, seed)
+				}
 			}
 		}
 	}
@@ -446,5 +447,54 @@ func TestGeoSkipExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// builderGrid and builderStar are Grid and Star as they stood before they
+// wrote their CSR rows themselves: AddEdge on a hinted builder, then
+// Builder.Graph.
+func builderGrid(rows, cols int) *Graph {
+	b := NewBuilderHint(rows*cols, 2*rows*cols)
+	id := func(r, c int) int32 { return int32(r*cols + c) }
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				b.AddEdge(id(r, c), id(r, c+1))
+			}
+			if r+1 < rows {
+				b.AddEdge(id(r, c), id(r+1, c))
+			}
+		}
+	}
+	return b.Graph()
+}
+
+func builderStar(n int) *Graph {
+	b := NewBuilderHint(n, n-1)
+	for v := 1; v < n; v++ {
+		b.AddEdge(0, int32(v))
+	}
+	return b.Graph()
+}
+
+// requireSameCSR fails the test unless got's offsets, neighbours and
+// MaxDegree are want's.
+func requireSameCSR(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.neighbors, want.neighbors) || got.MaxDegree() != want.MaxDegree() {
+		t.Fatalf("%s: offsets %v, neighbours %v, MaxDegree %d; builder path %v, %v, %d", label,
+			got.offsets, got.neighbors, got.MaxDegree(), want.offsets, want.neighbors, want.MaxDegree())
+	}
+}
+
+// TestGridAndStarMatchBuilder pins the grid and star generators, which
+// write their CSR rows directly, to the builder path on the degenerate
+// shapes and on the benchmark's sizes.
+func TestGridAndStarMatchBuilder(t *testing.T) {
+	for _, s := range [][2]int{{0, 0}, {1, 1}, {1, 5}, {5, 1}, {2, 2}, {3, 7}, {362, 362}} {
+		requireSameCSR(t, fmt.Sprintf("grid %dx%d", s[0], s[1]), Grid(s[0], s[1]), builderGrid(s[0], s[1]))
+	}
+	for _, n := range []int{0, 1, 2, 3, 10, 1 << 17} {
+		requireSameCSR(t, fmt.Sprintf("star %d", n), Star(n), builderStar(n))
 	}
 }

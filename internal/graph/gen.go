@@ -30,21 +30,44 @@ func Cycle(n int) *Graph {
 	return b.Graph()
 }
 
-// Grid returns the rows×cols grid graph. Diameter rows+cols-2.
+// Grid returns the rows×cols grid graph, vertex r·cols + c at row r and
+// column c. Diameter rows+cols-2. It writes the CSR rows itself: a
+// vertex's neighbours above, left, right and below come in ascending order.
 func Grid(rows, cols int) *Graph {
-	b := NewBuilderHint(rows*cols, 2*rows*cols)
-	id := func(r, c int) int32 { return int32(r*cols + c) }
+	if rows < 0 || cols < 0 {
+		panic("graph: negative vertex count")
+	}
+	n := rows * cols
+	g := &Graph{offsets: make([]int32, n+1)}
+	nb := make([]int32, 2*max(rows*(cols-1)+(rows-1)*cols, 0))
+	var w int32
+	step := int32(cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
+			v := int32(r*cols + c)
+			g.offsets[v] = w
+			if r > 0 {
+				nb[w] = v - step
+				w++
+			}
+			if c > 0 {
+				nb[w] = v - 1
+				w++
+			}
 			if c+1 < cols {
-				b.AddEdge(id(r, c), id(r, c+1))
+				nb[w] = v + 1
+				w++
 			}
 			if r+1 < rows {
-				b.AddEdge(id(r, c), id(r+1, c))
+				nb[w] = v + step
+				w++
 			}
+			g.maxDeg = max(g.maxDeg, int(w-g.offsets[v]))
 		}
 	}
-	return b.Graph()
+	g.offsets[n] = w
+	g.neighbors = nb
+	return g
 }
 
 // Torus returns the rows×cols torus (grid with wraparound).
@@ -60,13 +83,22 @@ func Torus(rows, cols int) *Graph {
 	return b.Graph()
 }
 
-// Star returns the n-vertex star with center 0.
+// Star returns the n-vertex star with center 0. It writes the CSR rows
+// itself: the center's row lists every leaf, and each leaf's row is the
+// center, the zero the neighbour array starts with.
 func Star(n int) *Graph {
-	b := NewBuilderHint(n, n-1)
-	for v := 1; v < n; v++ {
-		b.AddEdge(0, int32(v))
+	if n < 0 {
+		panic("graph: negative vertex count")
 	}
-	return b.Graph()
+	leaves := max(n-1, 0)
+	g := &Graph{offsets: make([]int32, n+1), neighbors: make([]int32, 2*leaves), maxDeg: leaves}
+	for v := 1; v <= n; v++ {
+		g.offsets[v] = int32(leaves + v - 1)
+		if v < n {
+			g.neighbors[v-1] = int32(v)
+		}
+	}
+	return g
 }
 
 // Complete returns K_n.
@@ -107,13 +139,16 @@ func BinaryTree(n int) *Graph {
 // RandomTree returns a uniform-attachment random tree: vertex v attaches to a
 // uniformly random earlier vertex.
 func RandomTree(n int, r *rng.Source) *Graph {
-	return RandomTreeInto(NewBuilderHint(n, n-1), n, r)
+	return RandomTreeInto(NewBuilder(n), n, r)
 }
 
 // RandomTreeInto is RandomTree building through a caller-owned (typically
-// pooled) builder; b is Reset to n first. Identical output to RandomTree.
+// pooled) builder; b is Reset to n first, and grown once to the tree's
+// 2(n-1) arcs. Identical output to RandomTree.
 func RandomTreeInto(b *Builder, n int, r *rng.Source) *Graph {
 	b.Reset(n)
+	arcs := 2 * max(n-1, 0)
+	b.src, b.dst = slices.Grow(b.src, arcs), slices.Grow(b.dst, arcs)
 	for v := 1; v < n; v++ {
 		b.AddEdge(int32(v), int32(r.Intn(v)))
 	}

@@ -32,9 +32,11 @@ type Context struct {
 	eng   *radio.Engine
 	decay decay.Scratch
 	// builder is the pooled graph builder seeded-family trials rebuild
-	// their topology through: one pre-sized arc accumulator per worker,
-	// Reset between trials, so steady-state seeded sweeps stop paying a
-	// cold build per trial.
+	// their topology through: one arc accumulator per worker, Reset
+	// between trials, so steady-state seeded sweeps stop paying a cold
+	// build per trial. It starts empty, since each generator reserves what
+	// it fills (G(n,p) its own upper list, the random tree its 2(n-1)
+	// arcs) and a size guess would be zeroed only to be replaced.
 	builder *graph.Builder
 	// shared is a read-only cache of the graphs built before worker
 	// fan-out — deterministic-family graphs and the seeded-family graphs of
@@ -104,7 +106,7 @@ func (c *Context) Graph(family string, n int, seed uint64) (*graph.Graph, error)
 			return g, nil
 		}
 		if c.builder == nil {
-			c.builder = graph.FromDegreeHint(n, 8)
+			c.builder = graph.NewBuilder(n)
 		}
 		// FamilySeeded and NamedInto consult the same registry, so a
 		// seeded family always resolves.

@@ -37,11 +37,14 @@ type Net interface {
 // MaxLBEnergy returns the maximum per-vertex LB-unit energy on net.
 func MaxLBEnergy(net Net) int64 {
 	var m int64
-	n := int32(net.N())
-	for v := int32(0); v < n; v++ {
-		if e := net.LBEnergy(v); e > m {
-			m = e
+	if lb, ok := net.(metered); ok {
+		for _, e := range lb.lbMeters() {
+			m = max(m, e)
 		}
+		return m
+	}
+	for v := range int32(net.N()) {
+		m = max(m, net.LBEnergy(v))
 	}
 	return m
 }
@@ -49,18 +52,31 @@ func MaxLBEnergy(net Net) int64 {
 // TotalLBEnergy returns the aggregate LB-unit energy on net.
 func TotalLBEnergy(net Net) int64 {
 	var s int64
-	n := int32(net.N())
-	for v := int32(0); v < n; v++ {
+	if lb, ok := net.(metered); ok {
+		for _, e := range lb.lbMeters() {
+			s += e
+		}
+		return s
+	}
+	for v := range int32(net.N()) {
 		s += net.LBEnergy(v)
 	}
 	return s
 }
 
-// meters is the shared accounting embedded by Net implementations.
+// metered is a Net that keeps its LB-unit energies in one slice, which
+// MaxLBEnergy and TotalLBEnergy read directly.
+type metered interface{ lbMeters() []int64 }
+
+// meters is the shared accounting embedded by UnitNet and PhysNet. A
+// PhysNet's energy stays nil, reading 0 for every vertex, until its first
+// Local-Broadcast: a Decay BFS drives the engine without one.
 type meters struct {
 	lbTime int64
 	energy []int64
 }
+
+func (m *meters) lbMeters() []int64 { return m.energy }
 
 func (m *meters) charge(senders []radio.TX, receivers []int32) {
 	for i := range senders {
@@ -223,10 +239,9 @@ type PhysNet struct {
 // LB-unit → rounds conversion factor p.Duration()).
 func NewPhysNet(eng *radio.Engine, p decay.Params, seed uint64) *PhysNet {
 	return &PhysNet{
-		meters: meters{energy: make([]int64, eng.N())},
-		eng:    eng,
-		p:      p,
-		seed:   seed,
+		eng:  eng,
+		p:    p,
+		seed: seed,
 	}
 }
 
@@ -258,11 +273,20 @@ func (p *PhysNet) SkipLB(k int64) {
 func (p *PhysNet) LBTime() int64 { return p.lbTime }
 
 // LBEnergy implements Net.
-func (p *PhysNet) LBEnergy(v int32) int64 { return p.energy[v] }
+func (p *PhysNet) LBEnergy(v int32) int64 {
+	if p.energy == nil {
+		return 0
+	}
+	return p.energy[v]
+}
 
 // LocalBroadcast implements Net by running the Decay protocol on reused
-// scratch, so steady-state physical rounds allocate nothing.
+// scratch, so steady-state physical rounds allocate nothing; the first
+// call allocates the LB meters.
 func (p *PhysNet) LocalBroadcast(senders []radio.TX, receivers []int32, got []radio.Msg, ok []bool) {
+	if p.energy == nil {
+		p.energy = make([]int64, p.eng.N())
+	}
 	callSeed := rng.Derive(p.seed, uint64(p.lbTime), 0x1b)
 	p.scratch.LocalBroadcast(p.eng, p.p, senders, receivers, callSeed, got, ok)
 	p.charge(senders, receivers)

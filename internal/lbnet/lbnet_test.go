@@ -179,16 +179,26 @@ func TestPhysNetContendedDelivery(t *testing.T) {
 	}
 }
 
+// TestMaxAndTotalLBEnergy reads the LB meters of both nets and of a
+// wrapper that hides its UnitNet's type, so the helpers take their
+// per-vertex path: every meter reads 0 before the first Local-Broadcast (a
+// PhysNet has not allocated its meters yet), and the participants' units
+// after two.
 func TestMaxAndTotalLBEnergy(t *testing.T) {
 	g := graph.Path(3)
-	net := NewUnitNet(g, 0, 1)
-	oneLB(net, []radio.TX{{ID: 0}}, []int32{1})
-	oneLB(net, []radio.TX{{ID: 0}}, []int32{1})
-	if MaxLBEnergy(net) != 2 {
-		t.Fatalf("MaxLBEnergy = %d", MaxLBEnergy(net))
-	}
-	if TotalLBEnergy(net) != 4 {
-		t.Fatalf("TotalLBEnergy = %d", TotalLBEnergy(net))
+	all := nets(t, g)
+	all["opaque"] = struct{ Net }{NewUnitNet(g, 0, 1)}
+	for name, net := range all {
+		net.SkipLB(1)
+		if MaxLBEnergy(net) != 0 || TotalLBEnergy(net) != 0 || net.LBEnergy(1) != 0 {
+			t.Fatalf("%s: before any Local-Broadcast MaxLBEnergy %d, TotalLBEnergy %d, LBEnergy(1) %d, want 0",
+				name, MaxLBEnergy(net), TotalLBEnergy(net), net.LBEnergy(1))
+		}
+		oneLB(net, []radio.TX{{ID: 0}}, []int32{1})
+		oneLB(net, []radio.TX{{ID: 0}}, []int32{1})
+		if MaxLBEnergy(net) != 2 || TotalLBEnergy(net) != 4 {
+			t.Fatalf("%s: MaxLBEnergy %d, TotalLBEnergy %d, want 2 and 4", name, MaxLBEnergy(net), TotalLBEnergy(net))
+		}
 	}
 }
 

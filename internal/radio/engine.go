@@ -25,7 +25,10 @@
 // the rows still waiting, byte-identical to stepping its rounds one by one.
 //
 // Energy is metered per device exactly as the paper defines it: the number of
-// timesteps spent listening or transmitting.
+// timesteps spent listening or transmitting. A listener with no
+// transmitting neighbour hears silence, so a caller may leave it out of
+// the rounds it runs and charge its listening in one add (ChargeListen),
+// as the Decay BFS does for the unlabeled vertices away from its frontier.
 package radio
 
 import (
@@ -79,7 +82,8 @@ type Engine struct {
 	g     *graph.Graph
 	round int64
 
-	energy    []int64
+	// A device's energy is listens + transmits: every step it is awake is
+	// one of the two.
 	listens   []int64
 	transmits []int64
 
@@ -152,7 +156,6 @@ func (e *Engine) Reset(g *graph.Graph) {
 	n := g.N()
 	e.g = g
 	if cap(e.cnt) < n {
-		e.energy = make([]int64, n)
 		e.listens = make([]int64, n)
 		e.transmits = make([]int64, n)
 		e.cnt = make([]int32, n)
@@ -160,14 +163,12 @@ func (e *Engine) Reset(g *graph.Graph) {
 		e.lpos = make([]int32, n)
 		e.spos = make([]int32, n)
 	} else {
-		e.energy = e.energy[:n]
 		e.listens = e.listens[:n]
 		e.transmits = e.transmits[:n]
 		e.cnt = e.cnt[:n]
 		e.from = e.from[:n]
 		e.lpos = e.lpos[:n]
 		e.spos = e.spos[:n]
-		clear(e.energy)
 		clear(e.listens)
 		clear(e.transmits)
 		clear(e.cnt)
@@ -206,8 +207,24 @@ func (e *Engine) SkipRounds(k int64) {
 	e.round += k
 }
 
+// ChargeListen charges device v k rounds of listening, in energy and
+// Listens, without advancing the clock: the listening of a device that
+// was awake through k rounds its caller ran without listing it, because
+// no neighbour of it transmitted in them, so it heard only silence. Like
+// SkipRounds it panics while a listen window is open, since the window
+// settles its own listeners.
+func (e *Engine) ChargeListen(v int32, k int64) {
+	if k < 0 {
+		panic("radio: negative listen charge")
+	}
+	if e.windowOpen {
+		panic("radio: ChargeListen during an open listen window")
+	}
+	e.listens[v] += k
+}
+
 // Energy returns the energy spent so far by device v.
-func (e *Engine) Energy(v int32) int64 { return e.energy[v] }
+func (e *Engine) Energy(v int32) int64 { return e.listens[v] + e.transmits[v] }
 
 // Listens returns the number of listen steps of device v.
 func (e *Engine) Listens(v int32) int64 { return e.listens[v] }
@@ -219,10 +236,8 @@ func (e *Engine) Transmits(v int32) int64 { return e.transmits[v] }
 // of an algorithm.
 func (e *Engine) MaxEnergy() int64 {
 	var m int64
-	for _, v := range e.energy {
-		if v > m {
-			m = v
-		}
+	for v, l := range e.listens {
+		m = max(m, l+e.transmits[v])
 	}
 	return m
 }
@@ -230,8 +245,8 @@ func (e *Engine) MaxEnergy() int64 {
 // TotalEnergy returns the aggregate energy over all devices.
 func (e *Engine) TotalEnergy() int64 {
 	var s int64
-	for _, v := range e.energy {
-		s += v
+	for v, l := range e.listens {
+		s += l + e.transmits[v]
 	}
 	return s
 }
@@ -261,7 +276,6 @@ func (e *Engine) Step(tx []TX, listeners []int32, out []RX) {
 		if c == -1 {
 			panic(fmt.Sprintf("radio: device %d both transmits and listens in round %d", v, e.round))
 		}
-		e.energy[v]++
 		e.listens[v]++
 		if c == 1 {
 			out[i] = RX{Msg: tx[e.from[v]].Msg, OK: true}
@@ -291,7 +305,6 @@ func (e *Engine) mark(tx []TX) {
 		if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
 			e.msgViolations++
 		}
-		e.energy[t.ID]++
 		e.transmits[t.ID]++
 		for _, u := range e.g.Neighbors(t.ID) {
 			if e.cnt[u] >= 0 {
@@ -344,7 +357,10 @@ const maxPassRounds = 63
 //
 // A listener's meters settle in one add each when it hears (StepPass) or
 // when the window closes (EndListen) — until then Energy and Listens omit
-// its open window.
+// its open window. A device without a sending neighbour hears silence in
+// every round of the window, so a caller may list only the receivers that
+// can hear and charge the others with ChargeListen once the window closes;
+// the meters come out the same.
 func (e *Engine) Listen(senders []TX, receivers []int32) {
 	if e.windowOpen {
 		panic("radio: listen window already open")
@@ -470,7 +486,6 @@ func (e *Engine) StepPass(rounds int, when []uint8, heard []Heard) []Heard {
 		if e.maxMsgBits > 0 && t.Msg.Bits() > e.maxMsgBits {
 			e.msgViolations++
 		}
-		e.energy[t.ID]++
 		e.transmits[t.ID]++
 	}
 	before := e.round - e.windowStart // rounds listened in earlier passes
@@ -498,7 +513,6 @@ func (e *Engine) StepPass(rounds int, when []uint8, heard []Heard) []Heard {
 			}
 		}
 		v := e.window[r.recv]
-		e.energy[v] += before + int64(round)
 		e.listens[v] += before + int64(round)
 		e.lpos[v] = 0
 		heard = append(heard, Heard{Index: r.recv, From: from})
@@ -514,7 +528,6 @@ func (e *Engine) EndListen() {
 	k := e.round - e.windowStart
 	for _, v := range e.window {
 		if e.lpos[v] != 0 {
-			e.energy[v] += k
 			e.listens[v] += k
 			e.lpos[v] = 0
 		}

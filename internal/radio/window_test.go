@@ -332,6 +332,11 @@ func TestWindowProgrammingErrors(t *testing.T) {
 		e.Listen(nil, nil)
 		e.SkipRounds(1)
 	})
+	requirePanic(t, "ChargeListen during an open listen window", func() {
+		e := NewEngine(g)
+		e.Listen(nil, nil)
+		e.ChargeListen(3, 1)
+	})
 	requirePanic(t, "listen window already open", func() {
 		e := NewEngine(g)
 		e.Listen(nil, nil)
