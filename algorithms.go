@@ -305,8 +305,7 @@ func (a *pollAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result, 
 		return nil, err
 	}
 	before := nw.Report()
-	var s labelcast.Scratch
-	r := s.BroadcastHooked(hooksFor(ctx, req), nw.base, labels, period, pollBudget(nw.g.N(), period))
+	r := new(labelcast.Scratch).Broadcast(hooksFor(ctx, req), nw.base, labels, period, pollBudget(nw.g.N(), period))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -341,10 +340,10 @@ func (a *alarmAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result,
 	h := hooksFor(ctx, req)
 	budget := pollBudget(nw.g.N(), period)
 	var s labelcast.Scratch
-	up := s.ToSourceHooked(h, nw.base, labels, req.Origin, period, 3, budget)
+	up := s.ToSource(h, nw.base, labels, req.Origin, period, 3, budget)
 	latency, completed := up.Slots, false
 	if up.Reached {
-		down := s.BroadcastHooked(h, nw.base, labels, period, budget)
+		down := s.Broadcast(h, nw.base, labels, period, budget)
 		latency, completed = up.Slots+down.MaxLatency, down.DeliveredAll
 	}
 	if err := ctx.Err(); err != nil {

@@ -3,48 +3,20 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/diameter"
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/labelcast"
-	"repro/internal/lbnet"
 	"repro/internal/lowerbound"
-	"repro/internal/rng"
-	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
-// runE10 measures the Theorem 5.1 trade-off: detection success of K_n vs
+// runE10 renders the Theorem 5.1 trade-off: detection success of K_n vs
 // K_n−e scales linearly with the per-vertex energy budget, and the proof's
 // counting identity |X_good| <= 2·energy holds on every transcript. The
 // budget axis lives in scenarios/e10_lowerbound.json (one scenario per
 // budget, the missing edge drawn per trial like the theorem's adversary).
 func runE10(cfg config) {
-	f, scs := cfg.loadSpec("e10_lowerbound.json", map[string]spec.CustomFunc{
-		"e10/budgeted-probe": func(s *spec.Scenario) (harness.TrialCtxFunc, error) {
-			budget, err := intArg(s, "budget")
-			if err != nil {
-				return nil, err
-			}
-			return func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
-				// The missing edge is the trial's hidden instance: drawn
-				// uniformly from the trial seed, like the adversary of
-				// Theorem 5.1.
-				r := rng.New(rng.Derive(tr.Seed, 0xe10))
-				u := int32(r.Intn(tr.N))
-				v := int32(r.Intn(tr.N))
-				for v == u {
-					v = int32(r.Intn(tr.N))
-				}
-				res := lowerbound.BudgetedProbe(graph.CompleteMinusEdge(tr.N, u, v), budget, rng.Derive(tr.Seed, 0x9b))
-				return harness.Metrics{
-					"detected": harness.BoolMetric(res.Detected),
-					"holds":    harness.BoolMetric(res.Stats.BoundHolds()),
-				}, nil
-			}, nil
-		},
-	})
+	f, scs := cfg.loadSpec("e10_lowerbound.json")
 	n := scs[0].Instances[0].N
 
 	// The round-robin probe is deterministic — one transcript, no trials.
@@ -66,40 +38,13 @@ func runE10(cfg config) {
 	fmt.Fprintln(cfg.out)
 }
 
-// runE11 checks the Theorem 5.2 construction: diameter 2 ⟺ disjoint sets,
+// runE11 renders the Theorem 5.2 construction: diameter 2 ⟺ disjoint sets,
 // diameter 3 otherwise; arboricity O(log k); and the reduction's bit
 // accounting. The ℓ axis lives in scenarios/e11_setdisj.json (instances
 // carry k = 2^ℓ in n and ℓ in maxDist — constructed graphs, not
 // graph.Named families).
 func runE11(cfg config) {
-	_, scs := cfg.loadSpec("e11_setdisj.json", map[string]spec.CustomFunc{
-		"e11/set-disjointness": func(*spec.Scenario) (harness.TrialCtxFunc, error) {
-			return func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
-				ell, k := tr.MaxDist, tr.N
-				// Disjoint pair: evens vs odds. Intersecting: odds + one even.
-				var evens, odds []uint64
-				for x := 0; x < k; x++ {
-					if x%2 == 0 {
-						evens = append(evens, uint64(x))
-					} else {
-						odds = append(odds, uint64(x))
-					}
-				}
-				r := rng.New(rng.Derive(tr.Seed, 0xe11))
-				inter := append(append([]uint64(nil), odds...), evens[r.Intn(len(evens))])
-				dDisj := lowerbound.BuildDisjointness(evens, odds, ell)
-				dInt := lowerbound.BuildDisjointness(evens, inter, ell)
-				bits := dDisj.ReductionBits([][]int32{append(append([]int32{dDisj.UStar, dDisj.VStar}, dDisj.VC...), dDisj.VD...)})
-				return harness.Metrics{
-					"vertices":   float64(dDisj.G.N()),
-					"diamDisj":   float64(graph.Diameter(dDisj.G)),
-					"diamInt":    float64(graph.Diameter(dInt.G)),
-					"degeneracy": float64(graph.Degeneracy(dDisj.G)),
-					"bits":       float64(bits),
-				}, nil
-			}, nil
-		},
-	})
+	_, scs := cfg.loadSpec("e11_setdisj.json")
 	results := cfg.runAll(scs...)
 	tbl := stats.NewTable("set-disjointness lower-bound graphs (Theorem 5.2)",
 		"ℓ", "k=2^ℓ", "|V|", "diam disjoint", "diam intersecting", "degeneracy", "O(log n) bound", "bits/listener-round")
@@ -118,7 +63,7 @@ func runE11(cfg config) {
 // the registry's diam2 workload on the family grid of
 // scenarios/e12_diam2.json (also runnable via `radiobfs run`).
 func runE12(cfg config) {
-	_, scs := cfg.loadSpec("e12_diam2.json", nil)
+	_, scs := cfg.loadSpec("e12_diam2.json")
 	results := cfg.runAll(scs...)
 	tbl := stats.NewTable("2-approximation of diameter (Theorem 5.3)",
 		"family", "n", "diam", "estimate", "in [diam/2, diam]", "maxLB E", "time(LB)")
@@ -133,49 +78,11 @@ func runE12(cfg config) {
 	tbl.Render(cfg.out)
 }
 
-// runE13 measures Theorem 5.4: the nearly-3/2 approximation band, on the
+// runE13 renders Theorem 5.4: the nearly-3/2 approximation band, on the
 // radio stack at small n and via the centralized mirror at larger n (grids
 // from scenarios/e13_diam32.json).
 func runE13(cfg config) {
-	graphSeed := rng.Derive(cfg.seed, 0xe13)
-	_, scs := cfg.loadSpec("e13_diam32.json", map[string]spec.CustomFunc{
-		"e13/radio": func(*spec.Scenario) (harness.TrialCtxFunc, error) {
-			return func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
-				g, _ := graph.Named(tr.Family, tr.N, graphSeed)
-				diam := graph.Diameter(g)
-				base := lbnet.NewUnitNet(g, 0, tr.Seed)
-				st, err := core.BuildStack(base, core.Params{InvBeta: 4, Depth: 1, W: 24, Alpha: 4}, tr.Seed)
-				if err != nil {
-					return nil, err
-				}
-				res := diameter.ThreeHalvesApprox(st, diameter.Designated(), g.N(), tr.Seed)
-				return harness.Metrics{
-					"estimate":   float64(res.Estimate),
-					"diam":       float64(diam),
-					"inBand":     harness.BoolMetric(res.Estimate >= diam*2/3 && res.Estimate <= diam),
-					"sampleSize": float64(res.SampleSize),
-					"rSize":      float64(res.RSize),
-					"bfsRuns":    float64(res.BFSRuns),
-					"maxLB":      float64(lbnet.MaxLBEnergy(base)),
-				}, nil
-			}, nil
-		},
-		"e13/mirror": func(*spec.Scenario) (harness.TrialCtxFunc, error) {
-			return func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
-				// One fixed graph per cell; the trials sample the algorithm's
-				// own randomness, as in the theorem's probability statement.
-				g, _ := graph.Named(tr.Family, tr.N, graphSeed)
-				diam := graph.Diameter(g)
-				res := diameter.MirrorThreeHalves(g, tr.Seed)
-				return harness.Metrics{
-					"estimate": float64(res.Estimate),
-					"diam":     float64(diam),
-					"bandLow":  float64(diam * 2 / 3),
-					"inBand":   harness.BoolMetric(res.Estimate >= diam*2/3 && res.Estimate <= diam),
-				}, nil
-			}, nil
-		},
-	})
+	_, scs := cfg.loadSpec("e13_diam32.json")
 	results := cfg.runAll(scs...)
 
 	radioTbl := stats.NewTable("3/2-approximation on the radio stack (Theorem 5.4)",
@@ -205,42 +112,14 @@ func runE13(cfg config) {
 	mirror.Render(cfg.out)
 }
 
-// runE14 measures the §1 motivation: polling period P trades latency for
+// runE14 renders the §1 motivation: polling period P trades latency for
 // steady-state listening energy (period axis from
-// scenarios/e14_polling.json).
+// scenarios/e14_polling.json; every scenario runs on the same graph).
 func runE14(cfg config) {
-	graphSeed := rng.Derive(cfg.seed, 0xe14)
-	f, scs := cfg.loadSpec("e14_polling.json", map[string]spec.CustomFunc{
-		"e14/dissemination": func(s *spec.Scenario) (harness.TrialCtxFunc, error) {
-			period, err := intArg(s, "period")
-			if err != nil {
-				return nil, err
-			}
-			return func(_ *harness.Context, tr harness.Trial) (harness.Metrics, error) {
-				g, _ := graph.Named(tr.Family, tr.N, graphSeed)
-				labels := graph.BFS(g, 0)
-				net := lbnet.NewUnitNet(g, 0, tr.Seed)
-				res := labelcast.Broadcast(net, labels, period, int64(g.N())*int64(period+2)*4)
-				return harness.Metrics{
-					"delivered": harness.BoolMetric(res.DeliveredAll),
-					"latency":   float64(res.MaxLatency),
-					"maxLB":     float64(lbnet.MaxLBEnergy(net)),
-					"idle":      float64(res.IdleListens),
-				}, nil
-			}, nil
-		},
-	})
+	f, scs := cfg.loadSpec("e14_polling.json")
 	results := cfg.runAll(scs...)
-	n := scs[0].Instances[0].N
-	g, _ := graph.Named("geometric", n, graphSeed)
-	labels := graph.BFS(g, 0)
-	depth := int64(0)
-	for _, l := range labels {
-		if int64(l) > depth {
-			depth = int64(l)
-		}
-	}
-	tbl := stats.NewTable(fmt.Sprintf("duty-cycled dissemination on a geometric network (n=%d, depth=%d)", g.N(), depth),
+	tbl := stats.NewTable(fmt.Sprintf("duty-cycled dissemination on a geometric network (n=%d, depth=%d)",
+		int(results[0].Get("vertices")), int(results[0].Get("depth"))),
 		"period P", "delivered", "latency (slots)", "max LB energy", "idle listens", "steady listens/1000 slots")
 	for i, r := range results {
 		period := int(f.Scenarios[i].Args["period"])

@@ -20,7 +20,7 @@ import (
 // every experiment — while per-instance wall time, the quantity this
 // experiment exists to move, goes to stderr with the rest of the timing.
 func runScale(cfg config) {
-	_, scs := cfg.loadSpec("scale_suite.json", nil)
+	_, scs := cfg.loadSpec("scale_suite.json")
 
 	tbl := stats.NewTable("scale suite: Decay BFS on the physical channel",
 		"family", "n", "D", "mislabeled", "physMax", "physRounds", "msgViolations")

@@ -6,10 +6,10 @@
 // The experiment grids — instances, trial counts, parameters, quick-mode
 // overlays — are NOT defined here: they load from the checked-in spec files
 // embedded by the scenarios package (scenarios/eN_*.json), the same files
-// `radiobfs run` executes. This command contributes only what a data file
-// cannot: the instrumented custom workloads (attached by name through
-// spec.Options.Custom) and the per-theorem table rendering. E6 is the one
-// exception — a trial-free Z-sequence printout with no grid to declare.
+// `radiobfs run` executes, and their trials are registry algorithms or the
+// table workloads of internal/workloads. This command contributes only the
+// per-theorem table rendering. E6 is the one exception — a trial-free
+// Z-sequence printout with no grid to declare.
 //
 // All instance expansion and metering goes through the shared parallel
 // trial runner in internal/harness, so tables are reproducible from the
@@ -58,15 +58,14 @@ func (cfg config) runAll(scs ...*harness.Scenario) []harness.Result {
 	return cfg.runner.Run(scs...)
 }
 
-// loadSpec loads one embedded spec file and compiles it — honoring -quick —
-// with the experiment's custom workloads attached. The spec files are
-// checked in and validated by tests, so a failure here is a build defect
-// and aborts the run.
-func (cfg config) loadSpec(name string, custom map[string]spec.CustomFunc) (*spec.File, []*harness.Scenario) {
+// loadSpec loads one embedded spec file and compiles it, honoring -quick.
+// The spec files are checked in and validated by tests, so a failure here
+// is a build defect and aborts the run.
+func (cfg config) loadSpec(name string) (*spec.File, []*harness.Scenario) {
 	f, err := scenarios.Load(name)
 	if err == nil {
 		var scs []*harness.Scenario
-		if scs, err = spec.Compile(f, spec.Options{Quick: cfg.quick, Custom: custom}); err == nil {
+		if scs, err = spec.Compile(f, spec.Options{Quick: cfg.quick}); err == nil {
 			return f, scs
 		}
 	}

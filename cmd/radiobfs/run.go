@@ -23,8 +23,9 @@ import (
 // output directory. Everything written to stdout and to the artifact files is
 // a pure function of the spec and the root seed: re-running at any -workers
 // value, in-process or distributed, faulted or not, produces identical bytes.
-// Specs that reference custom workloads (the instrumented E-series
-// measurement code) are rejected here; cmd/experiments executes those.
+// Every spec runs here, whether its scenarios name registry algorithms or
+// the table workloads of internal/workloads (the instrumented E-series
+// measurement code).
 //
 // SIGINT/SIGTERM cancels the shared context: in-flight trials settle at their
 // next phase boundary, no partial artifacts are written, worker processes are
@@ -49,7 +50,6 @@ func execSpecs(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	distFlag := fs.Bool("dist", false, "execute each spec across -workers worker processes with lease-based fault-tolerant coordination; bytes are identical to in-process runs")
 	chaosFlag := fs.String("chaos", "", "deterministic fault injection for -dist workers, as seed=S,killafter=K,stall=P,disconnect=D,delay=MS,corrupt=P,coordkill=K (implies -dist)")
 	checkpointFlag := fs.String("checkpoint", "", "durable checkpoint directory (implies -dist): every acked trial is journaled to <dir>/<spec name>/ before it counts, and re-running with the same directory resumes instead of restarting")
-	checkpointSync := fs.Duration("checkpoint-sync", 0, "batch the checkpoint journal's fsyncs at this interval (0 = fsync every trial; with batching, a crash may re-run the unsynced tail but never changes bytes)")
 	listenFlag := fs.String("listen", "", "host:port to accept remote workers on instead of spawning local worker processes (implies -dist; requires -token); `radiobfs work -connect <addr> -token T` dials in")
 	tokenFlag := fs.String("token", "", "shared secret remote workers must prove during the handshake (required with -listen)")
 	addrFile := fs.String("addrfile", "", "write the resolved listen address to this file once the listener is up (for -listen 127.0.0.1:0 in scripts)")
@@ -83,13 +83,9 @@ func execSpecs(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if chaos.CoordKill > 0 && *checkpointFlag == "" {
 		return fmt.Errorf("-chaos coordkill requires -checkpoint: killing the coordinator without a journal just loses the run")
 	}
-	if *checkpointSync != 0 && *checkpointFlag == "" {
-		return fmt.Errorf("-checkpoint-sync only makes sense with -checkpoint")
-	}
 
-	// Parse, validate, AND compile everything up front — compiling is what
-	// rejects custom-workload specs — so a bad last spec cannot waste the
-	// first one's run.
+	// Parse and compile everything up front, so a bad last spec cannot waste
+	// the first one's run.
 	files := make([]*spec.File, 0, len(paths))
 	for _, path := range paths {
 		f, err := spec.ParseFile(path)
@@ -139,7 +135,6 @@ func execSpecs(ctx context.Context, args []string, stdout, stderr io.Writer) err
 				// One journal per spec, keyed by spec name, so multi-spec runs
 				// resume each file independently.
 				cfg.CheckpointDir = filepath.Join(*checkpointFlag, f.Name)
-				cfg.CheckpointSync = *checkpointSync
 			}
 			out, err = dist.Execute(f, *seed, opts, cfg)
 		} else {

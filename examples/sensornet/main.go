@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/labelcast"
 	"repro/internal/lbnet"
+	"repro/internal/progress"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 	fmt.Printf("%8s %12s %16s %22s\n", "P", "latency", "max energy", "idle listens/1000 slots")
 	for _, period := range []int{1, 2, 4, 8, 16, 32} {
 		net := lbnet.NewUnitNet(g, 0, 99)
-		res := labelcast.Broadcast(net, labels, period, int64(g.N())*int64(period+2)*4)
+		res := new(labelcast.Scratch).Broadcast(progress.Hooks{}, net, labels, period, int64(g.N())*int64(period+2)*4)
 		if !res.DeliveredAll {
 			log.Fatalf("P=%d: alarm failed to reach %d sensors", period, g.N()-res.Delivered)
 		}

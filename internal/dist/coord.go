@@ -62,9 +62,6 @@ type Config struct {
 	// same directory resumes — replaying completed trials, re-leasing only
 	// the rest — after verifying the journal belongs to this exact run.
 	CheckpointDir string
-	// CheckpointSync batches the journal's fsyncs (0 = sync every append;
-	// see journal.Options.SyncInterval).
-	CheckpointSync time.Duration
 	// Command is the worker argv for the default pipe transport (default:
 	// this binary with the single argument "work"). Ignored when
 	// Transport is set.
@@ -187,17 +184,15 @@ type coordinator struct {
 // Execute runs the spec file across workers and returns an Output
 // byte-for-byte equal to spec.ExecuteFile's for the same (file, root, opts):
 // per-trial results in canonical slot order, merged by first-writer-wins on
-// the slot index. root == 0 selects the file's own seed policy. Specs that
-// reference custom workloads cannot cross a process boundary and are
-// rejected. When no worker can be obtained at all — spawning fails on the
+// the slot index. root == 0 selects the file's own seed policy. Workers
+// compile the shipped spec against their own embedded registries and
+// workload table, so registry and custom workloads alike cross the process
+// boundary. When no worker can be obtained at all — spawning fails on the
 // pipe transport, or no remote worker connects within ConnectWait on a
 // listener transport — Execute degrades to in-process execution with a
 // warning instead of failing.
 func Execute(f *spec.File, root uint64, opts spec.Options, cfg Config) (*spec.Output, error) {
 	cfg = cfg.withDefaults()
-	if len(opts.Custom) > 0 {
-		return nil, fmt.Errorf("dist: custom workloads cannot cross process boundaries — run them in-process")
-	}
 	scs, err := spec.Compile(f, opts)
 	if err != nil {
 		return nil, err

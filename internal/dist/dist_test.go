@@ -12,6 +12,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/progress"
 	"repro/internal/spec"
+	"repro/scenarios"
 )
 
 // TestMain doubles as the worker binary: the coordinator under test spawns
@@ -365,12 +366,39 @@ func TestSeedSkewRejected(t *testing.T) {
 	}
 }
 
-// TestCustomWorkloadRejected: custom workloads cannot cross a process
-// boundary, so dist must refuse them up front.
-func TestCustomWorkloadRejected(t *testing.T) {
-	f := testFile()
-	opts := spec.Options{Custom: map[string]spec.CustomFunc{"x": nil}}
-	if _, err := Execute(f, 0, opts, Config{}); err == nil || !strings.Contains(err.Error(), "custom") {
-		t.Fatalf("Execute = %v, want custom-workload rejection", err)
+// TestCustomWorkloadDistributed: a spec of table workloads crosses the
+// process boundary like a registry spec. The E3 clustering workload draws
+// its graphs from the run's root seed, so a worker that lost the root would
+// cluster different graphs; under seeded kills the merged artifacts must
+// still equal the in-process run's byte for byte.
+func TestCustomWorkloadDistributed(t *testing.T) {
+	f, err := scenarios.Load("e3_clustering.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := spec.Options{Quick: true}
+	const root = 7
+	direct, err := spec.ExecuteFile(f, 2, root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := direct.Errors(); n != 0 {
+		t.Fatalf("%d trials failed in-process", n)
+	}
+	want := artifactBytes(t, direct)
+	var log bytes.Buffer
+	out, err := Execute(f, root, opts, Config{
+		Workers:     3,
+		LeaseSize:   2,
+		Command:     workerCommand(t, "dist-worker"),
+		Chaos:       ChaosSpec{Seed: 3, KillAfter: 1},
+		BackoffBase: time.Millisecond,
+		Log:         &log,
+	})
+	if err != nil {
+		t.Fatalf("Execute: %v\nlog: %s", err, log.Bytes())
+	}
+	if got := artifactBytes(t, out); !bytes.Equal(got, want) {
+		t.Errorf("distributed custom-workload artifacts differ from in-process run\ngot:\n%s\nwant:\n%s\nlog: %s", got, want, log.Bytes())
 	}
 }

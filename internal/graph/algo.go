@@ -115,30 +115,6 @@ func multiSourceBFS(g *Graph, srcs []int32, d int) (dist []int32, bottomUp int) 
 	return dist, bottomUp
 }
 
-// BFSTree returns distances and a parent array (parent[src] = src,
-// parent = -1 where unreachable). Parents are the minimum-ID neighbor on a
-// shortest path, making the tree deterministic.
-func BFSTree(g *Graph, src int32) (dist, parent []int32) {
-	dist = BFS(g, src)
-	parent = make([]int32, g.N())
-	for v := range parent {
-		parent[v] = -1
-	}
-	parent[src] = src
-	for v := int32(0); v < int32(g.N()); v++ {
-		if dist[v] <= 0 {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if dist[u] == dist[v]-1 {
-				parent[v] = u
-				break // neighbors are sorted, so this is the min-ID parent
-			}
-		}
-	}
-	return dist, parent
-}
-
 // Eccentricity returns the maximum finite distance from src, or Unreachable
 // if some vertex is unreachable from src.
 func Eccentricity(g *Graph, src int32) int32 {
@@ -170,19 +146,6 @@ func Diameter(g *Graph) int32 {
 		}
 	}
 	return diam
-}
-
-// DoubleSweep returns a lower bound on the diameter using two BFS sweeps:
-// the eccentricity of a farthest vertex from src. Exact on trees.
-func DoubleSweep(g *Graph, src int32) int32 {
-	dist := BFS(g, src)
-	far := src
-	for v := int32(0); v < int32(g.N()); v++ {
-		if dist[v] != Unreachable && dist[v] > dist[far] {
-			far = v
-		}
-	}
-	return Eccentricity(g, far)
 }
 
 // IsConnected reports whether g is connected (true for the empty and
@@ -288,23 +251,4 @@ func Degeneracy(g *Graph) int {
 		}
 	}
 	return degeneracy
-}
-
-// DistanceHistogram returns counts of distances from src: hist[d] = number of
-// vertices at distance d. Unreachable vertices are not counted.
-func DistanceHistogram(g *Graph, src int32) []int {
-	dist := BFS(g, src)
-	var maxD int32
-	for _, d := range dist {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	hist := make([]int, maxD+1)
-	for _, d := range dist {
-		if d != Unreachable {
-			hist[d]++
-		}
-	}
-	return hist
 }

@@ -412,46 +412,6 @@ func RandomGeometricInto(b *Builder, n int, radius float64, r *rng.Source, conne
 	}
 }
 
-// DRegular returns a random d-regular simple graph via the configuration
-// model with restarts. n·d must be even and d < n.
-func DRegular(n, d int, r *rng.Source) *Graph {
-	if n*d%2 != 0 || d >= n {
-		panic("graph: invalid d-regular parameters")
-	}
-	for attempt := 0; ; attempt++ {
-		stubs := make([]int32, 0, n*d)
-		for v := 0; v < n; v++ {
-			for i := 0; i < d; i++ {
-				stubs = append(stubs, int32(v))
-			}
-		}
-		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		ok := true
-		seen := make(map[int64]bool, n*d/2)
-		b := FromDegreeHint(n, d)
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v {
-				ok = false
-				break
-			}
-			k := int64(min32(u, v))<<32 | int64(max32(u, v))
-			if seen[k] {
-				ok = false
-				break
-			}
-			seen[k] = true
-			b.AddEdge(u, v)
-		}
-		if ok {
-			return b.Graph()
-		}
-		if attempt > 200 {
-			panic("graph: d-regular generation failed to converge")
-		}
-	}
-}
-
 // Lollipop returns a clique of size k attached to a path of length tail —
 // a classic high-eccentricity-contrast family for diameter experiments.
 func Lollipop(k, tail int) *Graph {
@@ -509,21 +469,6 @@ func PathWithTrees(pathLen, h int) *Graph {
 	attach(pathLen, 0)
 	attach(pathLen+treeN, int32(pathLen-1))
 	return b.Graph()
-}
-
-// Sorted copy helpers used by generators.
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // family describes one entry of the workload-family registry: whether the

@@ -115,26 +115,6 @@ func TestMultiSourceDuplicates(t *testing.T) {
 	}
 }
 
-func TestBFSTreeParents(t *testing.T) {
-	g := Grid(4, 4)
-	dist, parent := BFSTree(g, 0)
-	for v := int32(1); v < int32(g.N()); v++ {
-		p := parent[v]
-		if p < 0 {
-			t.Fatalf("vertex %d has no parent", v)
-		}
-		if dist[p] != dist[v]-1 {
-			t.Fatalf("parent level mismatch at %d", v)
-		}
-		if !g.HasEdge(v, p) {
-			t.Fatalf("parent of %d not adjacent", v)
-		}
-	}
-	if parent[0] != 0 {
-		t.Fatal("root parent should be itself")
-	}
-}
-
 func TestDiameterKnownFamilies(t *testing.T) {
 	cases := []struct {
 		name string
@@ -163,31 +143,6 @@ func TestDiameterDisconnected(t *testing.T) {
 	b.AddEdge(0, 1)
 	if Diameter(b.Graph()) != Unreachable {
 		t.Fatal("disconnected diameter should be Unreachable")
-	}
-}
-
-func TestDoubleSweepLowerBound(t *testing.T) {
-	r := rng.New(7)
-	for trial := 0; trial < 20; trial++ {
-		g := ConnectedGNP(60, 0.06, r)
-		diam := Diameter(g)
-		ds := DoubleSweep(g, int32(r.Intn(60)))
-		if ds > diam {
-			t.Fatalf("double sweep %d exceeds diameter %d", ds, diam)
-		}
-		if ds < diam/2 {
-			t.Fatalf("double sweep %d below diam/2 (diam=%d)", ds, diam)
-		}
-	}
-}
-
-func TestDoubleSweepExactOnTrees(t *testing.T) {
-	r := rng.New(9)
-	for trial := 0; trial < 20; trial++ {
-		g := RandomTree(50, r)
-		if ds, diam := DoubleSweep(g, int32(r.Intn(50))), Diameter(g); ds != diam {
-			t.Fatalf("double sweep on tree = %d, diameter = %d", ds, diam)
-		}
 	}
 }
 
@@ -221,18 +176,6 @@ func TestDegeneracy(t *testing.T) {
 		if got := Degeneracy(c.g); got != c.want {
 			t.Errorf("%s: degeneracy = %d, want %d", c.name, got, c.want)
 		}
-	}
-}
-
-func TestDistanceHistogram(t *testing.T) {
-	hist := DistanceHistogram(Path(5), 0)
-	want := []int{1, 1, 1, 1, 1}
-	if len(hist) != len(want) {
-		t.Fatalf("hist = %v", hist)
-	}
-	hist2 := DistanceHistogram(Star(5), 0)
-	if hist2[0] != 1 || hist2[1] != 4 {
-		t.Fatalf("star hist = %v", hist2)
 	}
 }
 
@@ -288,31 +231,6 @@ func TestRandomGeometricRadius(t *testing.T) {
 	if g.M() < 100 {
 		t.Fatalf("geometric graph suspiciously sparse: M = %d", g.M())
 	}
-}
-
-func TestDRegular(t *testing.T) {
-	r := rng.New(29)
-	for _, d := range []int{2, 3, 4} {
-		n := 30
-		if n*d%2 != 0 {
-			n++
-		}
-		g := DRegular(n, d, r)
-		for v := int32(0); v < int32(g.N()); v++ {
-			if g.Degree(v) != d {
-				t.Fatalf("d-regular: deg(%d) = %d, want %d", v, g.Degree(v), d)
-			}
-		}
-	}
-}
-
-func TestDRegularPanicsOnOddProduct(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DRegular(5, 3, rng.New(1))
 }
 
 func TestRandomTreeIsTree(t *testing.T) {

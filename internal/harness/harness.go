@@ -14,7 +14,8 @@
 //     an algorithm — either a registered repro.Algorithm resolved by name
 //     (Recursive-BFS, the Decay baseline, the §5 diameter approximations,
 //     gradient verification, the §1 Poll/Alarm applications, plus anything
-//     external packages Register) or a custom TrialCtxFunc;
+//     external packages Register) or a custom TrialCtxFunc (the table
+//     workloads of internal/workloads);
 //   - a Runner expands scenarios into independent trials and executes them
 //     on a worker pool. Every trial builds its own graph and network from a
 //     seed derived with rng.Derive from (root, scenario, family, n,
@@ -27,10 +28,10 @@
 //     (mean/stddev/min/quantiles/max via the streaming accumulators in
 //     internal/stats) and writes text tables, CSV, or JSON.
 //
-// Custom TrialCtxFuncs may capture experiment-local state through closures;
-// when a scenario has more than one trial, such state must be written to
-// per-trial slots (indexed by Trial.Index) or be otherwise race-free,
-// because trials of one scenario run concurrently.
+// Custom TrialCtxFuncs report everything they measure through Metrics:
+// trials of one scenario run concurrently, possibly in other processes, so
+// a result captured in a closure would reach neither the artifacts nor a
+// distributed run's coordinator.
 //
 // # Worker contexts
 //
@@ -135,6 +136,10 @@ type Trial struct {
 	// so every trial — across scenarios of the same run — samples the same
 	// seeded-family graph and only the protocol randomness varies.
 	GraphSeed uint64 `json:"graphSeed"`
+	// Root is the root seed of the run the trial belongs to, for workloads
+	// that draw one graph per run rather than per trial. It is not
+	// persisted: a trials.jsonl line carries Seed and GraphSeed.
+	Root uint64 `json:"-"`
 }
 
 // TrialCtxFunc is a custom workload: it receives the executing worker's
@@ -218,7 +223,7 @@ func TrialFor(sc *Scenario, inst Instance, index int, root uint64) Trial {
 	if sc.PinGraphs {
 		gseed = rng.Derive(root, 0x6ea9)
 	}
-	return Trial{Scenario: sc.Name, Instance: inst, Index: index, Seed: seed, GraphSeed: gseed}
+	return Trial{Scenario: sc.Name, Instance: inst, Index: index, Seed: seed, GraphSeed: gseed, Root: root}
 }
 
 // Expand lists every trial of a scenario in canonical order (instances in

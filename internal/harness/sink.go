@@ -17,7 +17,8 @@ import (
 // WriteTrialJSONL writes one JSON object per executed trial, in results
 // order (the Runner's canonical order). Each line carries the trial's full
 // coordinates — scenario, family, n, maxDist, trial index, derived seed —
-// plus its metrics, so any single line is enough to reproduce that trial in
+// plus its metrics, so any single line, with the run's root seed for
+// workloads that read Trial.Root, is enough to reproduce that trial in
 // isolation with Execute.
 func WriteTrialJSONL(w io.Writer, results []Result) error {
 	for i := range results {

@@ -65,16 +65,11 @@ type Scratch struct {
 // period: in slot t, holders with label ℓ ≡ t-1 (mod period) transmit and
 // non-holders with label i ≡ t (mod period) listen. Unlabeled vertices
 // (negative label) sleep throughout. The simulation stops when everyone has
-// the message or maxSlots elapse.
-func (s *Scratch) Broadcast(net lbnet.Net, labels []int32, period int, maxSlots int64) Result {
-	return s.BroadcastHooked(progress.Hooks{}, net, labels, period, maxSlots)
-}
-
-// BroadcastHooked is Broadcast with cancellation and progress observation:
-// the slot loop polls h.Err every slot — a canceled context stops the
-// dissemination with all meters settled and the partial delivery recorded in
-// the Result — and reports simulated slots in batches under PhaseBroadcast.
-func (s *Scratch) BroadcastHooked(h progress.Hooks, net lbnet.Net, labels []int32, period int, maxSlots int64) Result {
+// the message or maxSlots elapse. The slot loop polls h.Err every slot — a
+// canceled context stops the dissemination with all meters settled and the
+// partial delivery recorded in the Result — and reports simulated slots in
+// batches under PhaseBroadcast.
+func (s *Scratch) Broadcast(h progress.Hooks, net lbnet.Net, labels []int32, period int, maxSlots int64) Result {
 	h.Start(PhaseBroadcast)
 	defer h.End(PhaseBroadcast)
 	if period < 1 {
@@ -155,13 +150,6 @@ func (s *Scratch) BroadcastHooked(h progress.Hooks, net lbnet.Net, labels []int3
 	res.Delivered = delivered
 	res.DeliveredAll = delivered == labeled
 	return res
-}
-
-// Broadcast is the scratch-free convenience wrapper: it allocates fresh
-// buffers per call. Repeated runs should hold a Scratch instead.
-func Broadcast(net lbnet.Net, labels []int32, period int, maxSlots int64) Result {
-	var s Scratch
-	return s.Broadcast(net, labels, period, maxSlots)
 }
 
 // SteadyStateListens returns the polling energy a node spends per horizon

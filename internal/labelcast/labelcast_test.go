@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/lbnet"
+	"repro/internal/progress"
 )
 
 func TestBroadcastDeliversOnPath(t *testing.T) {
@@ -12,7 +13,7 @@ func TestBroadcastDeliversOnPath(t *testing.T) {
 	labels := graph.BFS(g, 0)
 	for _, period := range []int{1, 2, 4, 8} {
 		net := lbnet.NewUnitNet(g, 0, uint64(period))
-		res := Broadcast(net, labels, period, 10000)
+		res := new(Scratch).Broadcast(progress.Hooks{}, net, labels, period, 10000)
 		if !res.DeliveredAll {
 			t.Fatalf("period %d: delivered %d/%d", period, res.Delivered, g.N())
 		}
@@ -23,7 +24,7 @@ func TestBroadcastDeliversOnFamilies(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Grid(8, 8), graph.Star(40), graph.BinaryTree(63)} {
 		labels := graph.BFS(g, 0)
 		net := lbnet.NewUnitNet(g, 0, 3)
-		res := Broadcast(net, labels, 4, 10000)
+		res := new(Scratch).Broadcast(progress.Hooks{}, net, labels, 4, 10000)
 		if !res.DeliveredAll {
 			t.Fatalf("n=%d: delivered %d", g.N(), res.Delivered)
 		}
@@ -40,7 +41,7 @@ func TestLatencyEnergyTradeoff(t *testing.T) {
 	maxEnergy := map[int]int64{}
 	for _, period := range []int{1, 8} {
 		net := lbnet.NewUnitNet(g, 0, 7)
-		res := Broadcast(net, labels, period, 100000)
+		res := new(Scratch).Broadcast(progress.Hooks{}, net, labels, period, 100000)
 		if !res.DeliveredAll {
 			t.Fatalf("period %d: not delivered", period)
 		}
@@ -64,7 +65,7 @@ func TestUnlabeledVerticesSleep(t *testing.T) {
 	labels := graph.BFS(g, 0)
 	labels[19] = -1 // pretend unlabeled
 	net := lbnet.NewUnitNet(g, 0, 9)
-	res := Broadcast(net, labels, 2, 5000)
+	res := new(Scratch).Broadcast(progress.Hooks{}, net, labels, 2, 5000)
 	if !res.DeliveredAll {
 		t.Fatal("labeled part not fully delivered")
 	}
@@ -93,7 +94,7 @@ func TestBroadcastStalls(t *testing.T) {
 		}
 	}
 	net := lbnet.NewUnitNet(g, 0, 11)
-	res := Broadcast(net, labels, 4, 2000)
+	res := new(Scratch).Broadcast(progress.Hooks{}, net, labels, 4, 2000)
 	if res.DeliveredAll {
 		t.Fatal("delivery across a label gap should fail")
 	}
@@ -107,7 +108,7 @@ func TestToSourceOnPath(t *testing.T) {
 	labels := graph.BFS(g, 0)
 	for _, period := range []int{1, 4, 8} {
 		net := lbnet.NewUnitNet(g, 0, uint64(period))
-		res := ToSource(net, labels, 39, period, 3, 20000)
+		res := new(Scratch).ToSource(progress.Hooks{}, net, labels, 39, period, 3, 20000)
 		if !res.Reached {
 			t.Fatalf("period %d: alarm never reached the source (slots=%d hops=%d)", period, res.Slots, res.Hops)
 		}
@@ -121,7 +122,7 @@ func TestToSourceFromSourceTrivial(t *testing.T) {
 	g := graph.Grid(5, 5)
 	labels := graph.BFS(g, 0)
 	net := lbnet.NewUnitNet(g, 0, 3)
-	res := ToSource(net, labels, 0, 4, 3, 100)
+	res := new(Scratch).ToSource(progress.Hooks{}, net, labels, 0, 4, 3, 100)
 	if !res.Reached || res.Slots != 0 {
 		t.Fatalf("origin == source should be immediate: %+v", res)
 	}
@@ -133,7 +134,7 @@ func TestToSourceEnergyProfile(t *testing.T) {
 	g := graph.Grid(10, 10)
 	labels := graph.BFS(g, 0)
 	net := lbnet.NewUnitNet(g, 0, 5)
-	res := ToSource(net, labels, 99, 4, 2, 20000)
+	res := new(Scratch).ToSource(progress.Hooks{}, net, labels, 99, 4, 2, 20000)
 	if !res.Reached {
 		t.Fatal("not delivered")
 	}
@@ -147,7 +148,7 @@ func TestToSourceUnreachableOrigin(t *testing.T) {
 	labels := graph.BFS(g, 0)
 	labels[9] = -1
 	net := lbnet.NewUnitNet(g, 0, 7)
-	if res := ToSource(net, labels, 9, 2, 3, 1000); res.Reached {
+	if res := new(Scratch).ToSource(progress.Hooks{}, net, labels, 9, 2, 3, 1000); res.Reached {
 		t.Fatal("unlabeled origin should not route")
 	}
 }
@@ -158,11 +159,11 @@ func TestRoundTripAlarm(t *testing.T) {
 	g := graph.Grid(8, 8)
 	labels := graph.BFS(g, 0)
 	net := lbnet.NewUnitNet(g, 0, 9)
-	up := ToSource(net, labels, 63, 4, 3, 20000)
+	up := new(Scratch).ToSource(progress.Hooks{}, net, labels, 63, 4, 3, 20000)
 	if !up.Reached {
 		t.Fatal("alarm lost on the way up")
 	}
-	down := Broadcast(net, labels, 4, 20000)
+	down := new(Scratch).Broadcast(progress.Hooks{}, net, labels, 4, 20000)
 	if !down.DeliveredAll {
 		t.Fatal("alarm lost on the way down")
 	}

@@ -28,15 +28,10 @@ type RouteResult struct {
 // ≡ i (mod period), so a holder with label ℓ transmits when layer ℓ-1 is
 // awake. Each holder offers the message for retries frames. O(1)
 // transmissions per on-path vertex; listening is the polling duty cycle.
-func (s *Scratch) ToSource(net lbnet.Net, labels []int32, origin int32, period, retries int, maxSlots int64) RouteResult {
-	return s.ToSourceHooked(progress.Hooks{}, net, labels, origin, period, retries, maxSlots)
-}
-
-// ToSourceHooked is ToSource with cancellation and progress observation: the
-// slot loop polls h.Err every slot — a canceled context stops the ascent with
-// all meters settled — and reports simulated slots in batches under
+// The slot loop polls h.Err every slot — a canceled context stops the ascent
+// with all meters settled — and reports simulated slots in batches under
 // PhaseAscend.
-func (s *Scratch) ToSourceHooked(h progress.Hooks, net lbnet.Net, labels []int32, origin int32, period, retries int, maxSlots int64) RouteResult {
+func (s *Scratch) ToSource(h progress.Hooks, net lbnet.Net, labels []int32, origin int32, period, retries int, maxSlots int64) RouteResult {
 	h.Start(PhaseAscend)
 	defer h.End(PhaseAscend)
 	if period < 1 {
@@ -130,10 +125,4 @@ func (s *Scratch) ToSourceHooked(h progress.Hooks, net lbnet.Net, labels []int32
 	}
 	s.senders, s.receivers = senders, receivers
 	return res
-}
-
-// ToSource is the scratch-free convenience wrapper around Scratch.ToSource.
-func ToSource(net lbnet.Net, labels []int32, origin int32, period, retries int, maxSlots int64) RouteResult {
-	var s Scratch
-	return s.ToSource(net, labels, origin, period, retries, maxSlots)
 }

@@ -84,11 +84,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64() % uint64(n)) // modulo bias is negligible for n << 2^64
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -140,18 +135,4 @@ func (r *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomly permutes the n elements addressed by swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Rank returns a 63-bit random rank used for leader-election lotteries; the
-// top bit is cleared so ranks compose with signed comparisons.
-func (r *Source) Rank() int64 {
-	return r.Int63()
 }

@@ -267,32 +267,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(37)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed element multiset: sum %d -> %d", sum, got)
-	}
-}
-
-func TestRankNonNegative(t *testing.T) {
-	r := New(41)
-	for i := 0; i < 1000; i++ {
-		if r.Rank() < 0 {
-			t.Fatal("Rank returned negative value")
-		}
-	}
-}
-
 func TestReseedResets(t *testing.T) {
 	r := New(100)
 	first := make([]uint64, 16)

@@ -276,9 +276,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			root = seed
 		}
 	}
-	// Compile validates against the live registries and — with no Custom
-	// table — rejects custom-workload specs with the same actionable
-	// message `radiobfs run` prints.
+	// Compile validates against the live registries and the workload table,
+	// rejecting unknown names with the same actionable message `radiobfs
+	// run` prints.
 	scs, err := spec.Compile(f, spec.Options{Quick: quick})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)

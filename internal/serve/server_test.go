@@ -227,27 +227,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Artifacts: byte-identical to the direct run.
-	for i, name := range ArtifactNames() {
-		want, err := os.ReadFile(filepath.Join(directDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Get(ts.URL + final.Artifacts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", final.Artifacts[i], resp.StatusCode)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: served bytes differ from `radiobfs run` bytes", name)
-		}
-	}
+	checkServedArtifacts(t, ts, final, directDir)
 
 	// Resubmit: cache hit, no new execution, same key, fresh job id.
 	code, hit, body := submit(t, ts, tinySpec, "", nil)
@@ -280,6 +260,66 @@ func TestServeEndToEnd(t *testing.T) {
 	if stats.Executions != 2 || stats.CacheHits != 1 {
 		t.Fatalf("stats %+v; want 2 executions, 1 cache hit", stats)
 	}
+}
+
+// checkServedArtifacts fetches a finished job's artifacts and requires each
+// to equal the file of the same name in directDir.
+func checkServedArtifacts(t *testing.T, ts *httptest.Server, final JobStatus, directDir string) {
+	t.Helper()
+	for i, name := range ArtifactNames() {
+		want, err := os.ReadFile(filepath.Join(directDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + final.Artifacts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", final.Artifacts[i], resp.StatusCode)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: served bytes differ from `radiobfs run` bytes", name)
+		}
+	}
+}
+
+// TestSubmitCustomWorkload: a spec naming table workloads runs as a job,
+// and its artifacts equal a direct run's.
+func TestSubmitCustomWorkload(t *testing.T) {
+	const doc = `{
+  "name": "srv-custom",
+  "seed": 4,
+  "scenarios": [
+    {"name": "probe", "custom": "e10/budgeted-probe", "args": {"budget": 4}, "trials": 3,
+     "instances": [{"family": "complete-e", "n": 16}]},
+    {"name": "polling", "custom": "e14/dissemination", "args": {"period": 2},
+     "instances": [{"family": "geometric", "n": 36}]}
+  ]
+}`
+	_, ts := newTestServer(t, nil)
+	out, err := spec.ExecuteFile(parseSpec(t, doc), 1, 0, spec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	directDir, err := out.WriteArtifacts(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, st, body := submit(t, ts, doc, "", nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", code, body)
+	}
+	final := waitTerminal(t, ts, st.ID)
+	if final.State != StateDone || final.Errors != 0 || final.Done != 4 {
+		t.Fatalf("final status %+v", final)
+	}
+	checkServedArtifacts(t, ts, final, directDir)
 }
 
 // TestSingleFlightCoalescing: concurrent duplicate submissions attach to
@@ -516,8 +556,8 @@ func TestSSEHeartbeat(t *testing.T) {
 	waitTerminal(t, ts, st.ID)
 }
 
-// TestSubmitRejections: malformed JSON, unknown algorithms (with the
-// registry's actionable message), and custom workloads are all 400s.
+// TestSubmitRejections: malformed JSON, unknown algorithms and custom
+// workloads (with the registries' actionable messages) are all 400s.
 func TestSubmitRejections(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	cases := []struct {
@@ -526,7 +566,7 @@ func TestSubmitRejections(t *testing.T) {
 		{"malformed", `{"name": "x", `, "spec"},
 		{"unknown-field", `{"name": "x", "bogus": 1, "scenarios": []}`, "bogus"},
 		{"unknown-algo", `{"name": "x", "scenarios": [{"name": "s", "algorithm": "nope", "instances": [{"family": "grid", "n": 4}]}]}`, "unknown algorithm"},
-		{"custom-workload", `{"name": "x", "scenarios": [{"name": "s", "custom": "e10", "instances": [{"family": "grid", "n": 4}]}]}`, "custom"},
+		{"custom-workload", `{"name": "x", "scenarios": [{"name": "s", "custom": "e10", "instances": [{"family": "grid", "n": 4}]}]}`, "unknown custom workload"},
 		{"bad-family", `{"name": "x", "scenarios": [{"name": "s", "algorithm": "recursive", "instances": [{"family": "moebius", "n": 4}]}]}`, "unknown graph family"},
 	}
 	for _, c := range cases {

@@ -6,13 +6,8 @@ import (
 
 	"repro"
 	"repro/internal/harness"
+	"repro/internal/workloads"
 )
-
-// CustomFunc builds the trial function for one scenario that names a custom
-// workload; it receives the scenario so it can read its free-form Args. It
-// is how cmd/experiments attaches its instrumented measurement code to the
-// grids declared in the checked-in spec files.
-type CustomFunc func(sc *Scenario) (harness.TrialCtxFunc, error)
 
 // Options configures compilation.
 type Options struct {
@@ -23,10 +18,6 @@ type Options struct {
 	// Observer, when non-nil, streams progress events from every trial; it
 	// must be safe for concurrent use.
 	Observer repro.Observer
-	// Custom supplies the named custom workloads the file may reference.
-	// Compiling a spec whose Custom name has no entry here is an error —
-	// `radiobfs run` passes none and therefore executes registry-only specs.
-	Custom map[string]CustomFunc
 	// OnTrial, when non-nil, is invoked by ExecuteFile's runner after each
 	// trial settles (see harness.Runner.OnTrial). Trials run concurrently,
 	// so it must be safe for concurrent use; it observes results, never
@@ -61,11 +52,9 @@ func compileScenario(f *File, sc *Scenario, opts Options) (*harness.Scenario, er
 		Observer:  opts.Observer,
 	}
 	if sc.Custom != "" {
-		build, ok := opts.Custom[sc.Custom]
-		if !ok {
-			return nil, fmt.Errorf("spec %s, scenario %s: custom workload %q is not provided by this driver — `radiobfs run` executes registry workloads only; custom workloads run through cmd/experiments", f.Name, sc.Name, sc.Custom)
-		}
-		run, err := build(sc)
+		// Validate resolved the name and accepted the args already.
+		build, _ := workloads.Get(sc.Custom)
+		run, err := build(sc.Args)
 		if err != nil {
 			return nil, fmt.Errorf("spec %s, scenario %s: %w", f.Name, sc.Name, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/harness"
+	"repro/internal/workloads"
 )
 
 // File is one parsed experiment-spec file: a named group of scenarios that
@@ -42,10 +43,8 @@ type Scenario struct {
 	Name string `json:"name"`
 	// Algorithm names a registered repro.Algorithm (or alias).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Custom names a workload the compiling driver supplies through
-	// Options.Custom — measurement code that is not a registry entry (the
-	// instrumented E-series trials of cmd/experiments). `radiobfs run`
-	// rejects specs that use it.
+	// Custom names a table workload of internal/workloads — measurement
+	// code that is not a registry entry (the instrumented E-series trials).
 	Custom string `json:"custom,omitempty"`
 	// Params overrides registry parameters by name. Known keys: "period"
 	// and "passes" (validated against the algorithm's ParamSpecs), and the
@@ -54,7 +53,7 @@ type Scenario struct {
 	// and alpha). All values must be integers.
 	Params map[string]float64 `json:"params,omitempty"`
 	// Args is the free-form argument map of a custom workload (e.g. the
-	// probe budget of E10); the driver's CustomFunc interprets it. Only
+	// probe budget of E10); the workload's factory interprets it. Only
 	// valid together with Custom.
 	Args map[string]float64 `json:"args,omitempty"`
 	// Cost selects the cost model: "unit" (default) or "physical". Custom
@@ -169,12 +168,13 @@ func ParseFS(fsys fs.FS, name string) (*File, error) {
 var registryParams = []string{"alpha", "depth", "invBeta", "passes", "period", "w"}
 
 // Validate checks the file against the live registries: algorithm names
-// resolve through repro.Get, workload families of registry scenarios exist
-// in graph.FamilyNames, parameter names and values are known and
-// well-formed, and every scenario expands to at least one instance. Custom
-// workloads skip family validation (their Family/N/MaxDist fields are
-// labels the driver interprets, e.g. the constructed K_n−e and
-// set-disjointness graphs of the §5 experiments).
+// resolve through repro.Get and custom names through workloads.Get, whose
+// factories accept the scenario's args; workload families of registry
+// scenarios exist in graph.FamilyNames, parameter names and values are
+// known and well-formed, and every scenario expands to at least one
+// instance. Custom workloads skip family validation (their Family/N/MaxDist
+// fields are labels the workload interprets, e.g. the constructed K_n−e
+// and set-disjointness graphs of the §5 experiments).
 func (f *File) Validate() error {
 	if f.Name == "" {
 		return fmt.Errorf("spec: missing experiment name")
@@ -227,6 +227,13 @@ func (f *File) validateScenario(sc *Scenario) error {
 		}
 		if sc.PinGraphs {
 			return fmt.Errorf("%s: \"pinGraphs\" only affects registry workloads; custom workloads seed their own graphs", where)
+		}
+		build, err := workloads.Get(sc.Custom)
+		if err != nil {
+			return fmt.Errorf("%s: %w", where, err)
+		}
+		if _, err := build(sc.Args); err != nil {
+			return fmt.Errorf("%s: %w", where, err)
 		}
 		return f.validateInstances(sc, where)
 	}

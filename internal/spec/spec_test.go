@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -45,16 +46,6 @@ func TestParseValidateRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the spec:\n before %+v\n after  %+v", f, back)
 	}
 
-	custom := map[string]CustomFunc{
-		"demo/custom": func(sc *Scenario) (harness.TrialCtxFunc, error) {
-			if sc.Args["x"] != 2 {
-				t.Errorf("custom factory got args %v, want x=2", sc.Args)
-			}
-			return func(*harness.Context, harness.Trial) (harness.Metrics, error) {
-				return harness.Metrics{"one": 1}, nil
-			}, nil
-		},
-	}
 	for _, mode := range []struct {
 		name   string
 		quick  bool
@@ -63,7 +54,7 @@ func TestParseValidateRoundTrip(t *testing.T) {
 		{"full", false, "testdata/full_compiled.golden"},
 		{"quick", true, "testdata/full_compiled_quick.golden"},
 	} {
-		scs, err := Compile(f, Options{Quick: mode.quick, Custom: custom})
+		scs, err := Compile(f, Options{Quick: mode.quick})
 		if err != nil {
 			t.Fatalf("%s compile: %v", mode.name, err)
 		}
@@ -184,15 +175,26 @@ func TestRejections(t *testing.T) {
 	}
 }
 
-// TestCompileMissingCustom pins the CLI-facing error: a spec referencing a
-// custom workload cannot compile without the driver that provides it.
+// TestCompileMissingCustom pins the error for a custom name that is not in
+// the workload table: Validate rejects it, naming every known workload the
+// way an unknown algorithm lists the registry, so Compile never runs it.
 func TestCompileMissingCustom(t *testing.T) {
 	f, err := ParseFile("testdata/full.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Compile(f, Options{})
-	if err == nil || !strings.Contains(err.Error(), `custom workload "demo/custom" is not provided by this driver`) {
-		t.Fatalf("want the missing-custom error, got %v", err)
+	f.Scenarios[2].Custom = "e10/budgeted-prob"
+	want := `scenario cust: unknown custom workload "e10/budgeted-prob" (known: ` + strings.Join(workloads.Names(), ", ") + ")"
+	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	if _, err := Compile(f, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Compile = %v, want %q", err, want)
+	}
+	// A known name with args its factory cannot use fails validation too.
+	f.Scenarios[2].Custom = "e10/budgeted-probe"
+	f.Scenarios[2].Args = map[string]float64{"budget": 1.5}
+	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "args.budget = 1.5, must be a positive integer") {
+		t.Fatalf("Validate = %v, want the factory's args error", err)
 	}
 }

@@ -14,36 +14,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden aggregates under testdata/")
 
-// registryOnly lists the embedded specs that run without custom workloads,
-// i.e. the ones `radiobfs run` executes standalone.
-func registryOnly(t *testing.T) []*spec.File {
-	t.Helper()
-	var files []*spec.File
+// TestGoldenAggregates pins the numbers themselves, not just agreement
+// between execution paths: the aggregate.csv of every embedded spec's
+// -quick overlay must match testdata/<name>.aggregate.csv byte for byte.
+// A change that moves any result needs a reviewed golden diff; record one
+// with `go test ./scenarios -run TestGoldenAggregates -update`.
+func TestGoldenAggregates(t *testing.T) {
+	want := map[string]bool{}
 	for _, name := range Names() {
 		f, err := Load(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		custom := false
-		for i := range f.Scenarios {
-			custom = custom || f.Scenarios[i].Custom != ""
-		}
-		if !custom {
-			files = append(files, f)
-		}
-	}
-	return files
-}
-
-// TestGoldenAggregates pins the numbers themselves, not just agreement
-// between execution paths: the aggregate.csv of every registry-only spec's
-// -quick overlay must match testdata/<name>.aggregate.csv byte for byte.
-// A change that moves any result needs a reviewed golden diff; record one
-// with `go test ./scenarios -run TestGoldenAggregates -update`.
-func TestGoldenAggregates(t *testing.T) {
-	files := registryOnly(t)
-	want := map[string]bool{}
-	for _, f := range files {
 		want[f.Name+".aggregate.csv"] = true
 		t.Run(f.Name, func(t *testing.T) {
 			out, err := spec.ExecuteFile(f, 2, 0, spec.Options{Quick: true})
@@ -77,15 +59,15 @@ func TestGoldenAggregates(t *testing.T) {
 			}
 		})
 	}
-	// A golden whose spec gained a custom workload or was deleted would
-	// otherwise go stale silently.
+	// A golden whose spec was renamed or deleted would otherwise go stale
+	// silently.
 	entries, err := os.ReadDir("testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".aggregate.csv") && !want[e.Name()] {
-			t.Errorf("testdata/%s pins no registry-only spec", e.Name())
+			t.Errorf("testdata/%s pins no embedded spec", e.Name())
 		}
 	}
 }

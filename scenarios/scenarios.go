@@ -4,9 +4,10 @@
 // (Decay on seeded families, the diameter approximations across the full
 // generator suite, unit-vs-physical cost ablations, and the tiny CI smoke
 // spec). The files are the single source of truth for the experiment grids:
-// cmd/experiments compiles its tables from them (attaching its instrumented
-// custom workloads through spec.Options.Custom), and every registry-only
-// spec also runs standalone via `radiobfs run scenarios/<name>.json`.
+// cmd/experiments renders its tables from them, and every spec — registry
+// algorithms and the table workloads of internal/workloads alike — also
+// runs standalone via `radiobfs run scenarios/<name>.json`, under -dist,
+// and as a `serve` job.
 //
 // See internal/spec for the file format and README.md for a worked example.
 package scenarios

@@ -6,22 +6,28 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/spec"
+	"repro/internal/workloads"
 )
 
 // TestLibraryValidatesAndCompiles parses, validates, and compiles every
-// checked-in spec file in both full and quick modes, with stub custom
-// workloads standing in for the instrumented code cmd/experiments attaches.
-// This is what lets cmd/experiments treat a spec failure as a build defect.
+// checked-in spec file in both full and quick modes, exactly as every
+// driver compiles it. This is what lets cmd/experiments treat a spec
+// failure as a build defect. Every table workload must be named by some
+// spec, so none of them runs only in tests.
 func TestLibraryValidatesAndCompiles(t *testing.T) {
 	names := Names()
 	if len(names) < 15 {
 		t.Fatalf("expected the full library, found only %d specs: %v", len(names), names)
 	}
+	used := map[string]bool{}
 	for _, name := range names {
 		f, err := Load(name)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
+		}
+		for i := range f.Scenarios {
+			used[f.Scenarios[i].Custom] = true
 		}
 		if f.Name != strings.TrimSuffix(name, ".json") {
 			t.Errorf("%s: spec name %q should match its file name", name, f.Name)
@@ -29,18 +35,8 @@ func TestLibraryValidatesAndCompiles(t *testing.T) {
 		if f.Doc == "" {
 			t.Errorf("%s: missing doc line", name)
 		}
-		stubs := map[string]spec.CustomFunc{}
-		for i := range f.Scenarios {
-			if c := f.Scenarios[i].Custom; c != "" {
-				stubs[c] = func(*spec.Scenario) (harness.TrialCtxFunc, error) {
-					return func(*harness.Context, harness.Trial) (harness.Metrics, error) {
-						return harness.Metrics{"stub": 1}, nil
-					}, nil
-				}
-			}
-		}
 		for _, quick := range []bool{false, true} {
-			scs, err := spec.Compile(f, spec.Options{Quick: quick, Custom: stubs})
+			scs, err := spec.Compile(f, spec.Options{Quick: quick})
 			if err != nil {
 				t.Errorf("%s (quick=%v): %v", name, quick, err)
 				continue
@@ -50,6 +46,11 @@ func TestLibraryValidatesAndCompiles(t *testing.T) {
 					t.Errorf("%s (quick=%v): scenario %s compiled to zero instances", name, quick, sc.Name)
 				}
 			}
+		}
+	}
+	for _, w := range workloads.Names() {
+		if !used[w] {
+			t.Errorf("workload %s is named by no embedded spec", w)
 		}
 	}
 }
