@@ -14,8 +14,10 @@ fmt:
 vet:
 	go vet ./...
 
+# experiments regenerates every paper table (E0 registry, E1–E14 claims):
+# each is the aggregate.md of one spec's run under results/<spec>/.
 experiments:
-	go run ./cmd/experiments
+	go run ./cmd/radiobfs run -out results scenarios/e*.json
 
 # scale-suite executes the million-vertex scenario grid end to end and
 # persists its artifacts (see scenarios/scale_suite.json; minutes of wall

@@ -80,8 +80,9 @@ type ParamSpec struct {
 // a radio network — searches, approximations, verification sweeps,
 // applications — behind one dispatchable surface. Drivers resolve entries by
 // name (Get, Algorithms) so a newly registered algorithm appears in the
-// CLI, in specs, in the experiment tables and in the benchmark suite without
-// touching any of them.
+// CLI, in specs and in the benchmark suite without touching any of them;
+// the scenario library's tests then ask for its row in the E0 registry
+// table (scenarios/e0_registry.json).
 type Algorithm interface {
 	// Name is the registry key ("recursive", "decay", "diam2", …).
 	Name() string

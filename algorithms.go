@@ -138,7 +138,9 @@ func (req Request) labeling(nw *Network, src int32) ([]int32, error) {
 }
 
 // newResult seals a run: it stamps the algorithm name, allocates the Values
-// map and snapshots the run's meter movement against before.
+// map and snapshots the run's meter movement against before, the
+// Network.meters snapshot taken at the run's start. Its one Report is the
+// run's only scan for the per-device maxima.
 func newResult(name string, nw *Network, before Report) *Result {
 	return &Result{Algorithm: name, Values: make(map[string]float64, 4), Cost: nw.Report().delta(before)}
 }
@@ -159,7 +161,7 @@ func (a *recursiveAlgo) Run(ctx context.Context, nw *Network, req Request) (*Res
 	if err != nil {
 		return nil, err
 	}
-	before := nw.Report()
+	before := nw.meters()
 	st, err := nw.buildStack(hooksFor(ctx, req), 0xbf5, d)
 	if err != nil {
 		return nil, err
@@ -192,7 +194,7 @@ func (a *decayAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result,
 	}
 	eng := nw.baselineEngine()
 	startRounds, startViol := eng.Round(), eng.MsgViolations()
-	before := nw.Report()
+	before := nw.meters()
 	r := nw.decayScratch().BFS(hooksFor(ctx, req), eng,
 		decay.ParamsFor(nw.g.N(), nw.passes), []int32{src}, d, rng.Derive(nw.seed, 0xd3ca))
 	if err := ctx.Err(); err != nil {
@@ -200,9 +202,13 @@ func (a *decayAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result,
 	}
 	res := newResult(a.name, nw, before)
 	res.Labels = append([]int32(nil), r.Dist...) // r.Dist aliases the scratch
-	res.Cost.MaxPhysEnergy = eng.MaxEnergy()
-	res.Cost.PhysRounds = eng.Round() - startRounds
-	res.Cost.MsgViolations = eng.MsgViolations() - startViol
+	if eng != nw.eng {
+		// A pooled or private engine, which the network's meters do not
+		// read.
+		res.Cost.MaxPhysEnergy = eng.MaxEnergy()
+		res.Cost.PhysRounds = eng.Round() - startRounds
+		res.Cost.MsgViolations = eng.MsgViolations() - startViol
+	}
 	return res, nil
 }
 
@@ -224,7 +230,7 @@ func (a *verifyAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result
 	if labels != nil && len(labels) != nw.g.N() {
 		return nil, fmt.Errorf("repro: labeling has %d entries, network has %d", len(labels), nw.g.N())
 	}
-	before := nw.Report()
+	before := nw.meters()
 	if labels == nil {
 		st, err := nw.buildStack(hooksFor(ctx, req), 0xbf5, d)
 		if err != nil {
@@ -258,7 +264,7 @@ type diamAlgo struct {
 
 func (a *diamAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result, error) {
 	n := nw.g.N()
-	before := nw.Report()
+	before := nw.meters()
 	st, err := nw.buildStack(hooksFor(ctx, req), a.tag, n)
 	if err != nil {
 		return nil, err
@@ -304,7 +310,7 @@ func (a *pollAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	before := nw.Report()
+	before := nw.meters()
 	r := new(labelcast.Scratch).Broadcast(hooksFor(ctx, req), nw.base, labels, period, pollBudget(nw.g.N(), period))
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -336,7 +342,7 @@ func (a *alarmAlgo) Run(ctx context.Context, nw *Network, req Request) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	before := nw.Report()
+	before := nw.meters()
 	h := hooksFor(ctx, req)
 	budget := pollBudget(nw.g.N(), period)
 	var s labelcast.Scratch

@@ -5,8 +5,8 @@ package repro_test
 // energy in Local-Broadcast units (LB/vertex) and time in LB calls — so
 // `go test -bench` regenerates the quantitative shape of every claim.
 //
-// Workloads are declared as harness.Scenario values — the same declarative
-// form cmd/experiments and `radiobfs run` use — and every iteration
+// Workloads are declared as harness.Scenario values — the form every spec
+// `radiobfs run` executes compiles to — and every iteration
 // executes one harness trial, with the iteration counter as the trial
 // index, so each iteration draws fresh derived randomness.
 

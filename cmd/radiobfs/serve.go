@@ -63,10 +63,11 @@ func runServe(args []string) error {
 		if *distToken == "" {
 			return fmt.Errorf("-dist-listen requires -dist-token")
 		}
-		// One listener shared across every job: workers started with
-		// -persist drain successive jobs, reconnecting after each run's
-		// clean shutdown. Each job's coordinator borrows the transport and
-		// must not close it; serve owns its lifetime.
+		// One listener shared across every job: remote workers drain
+		// successive jobs, reconnecting after each run's clean shutdown
+		// (with -persist they also outlast a restart of this daemon). Each
+		// job's coordinator borrows the transport and must not close it;
+		// serve owns its lifetime.
 		tr, err := dist.Listen(*distListen, dist.ListenConfig{Token: *distToken, Log: os.Stderr})
 		if err != nil {
 			return err

@@ -32,12 +32,13 @@ func commands() []command {
 // runWork is the worker half of the distributed-run protocol. Without flags
 // it serves trial leases over stdin/stdout (the mode `run -dist` spawns);
 // with -connect it dials a coordinator's -listen address over TCP,
-// authenticates with -token, and serves leases until the run completes.
+// authenticates with -token, and serves every run's leases until the
+// coordinator stops listening.
 func runWork(args []string) error {
 	fs := flag.NewFlagSet("work", flag.ExitOnError)
 	connect := fs.String("connect", "", "coordinator host:port to dial (from its run -listen flag); omitted = pipe mode over stdin/stdout")
 	token := fs.String("token", "", "shared secret matching the coordinator's -token (required with -connect)")
-	persist := fs.Bool("persist", false, "after a run completes, reconnect and wait for the next one (for serve daemons); default is to exit")
+	persist := fs.Bool("persist", false, "once the coordinator is gone, redial up to -retries times for a new one instead of exiting (either way the worker serves every run while its coordinator listens)")
 	retries := fs.Int("retries", 10, "consecutive failed connection attempts before giving up")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: radiobfs work [-connect host:port -token T [-persist] [-retries N]]")

@@ -41,8 +41,8 @@ func TestMain(m *testing.M) {
 			os.Exit(1)
 		case "dist-remote-worker":
 			// TCP worker: dials os.Args[2] with token os.Args[3] and serves
-			// until the coordinator's clean shutdown, like `radiobfs work
-			// -connect addr -token T`.
+			// every run until the coordinator stops listening, like
+			// `radiobfs work -connect addr -token T`.
 			if len(os.Args) < 4 {
 				fmt.Fprintln(os.Stderr, "dist-remote-worker needs addr and token")
 				os.Exit(2)

@@ -20,10 +20,13 @@ type RemoteWorker struct {
 	Addr string
 	// Token is the shared secret proven during the handshake.
 	Token string
-	// Persist keeps the worker alive after a coordinator finishes its run
-	// (clean shutdown frame): it redials and waits for the next run — the
-	// mode for draining successive jobs from a serve daemon's advertised
-	// listener. Without it, a clean shutdown ends the worker.
+	// Persist keeps the worker retrying once its coordinator is gone.
+	// Every worker redials after a run's clean shutdown and parks for the
+	// next run while the coordinator still listens (`radiobfs run -listen
+	// a.json b.json` runs one Execute per spec); without Persist, a redial
+	// the coordinator no longer answers ends the worker cleanly. With it,
+	// the worker spends its retry budget waiting for a listener to come
+	// back, the mode for a fleet that outlives a serve daemon's restarts.
 	Persist bool
 	// Retries bounds consecutive failed connection attempts (dial errors,
 	// dropped handshakes) before the worker gives up (default 10). A
@@ -57,9 +60,9 @@ func (rw RemoteWorker) withDefaults() RemoteWorker {
 	return rw
 }
 
-// Run serves the coordinator until a clean shutdown (nil; or the next run
-// under Persist), a terminal handshake rejection (*RejectedError), or the
-// retry budget is exhausted.
+// Run serves the coordinator's runs until the coordinator is gone after
+// serving at least one (nil, unless Persist), a terminal handshake
+// rejection (*RejectedError), or the retry budget is exhausted.
 func (rw RemoteWorker) Run() error {
 	rw = rw.withDefaults()
 	fails := 0
@@ -80,9 +83,6 @@ func (rw RemoteWorker) Run() error {
 		case err == nil:
 			fails = 0
 			served = true
-			if !rw.Persist {
-				return nil
-			}
 			fmt.Fprintf(rw.Log, "dist worker: run complete; reconnecting to %s for the next one\n", rw.Addr)
 		case err == errChaosDisconnect:
 			// The fault plan severed the socket on purpose; rejoin
@@ -96,9 +96,9 @@ func (rw RemoteWorker) Run() error {
 				return err
 			}
 			if served && !rw.Persist {
-				// A one-shot worker exists to serve one coordinator; once it
-				// has served and the coordinator is unreachable, the run is
-				// over — exit clean rather than burn retries against a
+				// A worker without Persist serves one coordinator; once it
+				// has served and the coordinator is unreachable, its runs
+				// are over — exit clean rather than burn retries against a
 				// listener that is gone.
 				fmt.Fprintf(rw.Log, "dist worker: %v; coordinator gone, treating the run as complete\n", err)
 				return nil
@@ -126,7 +126,7 @@ func (rw RemoteWorker) serveOnce() error {
 	fr, fw := NewFrameReader(c), NewFrameWriter(c)
 	m, v, err := clientHandshake(fr, fw, rw.Token, rw.Version)
 	if err == errParkedEOF {
-		fmt.Fprintf(rw.Log, "dist worker: %v\n", err)
+		fmt.Fprintln(rw.Log, err)
 		return nil
 	}
 	if err != nil {

@@ -185,6 +185,10 @@ func TestTCPWrongTokenRejected(t *testing.T) {
 	}
 
 	wait := startRemoteWorkers(t, 2, tr.Addr().String(), "s3cret")
+	// Both workers are parked before the run starts. Counted after the run,
+	// a served worker's redial would authenticate a second time, and could
+	// stand in for a worker whose first dial then meets a closed listener.
+	waitAuthenticated(t, &log, 2)
 	out, err := Execute(f, 0, spec.Options{}, Config{Workers: 2, Transport: tr, Log: &log})
 	if err != nil {
 		t.Fatalf("Execute: %v\nlog: %s", err, log.Bytes())
@@ -199,11 +203,9 @@ func TestTCPWrongTokenRejected(t *testing.T) {
 	if !strings.Contains(evilErr.String(), "handshake rejected (badToken)") {
 		t.Errorf("wrong-token worker stderr missing the typed rejection: %s", evilErr.String())
 	}
-	// The listener outlives the run, so a worker that dialed after the run
-	// finished sits parked awaiting an attach that will never come. Once
-	// both workers have authenticated, closing the listener releases any
-	// such worker with a clean exit.
-	waitAuthenticated(t, &log, 2)
+	// The listener outlives the run, so a worker that redialed after the
+	// run finished sits parked awaiting an attach that will never come;
+	// closing the listener releases it with a clean exit.
 	tr.Close()
 	for i, werr := range wait() {
 		if werr != nil {
@@ -243,5 +245,43 @@ func TestTCPConnectWaitFallsBackInProcess(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < 300*time.Millisecond {
 		t.Errorf("fell back after %v, before ConnectWait elapsed", waited)
+	}
+}
+
+// TestTCPWorkersServeSuccessiveRuns: remote workers without Persist serve
+// every run of their coordinator, as `radiobfs run -listen ... a.json
+// b.json` runs one Execute per spec over one listener. After the first
+// run's clean shutdown each worker redials and parks, so the second run is
+// served remotely instead of waiting out ConnectWait and finishing
+// in-process; once the listener closes, the workers exit cleanly.
+func TestTCPWorkersServeSuccessiveRuns(t *testing.T) {
+	f := testFile()
+	want := baseline(t, f)
+	var log syncBuffer
+	tr, err := Listen("127.0.0.1:0", ListenConfig{Token: "s3cret", Log: &log})
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer tr.Close()
+	wait := startRemoteWorkers(t, 2, tr.Addr().String(), "s3cret")
+	waitAuthenticated(t, &log, 2)
+	cfg := Config{Workers: 2, Transport: tr, ConnectWait: 3 * time.Second, Log: &log}
+	for run := 1; run <= 2; run++ {
+		out, err := Execute(f, 0, spec.Options{}, cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v\nlog: %s", run, err, log.Bytes())
+		}
+		if got := artifactBytes(t, out); !bytes.Equal(got, want) {
+			t.Errorf("run %d: TCP artifacts differ from in-process run", run)
+		}
+	}
+	if strings.Contains(log.String(), "finishing the sweep in-process") {
+		t.Errorf("a run finished in-process: its workers left after the first run\nlog: %s", log.Bytes())
+	}
+	tr.Close()
+	for i, werr := range wait() {
+		if werr != nil {
+			t.Errorf("remote worker %d exit: %v\nlog: %s", i, werr, log.Bytes())
+		}
 	}
 }

@@ -27,7 +27,7 @@ var (
 	// errParkedEOF: an authenticated connection closed while parked, before
 	// the coordinator attached it — the run ended without needing this
 	// worker.
-	errParkedEOF = errors.New("dist worker: connection closed while parked — the run ended before this worker was attached")
+	errParkedEOF = errors.New("dist worker: connection closed while parked — the coordinator ended its run or closed its listener before attaching this worker")
 )
 
 // ServeWorker runs the worker half of the protocol over (in, out) —

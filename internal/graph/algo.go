@@ -37,12 +37,28 @@ func MultiSourceBFSWithin(g *Graph, srcs []int32, d int) []int32 {
 // multiSourceBFS is MultiSourceBFSWithin, also reporting how many levels
 // it walked bottom-up.
 func multiSourceBFS(g *Graph, srcs []int32, d int) (dist []int32, bottomUp int) {
+	var b bfsBuffers
+	return b.search(g, srcs, d)
+}
+
+// bfsBuffers holds a search's distance array, queue and bottom-up list, so
+// a caller running one search per vertex (Diameter) allocates them once.
+type bfsBuffers struct {
+	dist, queue, rest []int32
+}
+
+// search is multiSourceBFS on b's buffers. The distances it returns alias
+// b.dist, which the next search overwrites.
+func (b *bfsBuffers) search(g *Graph, srcs []int32, d int) (dist []int32, bottomUp int) {
 	n := g.N()
-	dist = make([]int32, n)
+	if cap(b.dist) < n {
+		b.dist, b.queue = make([]int32, n), make([]int32, 0, n)
+	}
+	dist = b.dist[:n]
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	queue := make([]int32, 0, n)
+	queue := b.queue[:0]
 	// frontierArcs and unreachedArcs sum the degrees of the current level
 	// and of the vertices no level has reached yet.
 	frontierArcs, unreachedArcs := 0, len(g.neighbors)
@@ -60,6 +76,7 @@ func multiSourceBFS(g *Graph, srcs []int32, d int) (dist []int32, bottomUp int) 
 	// stops once no unreached vertex has an arc left, since no level can
 	// reach one, or once it has labeled level d.
 	var rest []int32
+	listed := false
 	for head := 0; head < len(queue) && unreachedArcs > 0; {
 		level := dist[queue[head]]
 		if int(level) >= d {
@@ -68,14 +85,18 @@ func multiSourceBFS(g *Graph, srcs []int32, d int) (dist []int32, bottomUp int) 
 		frontier := queue[head:]
 		head = len(queue)
 		scan := n
-		if rest != nil {
+		if listed {
 			scan = len(rest)
 		}
 		nextArcs := 0
 		if scan+unreachedArcs < len(frontier)+frontierArcs {
 			bottomUp++
-			if rest == nil {
-				rest = make([]int32, 0, n-len(queue))
+			if !listed {
+				listed = true
+				if cap(b.rest) < n-len(queue) {
+					b.rest = make([]int32, 0, n-len(queue))
+				}
+				rest = b.rest[:0]
 				for v := int32(0); v < int32(n); v++ {
 					if dist[v] == Unreachable {
 						rest = append(rest, v)
@@ -118,7 +139,11 @@ func multiSourceBFS(g *Graph, srcs []int32, d int) (dist []int32, bottomUp int) 
 // Eccentricity returns the maximum finite distance from src, or Unreachable
 // if some vertex is unreachable from src.
 func Eccentricity(g *Graph, src int32) int32 {
-	dist := BFS(g, src)
+	return eccentricity(BFS(g, src))
+}
+
+// eccentricity is the largest of dist, or Unreachable if dist has one.
+func eccentricity(dist []int32) int32 {
 	ecc := int32(0)
 	for _, d := range dist {
 		if d == Unreachable {
@@ -131,13 +156,18 @@ func Eccentricity(g *Graph, src int32) int32 {
 	return ecc
 }
 
-// Diameter computes the exact diameter by running a BFS from every vertex.
-// It returns Unreachable for disconnected graphs. O(n·m); intended for the
-// moderate sizes used in tests and experiments.
+// Diameter computes the exact diameter by running a BFS from every vertex,
+// all on one set of buffers. It returns Unreachable for disconnected
+// graphs. O(n·m); intended for the moderate sizes used in tests and
+// experiments.
 func Diameter(g *Graph) int32 {
+	var b bfsBuffers
+	src := []int32{0}
 	diam := int32(0)
 	for v := int32(0); v < int32(g.N()); v++ {
-		ecc := Eccentricity(g, v)
+		src[0] = v
+		dist, _ := b.search(g, src, g.N())
+		ecc := eccentricity(dist)
 		if ecc == Unreachable {
 			return Unreachable
 		}

@@ -46,7 +46,8 @@ func disjointUnion(a, b *Graph) *Graph {
 // each level from the smaller side: over random G(n,p) at several
 // densities, complete graphs, stars searched from a leaf, lollipops and
 // disconnected graphs, from one, several and duplicate sources, its
-// distances equal the plain queue BFS's. Bottom-up levels must run on some
+// distances equal the plain queue BFS's, also when every search reuses one
+// set of buffers, as Diameter's do. Bottom-up levels must run on some
 // inputs, and some searches must stay top-down throughout.
 func TestMultiSourceBFSMatchesQueueBFS(t *testing.T) {
 	r := rng.New(0xbf5)
@@ -69,6 +70,7 @@ func TestMultiSourceBFSMatchesQueueBFS(t *testing.T) {
 		)
 	}
 	bottomUp, topDownOnly := 0, 0
+	var shared bfsBuffers
 	for _, in := range inputs {
 		g, n := in.g, in.g.N()
 		srcSets := [][]int32{{0}, {int32(n - 1)}, {int32(n / 2), 0, int32(n / 2)}}
@@ -85,9 +87,10 @@ func TestMultiSourceBFSMatchesQueueBFS(t *testing.T) {
 		for _, srcs := range srcSets {
 			got, up := multiSourceBFS(g, srcs, g.N())
 			want := queueBFS(g, srcs)
+			reused, _ := shared.search(g, srcs, g.N())
 			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s from %v: dist[%d] = %d, queue BFS %d", in.name, srcs, v, got[v], want[v])
+				if got[v] != want[v] || reused[v] != want[v] {
+					t.Fatalf("%s from %v: dist[%d] = %d (%d on reused buffers), queue BFS %d", in.name, srcs, v, got[v], reused[v], want[v])
 				}
 			}
 			if up > 0 {

@@ -138,6 +138,15 @@ func TestDiameterKnownFamilies(t *testing.T) {
 	}
 }
 
+// TestDiameterAllocatesOneBufferSet: Diameter's n searches share one set
+// of BFS buffers, so its allocations do not grow with n.
+func TestDiameterAllocatesOneBufferSet(t *testing.T) {
+	g := Grid(16, 16)
+	if allocs := testing.AllocsPerRun(5, func() { Diameter(g) }); allocs > 3 {
+		t.Errorf("Diameter(Grid(16, 16)) made %v allocations, want at most 3 (distances, queue, bottom-up list)", allocs)
+	}
+}
+
 func TestDiameterDisconnected(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)

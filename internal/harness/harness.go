@@ -1,7 +1,6 @@
 // Package harness is the shared trial-runner subsystem behind the
-// experiment tables (cmd/experiments), the benchmarks, and the spec
-// executor (internal/spec) that `radiobfs run`, `run -dist` and `serve`
-// drive.
+// benchmarks and the spec executor (internal/spec), which `radiobfs run`,
+// `run -dist` and `serve` drive and which produces every paper table.
 //
 // The paper's claims — Theorem 4.1's sub-polynomial energy, the §5 diameter
 // and lower-bound trade-offs — are statements about distributions over

@@ -89,7 +89,7 @@ func TestSpecMatchesDirectHarnessPath(t *testing.T) {
 	var viaSpec bytes.Buffer
 	harness.WriteCSV(&viaSpec, out.Summaries)
 
-	// The same scenarios, written the way cmd/experiments PR-1 would have.
+	// The same scenarios, written as hand-built harness scenarios.
 	direct := []*harness.Scenario{
 		{
 			Name:      "det-recursive",

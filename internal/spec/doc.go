@@ -14,8 +14,9 @@
 // reduced-size "quick" overlays for CI-scale runs. The checked-in library
 // lives in the scenarios/ directory at the repository root (embedded by the
 // scenarios package) and is the single source of truth for the paper's
-// experiment grids: cmd/experiments renders its E1–E14 tables from it, and
-// `radiobfs run`, `run -dist` and `serve` execute any of its specs.
+// experiment grids: each of its E0–E14 specs is a paper table, which
+// `radiobfs run`, `run -dist` and `serve` execute and write out as
+// aggregate.md.
 //
 // Execution and persistence follow the harness's determinism contract:
 // every trial's seed derives from (root, scenario, instance, index) alone,

@@ -1,10 +1,8 @@
-// Package stats provides the statistics and presentation toolkit used by
-// the experiment harness and drivers: summary statistics, streaming
-// accumulators (Stream for moments and extrema, PSquare for quantiles
-// without retaining observations), log-log least-squares fits for the
-// scaling exponents quoted next to the paper's asymptotic claims, aligned
-// text tables, CSV output, and the ASCII chart used to render the Figure 3
-// time-evolution series.
+// Package stats provides the statistics and presentation toolkit the
+// experiment harness aggregates and renders with: summary statistics,
+// streaming accumulators (Stream for moments and extrema, PSquare for
+// quantiles without retaining observations), and the aligned text table
+// `radiobfs run` prints per scenario (harness.WriteTable).
 //
 // Everything here is deterministic formatting and arithmetic: rendering a
 // table or folding a stream is a pure function of its inputs, with no

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
@@ -34,8 +33,9 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Quantile returns the q-quantile (q in [0,1]) by nearest-rank on a copy.
-func Quantile(xs []float64, q float64) float64 {
+// quantile returns the q-quantile (q in [0,1]) by nearest-rank on a copy:
+// PSquare's exact answer before it has its five markers.
+func quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -51,42 +51,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return cp[idx]
 }
 
-// I64s converts int64 samples for the float helpers.
-func I64s(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// FitPowerLaw fits y = c·x^e by least squares on (log x, log y) and returns
-// the exponent e and coefficient c. Non-positive samples are skipped; it
-// needs at least two usable points (else it returns NaNs).
-func FitPowerLaw(xs, ys []float64) (exponent, coeff float64) {
-	var lx, ly []float64
-	for i := range xs {
-		if i < len(ys) && xs[i] > 0 && ys[i] > 0 {
-			lx = append(lx, math.Log(xs[i]))
-			ly = append(ly, math.Log(ys[i]))
-		}
-	}
-	if len(lx) < 2 {
-		return math.NaN(), math.NaN()
-	}
-	mx, my := Mean(lx), Mean(ly)
-	var num, den float64
-	for i := range lx {
-		num += (lx[i] - mx) * (ly[i] - my)
-		den += (lx[i] - mx) * (lx[i] - mx)
-	}
-	if den == 0 {
-		return math.NaN(), math.NaN()
-	}
-	e := num / den
-	return e, math.Exp(my - e*mx)
-}
-
 // Table renders aligned experiment tables.
 type Table struct {
 	Title   string
@@ -97,11 +61,6 @@ type Table struct {
 // NewTable creates a table with the given column headers.
 func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, headers: headers}
-}
-
-// AddRow appends one formatted row; cells beyond the header count are kept.
-func (t *Table) AddRow(cells ...string) {
-	t.rows = append(t.rows, cells)
 }
 
 // AddRowf appends a row of fmt.Sprint-formatted values.
@@ -157,78 +116,9 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.headers, ","))
-	for _, r := range t.rows {
-		fmt.Fprintln(w, strings.Join(r, ","))
-	}
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// Series is one named line of an ASCII chart.
-type Series struct {
-	Name   string
-	Points []float64 // y per x index; NaN skips a point
-	Mark   byte
-}
-
-// Chart renders multiple series over a shared x axis as ASCII art (used for
-// the Figure 3 reproduction). Height is the number of text rows.
-func Chart(width, height int, series ...Series) string {
-	if width < 8 {
-		width = 8
-	}
-	if height < 4 {
-		height = 4
-	}
-	maxY := 0.0
-	maxX := 0
-	for _, s := range series {
-		if len(s.Points) > maxX {
-			maxX = len(s.Points)
-		}
-		for _, y := range s.Points {
-			if !math.IsNaN(y) && y > maxY {
-				maxY = y
-			}
-		}
-	}
-	if maxX == 0 || maxY == 0 {
-		return "(empty chart)\n"
-	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for _, s := range series {
-		for x, y := range s.Points {
-			if math.IsNaN(y) || y < 0 {
-				continue
-			}
-			col := x * (width - 1) / maxX
-			row := height - 1 - int(y/maxY*float64(height-1))
-			if row >= 0 && row < height && col >= 0 && col < width {
-				grid[row][col] = s.Mark
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "y-max = %.0f\n", maxY)
-	for _, row := range grid {
-		b.WriteString("|")
-		b.Write(row)
-		b.WriteString("\n")
-	}
-	b.WriteString("+" + strings.Repeat("-", width) + "> stage\n")
-	for _, s := range series {
-		fmt.Fprintf(&b, "  %c = %s\n", s.Mark, s.Name)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -14,51 +13,18 @@ func TestMeanMaxQuantile(t *testing.T) {
 	if Max(xs) != 4 {
 		t.Fatalf("max = %v", Max(xs))
 	}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {
+	if quantile(xs, 0) != 1 || quantile(xs, 1) != 4 {
 		t.Fatal("quantile extremes wrong")
 	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Quantile(nil, 0.5) != 0 {
+	if Mean(nil) != 0 || Max(nil) != 0 || quantile(nil, 0.5) != 0 {
 		t.Fatal("empty-input defaults wrong")
-	}
-}
-
-func TestI64s(t *testing.T) {
-	out := I64s([]int64{1, 2, 3})
-	if len(out) != 3 || out[2] != 3 {
-		t.Fatalf("I64s = %v", out)
-	}
-}
-
-func TestFitPowerLawExact(t *testing.T) {
-	xs := []float64{1, 2, 4, 8, 16}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * math.Pow(x, 1.5)
-	}
-	e, c := FitPowerLaw(xs, ys)
-	if math.Abs(e-1.5) > 1e-9 || math.Abs(c-3) > 1e-9 {
-		t.Fatalf("fit = (%v, %v), want (1.5, 3)", e, c)
-	}
-}
-
-func TestFitPowerLawDegenerate(t *testing.T) {
-	if e, _ := FitPowerLaw([]float64{1}, []float64{1}); !math.IsNaN(e) {
-		t.Fatal("single point should not fit")
-	}
-	if e, _ := FitPowerLaw([]float64{2, 2}, []float64{1, 5}); !math.IsNaN(e) {
-		t.Fatal("vertical data should not fit")
-	}
-	// Non-positive samples skipped.
-	e, _ := FitPowerLaw([]float64{0, 1, 2, 4}, []float64{-1, 2, 4, 8})
-	if math.Abs(e-1) > 1e-9 {
-		t.Fatalf("fit with skipped points = %v", e)
 	}
 }
 
 func TestTableRender(t *testing.T) {
 	tb := NewTable("demo", "n", "energy")
 	tb.AddRowf(64, 123.456)
-	tb.AddRow("1024", "9")
+	tb.AddRowf("1024", 9)
 	var b strings.Builder
 	tb.Render(&b)
 	out := b.String()
@@ -71,30 +37,5 @@ func TestTableRender(t *testing.T) {
 		if len(l) != width {
 			t.Fatalf("unaligned table:\n%s", out)
 		}
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("demo", "a", "b")
-	tb.AddRow("1", "2")
-	var b strings.Builder
-	tb.CSV(&b)
-	if b.String() != "a,b\n1,2\n" {
-		t.Fatalf("csv = %q", b.String())
-	}
-}
-
-func TestChart(t *testing.T) {
-	s1 := Series{Name: "upper", Mark: '*', Points: []float64{10, 8, 6, 4, 2, 0}}
-	s2 := Series{Name: "lower", Mark: '.', Points: []float64{5, 4, 3, 2, 1, 0}}
-	out := Chart(24, 8, s1, s2)
-	if !strings.Contains(out, "*") || !strings.Contains(out, ".") {
-		t.Fatalf("chart missing series:\n%s", out)
-	}
-	if !strings.Contains(out, "upper") || !strings.Contains(out, "> stage") {
-		t.Fatalf("chart missing legend:\n%s", out)
-	}
-	if Chart(10, 4) != "(empty chart)\n" {
-		t.Fatal("empty chart not handled")
 	}
 }

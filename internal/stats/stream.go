@@ -166,7 +166,7 @@ func (p *PSquare) Value() float64 {
 	}
 	if p.n < 5 {
 		buf := append([]float64(nil), p.h[:p.n]...)
-		return Quantile(buf, p.q)
+		return quantile(buf, p.q)
 	}
 	// h[0] and h[4] track the running extremes exactly; the interior
 	// estimate h[2] is meaningless at q = 0 or 1.

@@ -79,7 +79,7 @@ func TestPSquareApproximatesQuantiles(t *testing.T) {
 			xs = append(xs, x)
 			p.Add(x)
 		}
-		exact := Quantile(xs, q)
+		exact := quantile(xs, q)
 		if math.Abs(p.Value()-exact) > 0.02 {
 			t.Fatalf("q=%v: estimate %v vs exact %v", q, p.Value(), exact)
 		}

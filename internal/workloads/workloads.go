@@ -7,8 +7,8 @@
 //
 // internal/spec resolves "custom" names here the way it resolves
 // "algorithm" names through repro.Get, so every driver that compiles a spec
-// — `radiobfs run`, `run -dist` and its workers, `serve`, cmd/experiments —
-// runs these workloads too. The table is static: there is no registration.
+// — `radiobfs run`, `run -dist` and its workers, `serve` — runs these
+// workloads too. The table is static: there is no registration.
 //
 // A workload reports everything it measures as trial metrics, including
 // the structured series that a paper table renders (E4's tail and ratio

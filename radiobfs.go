@@ -24,7 +24,7 @@
 //
 // The packages under internal/ expose every layer (radio physics, Decay,
 // clustering, virtual cluster-graph networks) for finer-grained use by the
-// examples, the experiment harness (cmd/experiments) and the benchmarks.
+// examples, the experiment harness (internal/harness) and the benchmarks.
 package repro
 
 import (
@@ -218,13 +218,20 @@ type Report struct {
 
 // Report snapshots the meters.
 func (nw *Network) Report() Report {
-	r := Report{
-		MaxLBEnergy:   lbnet.MaxLBEnergy(nw.base),
-		TotalLBEnergy: lbnet.TotalLBEnergy(nw.base),
-		LBTime:        nw.base.LBTime(),
-	}
+	r := nw.meters()
+	r.MaxLBEnergy = lbnet.MaxLBEnergy(nw.base)
 	if nw.eng != nil {
 		r.MaxPhysEnergy = nw.eng.MaxEnergy()
+	}
+	return r
+}
+
+// meters snapshots only the additive meters, the ones delta differences:
+// a run's starting point, which skips Report's scans for the per-device
+// maxima.
+func (nw *Network) meters() Report {
+	r := Report{TotalLBEnergy: lbnet.TotalLBEnergy(nw.base), LBTime: nw.base.LBTime()}
+	if nw.eng != nil {
 		r.PhysRounds = nw.eng.Round()
 		r.MsgViolations = nw.eng.MsgViolations()
 	}

@@ -18,7 +18,9 @@ var update = flag.Bool("update", false, "rewrite the golden aggregates under tes
 // between execution paths: the aggregate.csv of every embedded spec's
 // -quick overlay must match testdata/<name>.aggregate.csv byte for byte.
 // A change that moves any result needs a reviewed golden diff; record one
-// with `go test ./scenarios -run TestGoldenAggregates -update`.
+// with `go test ./scenarios -run TestGoldenAggregates -update`. The same
+// run's summaries must also meet the spec's paper claim (paperClaims),
+// under -update too.
 func TestGoldenAggregates(t *testing.T) {
 	want := map[string]bool{}
 	for _, name := range Names() {
@@ -34,6 +36,9 @@ func TestGoldenAggregates(t *testing.T) {
 			}
 			if n := out.Errors(); n != 0 {
 				t.Fatalf("%d trials failed", n)
+			}
+			if pc, ok := paperClaims[f.Name]; ok {
+				pc.verify(t, f, out.Summaries)
 			}
 			dir, err := out.WriteArtifacts(t.TempDir())
 			if err != nil {
@@ -59,8 +64,13 @@ func TestGoldenAggregates(t *testing.T) {
 			}
 		})
 	}
-	// A golden whose spec was renamed or deleted would otherwise go stale
-	// silently.
+	// A golden or a claim whose spec was renamed or deleted would otherwise
+	// go stale silently.
+	for name := range paperClaims {
+		if !want[name+".aggregate.csv"] {
+			t.Errorf("paper claim keyed to %s, which no embedded spec is", name)
+		}
+	}
 	entries, err := os.ReadDir("testdata")
 	if err != nil {
 		t.Fatal(err)

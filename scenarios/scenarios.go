@@ -1,13 +1,15 @@
 // Package scenarios embeds the checked-in experiment-spec library: one JSON
-// file per experiment of the paper's grid (E1–E14, minus the trial-free
-// Z-sequence printout E6) plus combinations the Go drivers never exposed
-// (Decay on seeded families, the diameter approximations across the full
-// generator suite, unit-vs-physical cost ablations, and the tiny CI smoke
-// spec). The files are the single source of truth for the experiment grids:
-// cmd/experiments renders its tables from them, and every spec — registry
+// file per experiment of the paper's grid (E0–E14, minus E6, whose
+// Z-sequence internal/core's tests pin) plus combinations no paper table
+// needs (Decay on seeded families, the diameter approximations across the
+// full generator suite, unit-vs-physical cost ablations, the scale suite
+// and the tiny CI smoke spec). The files are the single source of truth
+// for the experiment grids: a paper table is the aggregate.md that
+// `radiobfs run scenarios/<name>.json` writes, and every spec — registry
 // algorithms and the table workloads of internal/workloads alike — also
-// runs standalone via `radiobfs run scenarios/<name>.json`, under -dist,
-// and as a `serve` job.
+// runs under -dist and as a `serve` job. The package's tests pin every
+// spec's quick-overlay aggregates and check the paper claim each table
+// measures against them.
 //
 // See internal/spec for the file format and README.md for a worked example.
 package scenarios

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/harness"
 	"repro/internal/spec"
 	"repro/internal/workloads"
@@ -11,15 +12,15 @@ import (
 
 // TestLibraryValidatesAndCompiles parses, validates, and compiles every
 // checked-in spec file in both full and quick modes, exactly as every
-// driver compiles it. This is what lets cmd/experiments treat a spec
-// failure as a build defect. Every table workload must be named by some
-// spec, so none of them runs only in tests.
+// driver compiles it. Every registered algorithm and every table workload
+// must be named by some spec, so each has a paper table and a pinned
+// golden, and none of them runs only in tests.
 func TestLibraryValidatesAndCompiles(t *testing.T) {
 	names := Names()
 	if len(names) < 15 {
 		t.Fatalf("expected the full library, found only %d specs: %v", len(names), names)
 	}
-	used := map[string]bool{}
+	used, algos := map[string]bool{}, map[string]bool{}
 	for _, name := range names {
 		f, err := Load(name)
 		if err != nil {
@@ -27,7 +28,11 @@ func TestLibraryValidatesAndCompiles(t *testing.T) {
 			continue
 		}
 		for i := range f.Scenarios {
-			used[f.Scenarios[i].Custom] = true
+			sc := &f.Scenarios[i]
+			used[sc.Custom] = true
+			if a, err := repro.Get(sc.Algorithm); err == nil {
+				algos[a.Name()] = true
+			}
 		}
 		if f.Name != strings.TrimSuffix(name, ".json") {
 			t.Errorf("%s: spec name %q should match its file name", name, f.Name)
@@ -51,6 +56,11 @@ func TestLibraryValidatesAndCompiles(t *testing.T) {
 	for _, w := range workloads.Names() {
 		if !used[w] {
 			t.Errorf("workload %s is named by no embedded spec", w)
+		}
+	}
+	for _, name := range repro.AlgorithmNames() {
+		if !algos[name] {
+			t.Errorf("algorithm %s is named by no embedded spec (add a scenario to e0_registry.json)", name)
 		}
 	}
 }
